@@ -21,13 +21,12 @@ from .core import (
     GameTranscript,
     Representation,
     build_exact_set,
-    estimate_success_rate,
     minimal_error,
     run_challenge,
     sample_set,
 )
 from .cuckoo import CuckooFilterRep, build_cuckoo, build_cuckoo_random_query
-from .experiments import GameConfig, audit_memory, play_game, run_campaign
+from .experiments import GameConfig, audit_memory, count_wins, play_game, run_campaign
 from .gfamily import GFamily, g_sample
 from .hashing import split_seed
 from .permutation import PermKey, invert, permute
@@ -41,8 +40,8 @@ __all__ = [
     "MutatePositivesAttack", "PermKey", "RandomProbeAttack",
     "Representation", "SeedExposedAttack", "ShieldedRep", "audit_memory",
     "build_bloom", "build_cuckoo", "build_cuckoo_random_query",
-    "build_exact_set", "build_shield", "err_estimate",
-    "estimate_success_rate", "g_sample", "invert", "minimal_error",
-    "mu_estimate", "permute", "play_game", "run_campaign", "run_challenge",
-    "sample_set", "split_seed", "standard_bloom_bits",
+    "build_exact_set", "build_shield", "count_wins", "err_estimate",
+    "g_sample", "invert", "minimal_error", "mu_estimate", "permute",
+    "play_game", "run_campaign", "run_challenge", "sample_set", "split_seed",
+    "standard_bloom_bits",
 ]

@@ -23,11 +23,11 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from . import gf2
-from .adversaries import mu_estimate
+from .adversaries import fresh_element, mu_estimate
 from .bloom import build_bloom
 from .core import FilterParams, minimal_error, sample_set
 from .cuckoo import build_cuckoo
-from .experiments import GameConfig, build_filter, play_game
+from .experiments import GameConfig, build_filter, count_wins
 from .gfamily import GFamily, odd_powers
 from .hashing import split_seed
 from .permutation import PermKey, invert, permute
@@ -65,13 +65,6 @@ class CriterionResult:
                 f"seed={self.seed} ({self.runtime_s:.1f}s)")
 
 
-def _fresh_nonmember(rng: random.Random, universe: int, S) -> int:
-    x = rng.randrange(universe)
-    while x in S:
-        x = rng.randrange(universe)
-    return x
-
-
 def criterion_1(seed: int) -> CriterionResult:
     """Completeness: zero false negatives across all filter types."""
     params = FilterParams(n=16, eps=2 ** -3, t=64, u_bits=12)
@@ -92,7 +85,7 @@ def criterion_1(seed: int) -> CriterionResult:
             S = sample_set(params, rng)
             rep = build_filter(cfg, S, params, rng.getrandbits(63))
             work: list[tuple[bool, int]] = [(True, x) for x in S]
-            work += [(False, _fresh_nonmember(rng, params.universe, S))
+            work += [(False, fresh_element(rng, params.universe, S))
                      for _ in range(100)]
             rng.shuffle(work)
             work += [(True, x) for x in S]  # re-query after the churn
@@ -117,7 +110,7 @@ def criterion_2(seed: int) -> CriterionResult:
     S = sample_set(params, rng)
     rep = build_bloom(S, params, split_seed(seed, 1))
     samples = 100_000
-    hits = sum(rep.query(_fresh_nonmember(rng, params.universe, S))
+    hits = sum(rep.query(fresh_element(rng, params.universe, S))
                for _ in range(samples))
     rate = hits / samples
     lo, hi = params.eps / 2, 2 * params.eps
@@ -136,7 +129,7 @@ def criterion_3(seed: int) -> CriterionResult:
         adversary_opts={"c": 200, "strict": True},
     )
     games = 60
-    wins = sum(play_game(cfg, split_seed(seed, i)).success for i in range(games))
+    wins = count_wins(cfg, games, seed)
     rate = wins / games
     return CriterionResult(
         3, "non-resilience of steady filters", measured=f"{wins}/{games}={rate:.3f}",
@@ -165,17 +158,13 @@ def criterion_4(seed: int) -> CriterionResult:
         bloom_bits=TOY_BLOOM_BITS, expose="structure",
         adversary_opts={"c": 200, "strict": False},
     )
-    wins_a = sum(play_game(cfg_a, split_seed(seed, 0, i)).success
-                 for i in range(games))
-    rate_a = wins_a / games
+    rate_a = count_wins(cfg_a, games, seed, (0,)) / games
     bound_a = toy_eps + 0.05
 
     prod = FilterParams(n=1000, eps=2 ** -6, t=1000, u_bits=32)
     cfg_b = GameConfig("baseline_bloom", "seed_exposed", prod, shielded=True,
                        expose="full")
-    wins_b = sum(play_game(cfg_b, split_seed(seed, 1, i)).success
-                 for i in range(games))
-    rate_b = wins_b / games
+    rate_b = count_wins(cfg_b, games, seed, (1,)) / games
     bound_b = prod.eps + 0.05
 
     rng = random.Random(split_seed(seed, 2))
@@ -201,9 +190,7 @@ def criterion_5(seed: int) -> CriterionResult:
     rates = {}
     for ai, adv in enumerate(("random_probe", "mutate_positives")):
         cfg = GameConfig("cuckoo_resilient", adv, PROD_PARAMS)
-        wins = sum(play_game(cfg, split_seed(seed, ai, i)).success
-                   for i in range(games))
-        rates[adv] = wins / games
+        rates[adv] = count_wins(cfg, games, seed, (ai,)) / games
     worst = max(rates.values())
     return CriterionResult(
         5, "resilience of the construction", seed=seed,
@@ -244,7 +231,7 @@ def criterion_7(seed: int) -> CriterionResult:
     rep = build_cuckoo(S, PROD_PARAMS, rng.getrandbits(63))
     samples = C7_SAMPLES
     for _ in range(samples):
-        rep.query(_fresh_nonmember(rng, PROD_PARAMS.universe, S))
+        rep.query(fresh_element(rng, PROD_PARAMS.universe, S))
     mean = rep.mean_bit_comparisons
     return CriterionResult(
         7, "comparison telemetry", measured=f"mean={mean:.4f}",
@@ -321,8 +308,7 @@ def criterion_10(seed: int) -> CriterionResult:
     games = 1000
     bound = VARIANT_PARAMS.eps + 0.02
     cfg = GameConfig("cuckoo_random_query", "random_probe", VARIANT_PARAMS)
-    wins = sum(play_game(cfg, split_seed(seed, i)).success for i in range(games))
-    rate = wins / games
+    rate = count_wins(cfg, games, seed) / games
     return CriterionResult(
         10, "random-query variant", measured=f"{rate:.4f}",
         threshold=f"<= {bound:.4f}", passed=rate <= bound, seed=seed,
@@ -364,8 +350,3 @@ def run_criterion(number: int, master_seed: int = DEFAULT_SEED) -> CriterionResu
     res = fn(seed)
     res.runtime_s = time.perf_counter() - t0
     return res
-
-
-def run_all(master_seed: int = DEFAULT_SEED,
-            numbers: list[int] | None = None) -> list[CriterionResult]:
-    return [run_criterion(n, master_seed) for n in (numbers or sorted(CRITERIA))]

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable
 
 from .core import AdversaryContext, Representation, minimal_error
-
-QueryFn = Callable[[Representation, int], bool]
 
 EXHAUSTIVE_LIMIT = 1 << 16  # universes up to this size are swept exactly
 
@@ -51,8 +48,6 @@ def fresh_element(rng: random.Random, universe: int, *excluded: set[int] | froze
 class RandomProbeAttack:
     """Non-adaptive baseline: t uniform queries, then a fresh uniform guess."""
 
-    name = "random_probe"
-
     def run(self, ctx: AdversaryContext) -> int:
         params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
         u = params.universe
@@ -70,8 +65,6 @@ class MutatePositivesAttack:
     probes single-bit mutations of those, the rest stays uniform.  The final
     challenge is a fresh mutation of a random positive when one exists.
     """
-
-    name = "mutate_positives"
 
     def run(self, ctx: AdversaryContext) -> int:
         params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
@@ -103,8 +96,6 @@ class SeedExposedAttack:
     shielded filter only the inner representation is ever published, so the
     found candidate is derailed by the secret permutation.
     """
-
-    name = "seed_exposed"
 
     def __init__(self, candidate_budget: int = 1_000_000):
         self.candidate_budget = candidate_budget
@@ -143,8 +134,6 @@ class ConsistencySearchAttack:
     falls back to an arbitrary fresh guess (black-box mode, e.g. attacking
     through a shield whose inner space the enumerator models).
     """
-
-    name = "consistency_search"
 
     def __init__(self, c: int = 200, strict: bool = True,
                  candidate_cap: int = 1_000_000):
@@ -202,7 +191,6 @@ class ConsistencySearchAttack:
 
 
 def err_estimate(rep_a: Representation, rep_b: Representation,
-                 query_fn: QueryFn | None = None,
                  sample_count: int = 10_000,
                  rng: random.Random | None = None) -> float:
     """Fraction of the universe on which two representations disagree.
@@ -210,31 +198,26 @@ def err_estimate(rep_a: Representation, rep_b: Representation,
     Exhaustive when the universe fits in 2^16, Monte Carlo otherwise.
     Meant for steady representations (the estimate itself queries both).
     """
-    if query_fn is None:
-        query_fn = lambda rep, x: rep.query(x)
     u = rep_a.params.universe
     if u <= EXHAUSTIVE_LIMIT:
-        return sum(query_fn(rep_a, x) != query_fn(rep_b, x) for x in range(u)) / u
+        return sum(rep_a.query(x) != rep_b.query(x) for x in range(u)) / u
     if rng is None:
         rng = random.Random(0)
     diff = sum(
-        query_fn(rep_a, x) != query_fn(rep_b, x)
+        rep_a.query(x) != rep_b.query(x)
         for x in (rng.randrange(u) for _ in range(sample_count))
     )
     return diff / sample_count
 
 
 def mu_estimate(rep: Representation,
-                query_fn: QueryFn | None = None,
                 sample_count: int = 10_000,
                 rng: random.Random | None = None) -> float:
     """Fraction of the universe the representation answers True on."""
-    if query_fn is None:
-        query_fn = lambda rep, x: rep.query(x)
     u = rep.params.universe
     if u <= EXHAUSTIVE_LIMIT:
-        return sum(query_fn(rep, x) for x in range(u)) / u
+        return sum(rep.query(x) for x in range(u)) / u
     if rng is None:
         rng = random.Random(0)
-    pos = sum(query_fn(rep, x) for x in (rng.randrange(u) for _ in range(sample_count)))
+    pos = sum(rep.query(x) for x in (rng.randrange(u) for _ in range(sample_count)))
     return pos / sample_count

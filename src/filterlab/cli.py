@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, experiments
-from .core import FilterParams, sample_set
+from .core import FilterParams, ParamError, sample_set
 from .experiments import GameConfig, RESULT_COLUMNS
 
 DEFAULT_SEED = acceptance.DEFAULT_SEED
@@ -57,9 +57,13 @@ def parse_config(path: str) -> dict[str, dict[str, tuple[object, int]]]:
     `;` start comments.  Values parse as bool, int, float, 2^k shorthand,
     or bare string.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config: {e.strerror}") from None
     sections: dict[str, dict[str, tuple[object, int]]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue
@@ -106,32 +110,34 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
     kind, kind_line = _require(flt, "filter", "kind", path, str)
     n, _ = _require(flt, "filter", "n", path, int)
     eps_val, eps_line = _require(flt, "filter", "eps", path)
-    if not isinstance(eps_val, (int, float)) or not (0 < float(eps_val) < 1):
+    if not isinstance(eps_val, (int, float)):
         raise ConfigError(f"{path}:{eps_line}: eps must be a probability in (0,1)")
-    t, t_line = _require(flt, "filter", "t", path, int)
-    if t < 0:
-        raise ConfigError(f"{path}:{t_line}: t must be >= 0")
+    t, _ = _require(flt, "filter", "t", path, int)
     u_bits, _ = _require(flt, "filter", "u_bits", path, int)
     lambda_bits = flt.get("lambda_bits", (128, 0))[0]
     try:
         params = FilterParams(n=n, eps=float(eps_val), t=t, u_bits=u_bits,
                               lambda_bits=lambda_bits)
-    except ValueError as e:
-        raise ConfigError(f"{path}: [filter] {e}") from None
+    except ParamError as e:
+        line = flt.get(e.key, (None, 0))[1]
+        raise ConfigError(f"{path}:{line}: [filter] {e}" if line else
+                          f"{path}: [filter] {e}") from None
 
     shielded = bool(flt.get("shield", (False, 0))[0])
     bloom_bits = flt.get("m", (None, 0))[0]
     adv_kind, adv_line = _require(adv, "adversary", "kind", path, str)
-    expose = str(adv.get("expose", ("none", 0))[0])
+    expose, expose_line = adv.get("expose", ("none", adv_line))
     adv_opts = {k: v for k, (v, _) in adv.items() if k not in ("kind", "expose")}
     try:
         cfg = GameConfig(
             filter_kind=kind, adversary_kind=adv_kind, params=params,
-            shielded=shielded, bloom_bits=bloom_bits, expose=expose,
+            shielded=shielded, bloom_bits=bloom_bits, expose=str(expose),
             adversary_opts=adv_opts,
         )
-    except ValueError as e:
-        line = adv_line if "adversary" in str(e) else kind_line
+    except ParamError as e:
+        fields = {"filter_kind": kind_line, "adversary_kind": adv_line,
+                  "expose": expose_line}
+        line = adv[e.key][1] if e.key in adv_opts else fields[e.key]
         raise ConfigError(f"{path}:{line}: {e}") from None
     return cfg, trials, seed, fp_samples
 
@@ -189,8 +195,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_memory(args: argparse.Namespace) -> int:
-    params = FilterParams(n=args.n, eps=args.eps, t=args.t, u_bits=args.u_bits,
-                          lambda_bits=args.lambda_bits)
+    try:
+        params = FilterParams(n=args.n, eps=args.eps, t=args.t, u_bits=args.u_bits,
+                              lambda_bits=args.lambda_bits)
+    except ValueError as e:
+        print(f"audit-memory: {e}", file=sys.stderr)
+        return 2
     cfg = GameConfig(filter_kind=args.filter, adversary_kind="random_probe",
                      params=params, shielded=args.shield)
     rng = random.Random(args.seed)
@@ -206,6 +216,13 @@ def cmd_audit_memory(args: argparse.Namespace) -> int:
     return 0 if audit["match"] else 1
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="filterlab",
@@ -219,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--parallel", type=int, default=1)
+    p_exp.add_argument("--parallel", type=_positive_int, default=1)
     p_exp.set_defaults(fn=cmd_experiment)
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
@@ -231,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_audit = sub.add_parser("audit-memory", help="bit-exact memory accounting")
     p_audit.add_argument("--filter", required=True,
-                         choices=experiments.FILTER_KINDS)
+                         choices=experiments.FILTERS)
     p_audit.add_argument("--shield", action="store_true")
     p_audit.add_argument("--n", type=int, required=True)
     p_audit.add_argument("--eps", type=float, required=True)

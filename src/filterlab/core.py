@@ -35,6 +35,14 @@ class BuildError(Exception):
     """A filter could not be constructed for the given set and parameters."""
 
 
+class ParamError(ValueError):
+    """A configuration value is invalid; `key` names the field at fault."""
+
+    def __init__(self, key: str, msg: str):
+        super().__init__(msg)
+        self.key = key
+
+
 def _ceil_log2_inv(eps: float) -> int:
     # guard against float fuzz for eps that are exact powers of two
     return max(1, math.ceil(math.log2(1.0 / eps) - 1e-12))
@@ -56,15 +64,17 @@ class FilterParams:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
+            raise ParamError("eps", f"eps must be a probability in (0,1), got {self.eps}")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ParamError("n", "n must be >= 1")
         if self.t < 0:
-            raise ValueError("t must be >= 0")
+            raise ParamError("t", "t must be >= 0")
         if self.u_bits < math.ceil(math.log2(self.n)) + 1:
-            raise ValueError("u_bits too small: universe must exceed 2n")
+            raise ParamError("u_bits", "u_bits too small: universe must exceed 2n")
+        if self.u_bits > 64:
+            raise ParamError("u_bits", "u_bits must be <= 64, the widest supported field")
         if self.lambda_bits < 1:
-            raise ValueError("lambda_bits must be >= 1")
+            raise ParamError("lambda_bits", "lambda_bits must be >= 1")
 
     @property
     def universe(self) -> int:
@@ -106,8 +116,15 @@ def minimal_error(m: int, n: int) -> float:
 
 
 def sample_set(params: FilterParams, rng: random.Random) -> frozenset[int]:
-    """Sample S of size n without replacement from the universe."""
-    return frozenset(rng.sample(range(params.universe), params.n))
+    """Sample S of size n without replacement from the universe.
+
+    Makes the draws of `random.sample`'s set branch, the one it takes for
+    every universe above 12n + 21, and works where `range(u)` overflows.
+    """
+    S: set[int] = set()
+    while len(S) < params.n:
+        S.add(rng.randrange(params.universe))
+    return frozenset(S)
 
 
 class Representation:
@@ -215,8 +232,6 @@ class AdversaryContext:
 
 
 class Strategy(Protocol):
-    name: str
-
     def run(self, ctx: AdversaryContext) -> int: ...
 
 
@@ -283,31 +298,6 @@ def normal_ci_half_width(rate: float, trials: int, z: float = 1.96) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return z * math.sqrt(rate * (1.0 - rate) / trials)
-
-
-def estimate_success_rate(
-    filter_factory: FilterFactory,
-    strategy: Strategy,
-    params: FilterParams,
-    trials: int,
-    master_seed: int,
-    S: frozenset[int] | None = None,
-    expose: str = "none",
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the challenge-game success rate.
-
-    Trial i runs with seed split_seed(master_seed, i); a fresh S is sampled
-    per trial unless one is pinned.  Returns (rate, 95% CI half-width).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    wins = 0
-    for i in range(trials):
-        tr = run_challenge(filter_factory, strategy, S, params,
-                           split_seed(master_seed, i), expose=expose)
-        wins += 1 if tr.success else 0
-    rate = wins / trials
-    return rate, normal_ci_half_width(rate, trials)
 
 
 class ExactSetRep(Representation):

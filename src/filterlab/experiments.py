@@ -1,27 +1,44 @@
 """Campaign machinery: named filters and adversaries, Monte-Carlo runs,
 memory audits, and the flat result records the CLI writes out.
 
-Filters and adversaries are addressed by string identifiers so that a
-campaign is fully described by a picklable `GameConfig`; trial i of a
-campaign always runs on seed split_seed(master, i), which makes results
+Filters and adversaries are addressed by their names in the `FILTERS` and
+`ADVERSARIES` registries, so that a campaign is fully described by a
+picklable `GameConfig`.  Every win count goes through `count_wins`: trial i
+of a campaign always runs on seed split_seed(master, i), which makes results
 independent of execution order and of the worker count.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 from typing import Iterable
 
 from . import adversaries, bloom, core, cuckoo, shield
-from .core import FilterParams, GameTranscript, Representation
+from .core import FilterParams, GameTranscript, ParamError, Representation
 from .hashing import split_seed
 
-FILTER_KINDS = ("baseline_bloom", "exact_set", "cuckoo_resilient", "cuckoo_random_query")
+# name -> builder(cfg, S, params, seed); each builder looks its module's
+# function up at call time, so a wrapper installed on it takes effect
+FILTERS = {
+    "baseline_bloom": lambda cfg, S, p, seed: bloom.build_bloom(S, p, seed, m=cfg.bloom_bits),
+    "exact_set": lambda cfg, S, p, seed: core.build_exact_set(S, p, seed),
+    "cuckoo_resilient": lambda cfg, S, p, seed: cuckoo.build_cuckoo(S, p, seed),
+    "cuckoo_random_query":
+        lambda cfg, S, p, seed: cuckoo.build_cuckoo_random_query(S, p, seed),
+}
 
-ADVERSARY_KINDS = ("random_probe", "mutate_positives", "seed_exposed", "consistency_search")
+# name -> strategy class, constructed from `GameConfig.adversary_opts`
+ADVERSARIES = {
+    "random_probe": adversaries.RandomProbeAttack,
+    "mutate_positives": adversaries.MutatePositivesAttack,
+    "seed_exposed": adversaries.SeedExposedAttack,
+    "consistency_search": adversaries.ConsistencySearchAttack,
+}
 
 
 @dataclass(frozen=True)
@@ -37,62 +54,62 @@ class GameConfig:
     adversary_opts: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.filter_kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.filter_kind!r}")
-        if self.adversary_kind not in ADVERSARY_KINDS:
-            raise ValueError(f"unknown adversary kind {self.adversary_kind!r}")
+        if self.filter_kind not in FILTERS:
+            raise ParamError("filter_kind", f"unknown filter kind {self.filter_kind!r}")
+        if self.adversary_kind not in ADVERSARIES:
+            raise ParamError("adversary_kind",
+                             f"unknown adversary kind {self.adversary_kind!r}")
         if self.expose not in ("none", "structure", "full"):
-            raise ValueError(f"unknown exposure policy {self.expose!r}")
+            raise ParamError("expose", f"unknown exposure policy {self.expose!r}")
+        known = inspect.signature(ADVERSARIES[self.adversary_kind]).parameters
+        for key in self.adversary_opts:
+            if key not in known:
+                raise ParamError(key, f"bad adversary options for {self.adversary_kind}: "
+                                      f"unknown option {key!r}")
 
 
 def build_filter(cfg: GameConfig, S: Iterable[int], params: FilterParams,
                  rng_seed: int) -> Representation:
-    kind = cfg.filter_kind
-
-    def inner(S_, params_, seed_):
-        if kind == "baseline_bloom":
-            return bloom.build_bloom(S_, params_, seed_, m=cfg.bloom_bits)
-        if kind == "exact_set":
-            return core.build_exact_set(S_, params_, seed_)
-        if kind == "cuckoo_resilient":
-            return cuckoo.build_cuckoo(S_, params_, seed_)
-        if kind == "cuckoo_random_query":
-            return cuckoo.build_cuckoo_random_query(S_, params_, seed_)
-        raise ValueError(kind)
-
+    inner = partial(FILTERS[cfg.filter_kind], cfg)
     if cfg.shielded:
         return shield.build_shield(inner, S, params, rng_seed)
     return inner(S, params, rng_seed)
 
 
 def make_adversary(cfg: GameConfig) -> core.Strategy:
-    kind = cfg.adversary_kind
-    opts = cfg.adversary_opts
-    if kind == "random_probe":
-        return adversaries.RandomProbeAttack()
-    if kind == "mutate_positives":
-        return adversaries.MutatePositivesAttack()
-    if kind == "seed_exposed":
-        return adversaries.SeedExposedAttack(**opts)
-    if kind == "consistency_search":
-        return adversaries.ConsistencySearchAttack(**opts)
-    raise ValueError(kind)
+    return ADVERSARIES[cfg.adversary_kind](**cfg.adversary_opts)
 
 
 def play_game(cfg: GameConfig, trial_seed: int,
               S: frozenset[int] | None = None) -> GameTranscript:
-    factory = lambda S_, p_, seed_: build_filter(cfg, S_, p_, seed_)
-    return core.run_challenge(factory, make_adversary(cfg), S, cfg.params,
-                              trial_seed, expose=cfg.expose)
+    return core.run_challenge(partial(build_filter, cfg), make_adversary(cfg), S,
+                              cfg.params, trial_seed, expose=cfg.expose)
 
 
-def _trial_wins(args: tuple[GameConfig, int, int, int]) -> int:
-    cfg, master_seed, start, count = args
-    wins = 0
-    for i in range(start, start + count):
-        if play_game(cfg, split_seed(master_seed, i)).success:
-            wins += 1
-    return wins
+def _count_range(args: tuple[GameConfig, int, tuple[int, ...], int, int]) -> int:
+    cfg, master_seed, stream, start, count = args
+    return sum(1 for i in range(start, start + count)
+               if play_game(cfg, split_seed(master_seed, *stream, i)).success)
+
+
+def count_wins(cfg: GameConfig, trials: int, master_seed: int,
+               stream: tuple[int, ...] = (), parallel: int = 1) -> int:
+    """Games won over trials 0..trials-1 of one config.
+
+    Trial i plays `play_game(cfg, split_seed(master_seed, *stream, i))`, so
+    the count depends on neither the order of play nor the worker count.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if parallel < 1:
+        raise ValueError("parallel must be >= 1")
+    if parallel == 1:
+        return _count_range((cfg, master_seed, stream, 0, trials))
+    chunk = max(1, trials // (parallel * 8))
+    jobs = [(cfg, master_seed, stream, s, min(chunk, trials - s))
+            for s in range(0, trials, chunk)]
+    with Pool(parallel) as pool:
+        return sum(pool.map(_count_range, jobs))
 
 
 @dataclass
@@ -117,14 +134,9 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
     S = core.sample_set(cfg.params, rng)
     rep = build_filter(cfg, S, cfg.params, split_seed(master_seed, 0, 2))
     u = cfg.params.universe
-    hits = 0
     before = getattr(rep, "bit_comparisons", 0)
-    for _ in range(samples):
-        x = rng.randrange(u)
-        while x in S:
-            x = rng.randrange(u)
-        if rep.query(x):
-            hits += 1
+    hits = sum(1 for _ in range(samples)
+               if rep.query(adversaries.fresh_element(rng, u, S)))
     mean_cmp = None
     if isinstance(rep, cuckoo.CuckooFilterRep):
         mean_cmp = (rep.bit_comparisons - before) / samples
@@ -134,17 +146,8 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
 def run_campaign(cfg: GameConfig, trials: int, master_seed: int,
                  parallel: int = 1, fp_samples: int = 10_000) -> CampaignResult:
     """Run the Monte-Carlo campaign for one config and aggregate."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    if parallel > 1:
-        chunk = max(1, trials // (parallel * 8))
-        jobs = [(cfg, master_seed, s, min(chunk, trials - s))
-                for s in range(0, trials, chunk)]
-        with Pool(parallel) as pool:
-            wins = sum(pool.map(_trial_wins, jobs))
-    else:
-        wins = _trial_wins((cfg, master_seed, 0, trials))
+    wins = count_wins(cfg, trials, master_seed, parallel=parallel)
     rate = wins / trials
     fp_rate, mem_bits, mean_cmp = measure_fp_rate(cfg, master_seed, fp_samples)
     wall_ms = int((time.perf_counter() - t0) * 1000)

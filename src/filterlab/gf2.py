@@ -139,16 +139,17 @@ def tables(w: int) -> FieldTables:
         return _TABLE_CACHE[w]
     if w not in TABLE_WIDTHS:
         raise ValueError(f"log/antilog tables only built for widths {TABLE_WIDTHS}")
-    order = (1 << w) - 1
-    exp = np.zeros(order, dtype=np.int32)
-    log = np.zeros(1 << w, dtype=np.int32)
+    order, modulus = (1 << w) - 1, MODULI[w]
+    exp = np.empty(order, dtype=np.int32)
     v = 1
     for i in range(order):
         exp[i] = v
-        log[v] = i
-        v = gf_mul(v, 2, w)
+        v <<= 1  # times x, reduced by the modulus when degree w appears
+        if v >> w:
+            v ^= modulus
     assert v == 1, "x must be primitive for the pinned modulus"
-    log[0] = order
+    log = np.full(1 << w, order, dtype=np.int32)  # log[0] keeps the sentinel
+    log[exp] = np.arange(order, dtype=np.int32)
     t = FieldTables(width=w, order=order, log=log, exp=exp)
     _TABLE_CACHE[w] = t
     return t

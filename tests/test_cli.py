@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from filterlab.cli import ConfigError, config_to_campaign, main, parse_config
-from filterlab.experiments import RESULT_COLUMNS
+from filterlab.experiments import FILTERS, RESULT_COLUMNS
 
 BASIC_CONFIG = """\
 # calibration campaign
@@ -138,6 +139,81 @@ def test_unknown_filter_kind_rejected(tmp_path, capsys):
     assert main(["experiment", "--config", _write(tmp_path, bad),
                  "--out", "x"]) == 2
     assert "unknown filter kind" in capsys.readouterr().err
+
+
+def _config_error(tmp_path, capsys, text):
+    """Run `experiment` on a config text; return (exit code, stderr)."""
+    rc = main(["experiment", "--config", _write(tmp_path, text, name="bad.ini"),
+               "--out", str(tmp_path / "o.csv")])
+    return rc, capsys.readouterr().err
+
+
+def _line_of(text, prefix):
+    return 1 + next(i for i, l in enumerate(text.splitlines()) if l.startswith(prefix))
+
+
+@pytest.mark.parametrize("adversary", ["seed_exposed", "random_probe"])
+def test_unknown_adversary_option_reported_at_its_line(tmp_path, capsys, adversary):
+    text = BASIC_CONFIG.replace("kind = random_probe", f"kind = {adversary}\nbogus = 5")
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, 'bogus')}:" in err
+    assert "Traceback" not in err
+
+
+def test_bad_expose_reported_at_its_line(tmp_path, capsys):
+    text = BASIC_CONFIG.replace("kind = random_probe", "kind = random_probe\nexpose = all")
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, 'expose')}: unknown exposure policy" in err
+
+
+@pytest.mark.parametrize("u_bits", [65, 70])
+def test_too_wide_universe_reported_at_its_line(tmp_path, capsys, u_bits):
+    text = BASIC_CONFIG.replace("u_bits = 32", f"u_bits = {u_bits}")
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, 'u_bits')}:" in err and "u_bits must be <= 64" in err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("eps = 3.0", "eps must be a probability"), ("t = -1", "t must be >= 0"),
+])
+def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, message):
+    key = line.split()[0]
+    text = re.sub(rf"^{key} = .*$", line, BASIC_CONFIG, flags=re.M)
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, key + ' ')}:" in err and message in err
+
+
+def test_missing_config_file(tmp_path, capsys):
+    missing = str(tmp_path / "absent.ini")
+    assert main(["experiment", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+    assert f"{missing}: cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_parallel_below_one_rejected(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exit_:
+        main(["experiment", "--config", _write(tmp_path, BASIC_CONFIG),
+              "--out", str(tmp_path / "o"), "--parallel", workers])
+    assert exit_.value.code == 2
+    assert "--parallel: must be >= 1" in capsys.readouterr().err
+
+
+def test_audit_memory_rejects_bad_params(capsys):
+    rc = main(["audit-memory", "--filter", "exact_set", "--n", "4", "--eps", "0.1",
+               "--t", "1", "--u-bits", "70"])
+    assert rc == 2
+    assert "u_bits must be <= 64" in capsys.readouterr().err
+
+
+def test_audit_memory_filter_choices_are_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["audit-memory", "--help"])
+    choices = re.search(r"--filter \{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert choices.split(",") == list(FILTERS)
 
 
 def test_selftest_single_fast_criterion(tmp_path, capsys):

@@ -4,17 +4,18 @@ import pytest
 
 from filterlab import (
     FilterParams,
+    GameConfig,
     build_bloom,
     build_exact_set,
-    estimate_success_rate,
     minimal_error,
+    run_campaign,
     run_challenge,
     sample_set,
     split_seed,
 )
 from filterlab.adversaries import RandomProbeAttack
 from filterlab.bitio import BitReader, BitWriter
-from filterlab.core import GameTranscript
+from filterlab.core import GameTranscript, ParamError
 
 
 def test_minimal_error_examples():
@@ -53,6 +54,8 @@ def test_params_derivations_and_validation():
         FilterParams(n=4, eps=0.5, t=-1, u_bits=8)
     with pytest.raises(ValueError):
         FilterParams(n=200, eps=0.5, t=1, u_bits=8)  # universe too small
+    with pytest.raises(ValueError, match="u_bits"):
+        FilterParams(n=4, eps=0.5, t=1, u_bits=65)  # wider than any field
 
 
 def test_split_seed_stable_and_distinct():
@@ -69,6 +72,30 @@ def test_sample_set_properties():
     assert len(S) == 50
     assert all(0 <= x < 1024 for x in S)
     assert S == sample_set(p, random.Random(4))
+
+
+@pytest.mark.parametrize("u_bits", [32, 62, 63, 64])
+def test_sample_set_wide_universes(u_bits):
+    # S is drawn as random.sample's set branch draws it, also past
+    # sys.maxsize, where range() of the universe cannot be sampled at all
+    p = FilterParams(n=50, eps=0.1, t=10, u_bits=u_bits)
+    S = sample_set(p, random.Random(4))
+    assert len(S) == 50
+    assert all(0 <= x < 2 ** u_bits for x in S)
+    assert S == sample_set(p, random.Random(4))
+    if u_bits < 63:
+        assert S == frozenset(random.Random(4).sample(range(2 ** u_bits), 50))
+
+
+@pytest.mark.parametrize("key,kwargs", [
+    ("n", dict(n=0)), ("eps", dict(eps=1.5)), ("t", dict(t=-1)),
+    ("u_bits", dict(n=200)), ("u_bits", dict(u_bits=65)),
+    ("lambda_bits", dict(lambda_bits=0)),
+])
+def test_param_errors_name_their_key(key, kwargs):
+    with pytest.raises(ParamError) as err:
+        FilterParams(**{**dict(n=4, eps=0.5, t=1, u_bits=8), **kwargs})
+    assert err.value.key == key
 
 
 class _EchoMember:
@@ -140,10 +167,10 @@ def test_transcript_bounded_and_success_recomputable():
 
 def test_exact_set_filter_never_attacked():
     p = FilterParams(n=8, eps=2 ** -3, t=32, u_bits=12)
-    rate, hw = estimate_success_rate(build_exact_set, RandomProbeAttack(), p,
-                                     trials=50, master_seed=77)
-    assert rate == 0.0
-    assert hw == 0.0
+    res = run_campaign(GameConfig("exact_set", "random_probe", p), 50, 77,
+                       fp_samples=100)
+    assert res.success_rate == 0.0
+    assert res.ci_half_width == 0.0
 
 
 def test_games_replay_identically():
@@ -159,9 +186,9 @@ def test_random_probe_vs_bloom_hits_target_band():
     # blind-guess games against the calibrated baseline: the success rate
     # is the non-adaptive false-positive rate (frozen seed, target 2^-6)
     p = FilterParams(n=1000, eps=2 ** -6, t=0, u_bits=32)
-    rate, _ = estimate_success_rate(_bloom_factory, RandomProbeAttack(), p,
-                                    trials=3000, master_seed=2024)
-    assert 0.010 <= rate <= 0.022
+    res = run_campaign(GameConfig("baseline_bloom", "random_probe", p), 3000, 2024,
+                       fp_samples=100)
+    assert 0.010 <= res.success_rate <= 0.022
 
 
 def test_exact_set_build_and_bits():

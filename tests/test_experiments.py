@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from filterlab import FilterParams, sample_set
+from filterlab import FilterParams, sample_set, split_seed
+from filterlab.core import ParamError
 from filterlab.experiments import (
+    ADVERSARIES,
+    FILTERS,
     GameConfig,
     audit_memory,
     build_filter,
+    count_wins,
     measure_fp_rate,
     play_game,
     result_record,
@@ -24,6 +28,52 @@ def test_unknown_names_rejected():
         GameConfig("exact_set", "nope", P_SMALL)
     with pytest.raises(ValueError):
         GameConfig("exact_set", "random_probe", P_SMALL, expose="everything")
+    with pytest.raises(ValueError, match="adversary options"):
+        GameConfig("exact_set", "seed_exposed", P_SMALL, adversary_opts={"bogus": 5})
+    with pytest.raises(ValueError, match="adversary options"):
+        GameConfig("exact_set", "random_probe", P_SMALL, adversary_opts={"bogus": 5})
+
+
+@pytest.mark.parametrize("key,kwargs", [
+    ("filter_kind", dict(filter_kind="nope")),
+    ("adversary_kind", dict(adversary_kind="nope")),
+    ("expose", dict(expose="everything")),
+    ("bogus", dict(adversary_kind="seed_exposed",
+                   adversary_opts={"candidate_budget": 9, "bogus": 5})),
+])
+def test_config_errors_name_their_field(key, kwargs):
+    with pytest.raises(ParamError) as err:
+        GameConfig(**{**dict(filter_kind="exact_set", adversary_kind="random_probe",
+                             params=P_SMALL), **kwargs})
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("kind", sorted(ADVERSARIES))
+def test_every_adversary_constructs_without_options(kind):
+    assert ADVERSARIES[kind]() is not None
+    assert GameConfig("exact_set", kind, P_SMALL).adversary_opts == {}
+
+
+def test_count_wins_plays_the_stream_trials():
+    cfg = GameConfig("baseline_bloom", "random_probe", P_SMALL)
+    by_hand = sum(play_game(cfg, split_seed(11, 3, i)).success for i in range(40))
+    assert by_hand > 0
+    assert count_wins(cfg, 40, 11, (3,)) == by_hand
+    assert count_wins(cfg, 40, 11, (3,), parallel=2) == by_hand
+    assert count_wins(cfg, 40, 11) == run_campaign(cfg, 40, 11, fp_samples=1).wins
+    with pytest.raises(ValueError):
+        count_wins(cfg, 0, 11)
+    with pytest.raises(ValueError):
+        count_wins(cfg, 4, 11, parallel=0)
+
+
+@pytest.mark.parametrize("kind", sorted(FILTERS))
+def test_every_filter_kind_plays_at_u_bits_64(kind):
+    p = FilterParams(n=8, eps=2 ** -3, t=16, u_bits=64)
+    for shielded in (False, True):
+        tr = play_game(GameConfig(kind, "mutate_positives", p, shielded=shielded), 5)
+        assert tr.valid and len(tr.queries) == p.t
+        assert 0 <= tr.challenge < 2 ** 64
 
 
 @pytest.mark.parametrize("kind,shielded", [

@@ -37,6 +37,10 @@ def test_log_exp_tables_invert(w):
         assert int(t.exp[t.log[a]]) == a
     # generator has full order: every nonzero element appears once
     assert len({int(t.exp[i]) for i in range(t.order)}) == t.order
+    # exp[i] = x^i under the pinned modulus, with gf_mul as the reference
+    assert int(t.exp[0]) == 1 and int(t.log[0]) == t.order
+    assert all(int(t.exp[i + 1]) == gf2.gf_mul(int(t.exp[i]), 2, w)
+               for i in range(t.order - 1))
 
 
 def test_width_for():
