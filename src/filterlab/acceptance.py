@@ -260,7 +260,7 @@ def criterion_8(seed: int) -> CriterionResult:
     cells = {}
     for k, ell in ((3, 2), (5, 1)):
         fam = _every_seed(k, w)
-        fps = [fam.fingerprint(x) for x in points]
+        fps = fam.fingerprints(list(points))
         bits = np.array([[(fp >> j) & 1 for fp in fps] for j in range(fam.ell)],
                         dtype=np.int64)  # bits[seed, x]
         seeds = fam.ell ** ell  # seeds of an ell-function family

@@ -76,19 +76,32 @@ def parse_config(path: str) -> dict[str, dict[str, tuple[object, int]]]:
         if current is None:
             raise ConfigError(f"{path}:{lineno}: entry outside any [section]")
         key, _, val = line.partition("=")
-        sections[current][key.strip()] = (_parse_scalar(val), lineno)
+        key = key.strip()
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' in [{current}], "
+                              f"first set at line {sections[current][key][1]}")
+        sections[current][key] = (_parse_scalar(val), lineno)
     return sections
+
+
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _require(section: dict, name: str, key: str, path: str, kind=None):
     if key not in section:
         raise ConfigError(f"{path}: missing required key '{key}' in [{name}]")
     value, lineno = section[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{path}:{lineno}: '{key}' must be an integer")
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}:{lineno}: '{key}' must be {kind.__name__}")
+    if kind is not None and (not isinstance(value, kind)
+                             or (kind is int and isinstance(value, bool))):
+        raise ConfigError(f"{path}:{lineno}: '{key}' must be {_KIND_NAMES[kind]}")
     return value, lineno
+
+
+def _optional(section: dict, name: str, key: str, path: str, kind, default):
+    """A key checked like `_require`, or (default, 0) when it is absent."""
+    if key not in section:
+        return default, 0
+    return _require(section, name, key, path, kind)
 
 
 def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
@@ -102,10 +115,11 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
     trials, trials_line = _require(exp, "experiment", "trials", path, int)
     if trials < 1:
         raise ConfigError(f"{path}:{trials_line}: trials must be >= 1")
-    seed = exp.get("seed", (int(os.environ.get("FILTERLAB_SEED", DEFAULT_SEED)), 0))[0]
-    if not isinstance(seed, int):
-        raise ConfigError(f"{path}: seed must be an integer")
-    fp_samples = exp.get("fp_samples", (10_000, 0))[0]
+    seed, _ = _optional(exp, "experiment", "seed", path, int,
+                        int(os.environ.get("FILTERLAB_SEED", DEFAULT_SEED)))
+    fp_samples, fp_line = _optional(exp, "experiment", "fp_samples", path, int, 10_000)
+    if fp_samples < 1:
+        raise ConfigError(f"{path}:{fp_line}: fp_samples must be >= 1")
 
     kind, kind_line = _require(flt, "filter", "kind", path, str)
     n, _ = _require(flt, "filter", "n", path, int)
@@ -114,7 +128,7 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
         raise ConfigError(f"{path}:{eps_line}: eps must be a probability in (0,1)")
     t, _ = _require(flt, "filter", "t", path, int)
     u_bits, _ = _require(flt, "filter", "u_bits", path, int)
-    lambda_bits = flt.get("lambda_bits", (128, 0))[0]
+    lambda_bits, _ = _optional(flt, "filter", "lambda_bits", path, int, 128)
     try:
         params = FilterParams(n=n, eps=float(eps_val), t=t, u_bits=u_bits,
                               lambda_bits=lambda_bits)
@@ -123,7 +137,7 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
         raise ConfigError(f"{path}:{line}: [filter] {e}" if line else
                           f"{path}: [filter] {e}") from None
 
-    shielded = bool(flt.get("shield", (False, 0))[0])
+    shielded, _ = _optional(flt, "filter", "shield", path, bool, False)
     bloom_bits = flt.get("m", (None, 0))[0]
     adv_kind, adv_line = _require(adv, "adversary", "kind", path, str)
     expose, expose_line = adv.get("expose", ("none", adv_line))

@@ -225,12 +225,12 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
 
     occupied = [bytearray(r), bytearray(r)]
     fingerprints = [[0] * r, [0] * r]
-    for tbl in range(2):
-        for pos in range(r):
-            x = tables[tbl][pos]
-            if x is not None:
-                occupied[tbl][pos] = 1
-                fingerprints[tbl][pos] = gfam.fingerprint(x)
+    cells = [(tbl, pos) for tbl in range(2) for pos in range(r)
+             if tables[tbl][pos] is not None]
+    fps = gfam.fingerprints([tables[tbl][pos] for tbl, pos in cells])
+    for (tbl, pos), fp in zip(cells, fps):
+        occupied[tbl][pos] = 1
+        fingerprints[tbl][pos] = fp
     return CuckooFilterRep(params, ell, gfam, seeds, occupied, fingerprints,
                            cursors_enabled)
 

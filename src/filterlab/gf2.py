@@ -12,8 +12,11 @@ bit-exact across implementations:
     w = 64  x^64 + x^4 + x^3 + x + 1         (0x1000000000000001B)
 
 For w <= 16 the polynomial x is a primitive element of these fields, so
-discrete-log/antilog tables with generator x are available (`FieldTables`)
-and drive the vectorised evaluation paths used elsewhere.
+discrete-log/antilog tables with generator x are available (`FieldTables`).
+`odd_power_rows` computes x, x^3, ..., x^(2m-1) for a whole array of points
+at once: by one table gather at w <= 16, and at w = 32 and 64 by a numpy
+carry-less multiply on uint64 arrays, reduced by folding the high half with
+the sparse low terms of the pinned modulus.
 """
 
 from __future__ import annotations
@@ -153,3 +156,89 @@ def tables(w: int) -> FieldTables:
     t = FieldTables(width=w, order=order, log=log, exp=exp)
     _TABLE_CACHE[w] = t
     return t
+
+
+def odd_power_rows(xs: np.ndarray, m: int, w: int) -> np.ndarray:
+    """x, x^3, ..., x^(2m-1) in GF(2^w) for every point: an unsigned [len(xs), m] array.
+
+    The points must already lie in [0, 2^w).
+    """
+    xs = np.asarray(xs, dtype=np.uint64)
+    if w in TABLE_WIDTHS:
+        t = tables(w)
+        odd = 2 * np.arange(m, dtype=np.int32) + 1  # log * odd < 2^31 at w <= 16
+        out = t.exp[(t.log[xs][:, None] * odd) % t.order]
+        out[xs == 0] = 0  # log[0] is a sentinel; every odd power of 0 is 0
+        return out
+    out = np.empty((len(xs), m), dtype=np.uint64)
+    if m:
+        out[:, 0] = xs
+        x2 = _WideMultiplier(xs, w).times(xs)
+        by_x2 = _WideMultiplier(x2, w)
+        for i in range(1, m):
+            out[:, i] = by_x2.times(out[:, i - 1])
+    return out
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class _WideMultiplier:
+    """Multiplication by a fixed element b per point in GF(2^32) or GF(2^64).
+
+    Carry-less products come from 32-bit limbs: a 16-entry table per point
+    holds b's product with every nibble, so a 32x32-bit product is 8 gathers
+    and its 63-bit result fits a uint64.  At w = 64 the 128-bit product takes
+    three such limb products (Karatsuba).
+    """
+
+    def __init__(self, b: np.ndarray, w: int):
+        self.w = w
+        self.taps = [e for e in range(w) if MODULI[w] >> e & 1]
+        # two folds reduce any product only while the low terms stay below w/2
+        assert max(self.taps) < w // 2
+        self.rows = 16 * np.arange(len(b), dtype=np.intp)
+        if w == 32:
+            self.limbs = (self._nibbles(b),)
+        else:
+            lo, hi = b & _LOW32, b >> 32
+            self.limbs = (self._nibbles(lo), self._nibbles(hi), self._nibbles(lo ^ hi))
+
+    @staticmethod
+    def _nibbles(b: np.ndarray) -> np.ndarray:
+        """Flat table: entry 16*i + v is clmul(b[i], v), for b below 2^32."""
+        t = np.zeros((len(b), 16), dtype=np.uint64)
+        for v in range(1, 16):
+            low = v & -v
+            t[:, v] = t[:, v ^ low] ^ (b << (low.bit_length() - 1))
+        return t.ravel()
+
+    def _clmul32(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+        r = table[self.rows + (a & 15).astype(np.intp)]
+        for s in range(4, 32, 4):
+            r ^= table[self.rows + ((a >> s) & 15).astype(np.intp)] << s
+        return r
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        """a * b for every point, reduced by the pinned modulus."""
+        if self.w == 32:
+            r = self._clmul32(a, self.limbs[0])
+            return self._reduce(r >> 32, r & _LOW32)
+        t_lo, t_hi, t_mid = self.limbs
+        a_lo, a_hi = a & _LOW32, a >> 32
+        lo = self._clmul32(a_lo, t_lo)
+        hi = self._clmul32(a_hi, t_hi)
+        mid = self._clmul32(a_lo ^ a_hi, t_mid) ^ lo ^ hi
+        return self._reduce(hi ^ (mid >> 32), lo ^ (mid << 32))
+
+    def _reduce(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """(hi * x^w + lo) mod the modulus: x^w is replaced by its low terms."""
+        w, mask = self.w, np.uint64((1 << self.w) - 1)
+        for _ in range(2):
+            over = np.zeros_like(hi)
+            for e in self.taps:
+                lo ^= (hi << e) & mask
+                if e:
+                    over ^= hi >> (w - e)
+            hi = over
+        return lo

@@ -26,8 +26,14 @@ bit into a single AND + popcount:
 
 X depends only on the field, m, and the point, never on the seeds, so it is
 cached and shared across every family (and filter build) with the same
-shape.  A slow direct evaluation with field multiplications is kept as the
-reference oracle; the two routes are cross-checked in tests.
+shape.  A filter build asks for every member at once (`fingerprints`): the
+missing X-vectors come from one batch (`gf2.odd_power_rows`, a table gather
+at w <= 16 and a numpy carry-less multiply at w = 32/64), and the ell bits
+of every member from a packed uint64 AND, an XOR over each row's limbs and a
+popcount.  A query miss builds its single X-vector alone, by m scalar
+multiplications at w = 32/64.  A slow direct evaluation with field powers
+(`GFamily.evaluate`) is kept as the reference oracle; both routes are
+cross-checked against it in tests.
 """
 
 from __future__ import annotations
@@ -40,7 +46,11 @@ import numpy as np
 from . import gf2
 from .bitio import BitReader, BitWriter
 
-_SLOT_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+_SLOT_DTYPES = {4: "<u1", 8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+
+# Row chunk of the fingerprint AND matrix, in bytes: the whole batch at once
+# would hold every X-vector as a second, numpy-shaped copy.
+FP_CHUNK_BYTES = 1 << 18
 
 
 def odd_powers(k: int) -> int:
@@ -53,29 +63,46 @@ def family_bits(ell: int, k: int, field_width: int) -> int:
     return ell * (1 + odd_powers(k) * field_width)
 
 
-def _pack_slots(values: np.ndarray, w: int) -> int:
-    """Pack an array of w-bit values into one int, slot i at bits [i*w, (i+1)*w)."""
+def _pack_rows(values: np.ndarray, top, w: int) -> np.ndarray:
+    """Pack each row of w-bit values, then one more slot holding `top`, into
+    little-endian uint64 limbs: slot i at bits [i*w, (i+1)*w)."""
+    n, m = values.shape
+    limbs = -(-(m + 1) * w // 64)
+    slots = np.zeros((n, limbs * 64 // w), dtype=_SLOT_DTYPES[w])
+    slots[:, :m] = values
+    slots[:, m] = top
     if w == 4:
-        v = values.astype(np.uint8)
-        if len(v) % 2:
-            v = np.append(v, np.uint8(0))
-        return int.from_bytes((v[0::2] | (v[1::2] << 4)).tobytes(), "little")
-    return int.from_bytes(values.astype(_SLOT_DTYPES[w]).tobytes(), "little")
+        slots = slots[:, 0::2] | (slots[:, 1::2] << 4)
+    return slots.view("<u8")
+
+
+def _ints(rows: np.ndarray) -> list[int]:
+    """Each row of a little-endian unsigned array as one int."""
+    nb = rows.shape[1] * rows.itemsize
+    data = rows.tobytes()
+    return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
+
+
+def _limb_matrix(values: list[int], limbs: int) -> np.ndarray:
+    """The inverse of `_ints` for uint64 limbs: a [len(values), limbs] array."""
+    nb = 8 * limbs
+    data = b"".join(v.to_bytes(nb, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), limbs)
 
 
 class XProvider:
-    """Cache of packed point vectors X(x) = (x, x^3, ..., x^(2m-1), 1)."""
+    """Cache of packed point vectors X(x) = (x, x^3, ..., x^(2m-1), 1).
+
+    `get_many` builds every missing vector of a batch at once (a cuckoo
+    build); `get` builds one (a query miss).  Both leave the same entries.
+    """
 
     def __init__(self, w: int, m: int):
         self.w = w
         self.m = m
         self.const_bit = 1 << (m * w)
         self._cache: dict[int, int] = {}
-        if w in gf2.TABLE_WIDTHS:
-            self._tables = gf2.tables(w)
-            self._odd = 2 * np.arange(m, dtype=np.int64) + 1
-        else:
-            self._tables = None
+        self._odd = 2 * np.arange(m, dtype=np.int64) + 1
 
     def get(self, x: int) -> int:
         v = self._cache.get(x)
@@ -84,21 +111,43 @@ class XProvider:
             self._cache[x] = v
         return v
 
-    def _build(self, x: int) -> int:
+    def get_many(self, xs: list[int]) -> list[int]:
+        """X(x) for every x in xs, in order; misses are built in one batch."""
+        cache = self._cache
+        missing = [x for x in dict.fromkeys(xs) if x not in cache]
+        if missing:
+            cache.update(zip(missing, self._build_many(missing)))
+        return [cache[x] for x in xs]
+
+    def _check(self, x: int) -> None:
         if x >> self.w:
             raise ValueError(f"point {x} does not embed in GF(2^{self.w})")
+
+    def _build(self, x: int) -> int:
+        """One point.  A numpy batch of one would pay every per-call cost of
+        the batch route (dozens of them per product at w = 32/64), so the
+        powers come from one table gather or from m scalar multiplications
+        by x^2."""
+        self._check(x)
         if x == 0 or self.m == 0:
             return self.const_bit  # every odd power of 0 is 0
-        t = self._tables
-        if t is not None:
-            powers = t.exp[(self._odd * int(t.log[x])) % t.order]
+        w = self.w
+        if w in gf2.TABLE_WIDTHS:
+            t = gf2.tables(w)
+            row = t.exp[(self._odd * int(t.log[x])) % t.order]
         else:
-            x2 = gf2.gf_mul(x, x, self.w)
-            vals = [x]
+            x2 = gf2.gf_mul(x, x, w)
+            powers = [x]
             for _ in range(self.m - 1):
-                vals.append(gf2.gf_mul(vals[-1], x2, self.w))
-            powers = np.array(vals, dtype=np.uint64)
-        return _pack_slots(powers, self.w) | self.const_bit
+                powers.append(gf2.gf_mul(powers[-1], x2, w))
+            row = np.array(powers, dtype=np.uint64)
+        return _ints(_pack_rows(row[None], 1, w))[0]
+
+    def _build_many(self, xs: list[int]) -> list[int]:
+        for x in xs:
+            self._check(x)
+        powers = gf2.odd_power_rows(np.array(xs, dtype=np.uint64), self.m, self.w)
+        return _ints(_pack_rows(powers, 1, self.w))
 
 
 _PROVIDERS: OrderedDict[tuple[int, int], XProvider] = OrderedDict()
@@ -133,10 +182,9 @@ class GFamily:
         m, w = odd_powers(self.k), self.field_width
         if self.coeffs.shape != (self.ell, m) or self.s0.shape != (self.ell,):
             raise ValueError(f"seeds must be s0[{self.ell}] and coeffs[{self.ell}, {m}]")
-        self.packed: list[int] = [
-            _pack_slots(self.coeffs[j], w) | (int(self.s0[j]) << (m * w))
-            for j in range(self.ell)
-        ]
+        # the packed seeds as uint64 limbs, the form `fingerprints` ANDs with
+        self._limbs = _pack_rows(self.coeffs, self.s0, w)
+        self.packed: list[int] = _ints(self._limbs)
         self.provider = x_provider(w, self.k)
 
     @property
@@ -164,13 +212,25 @@ class GFamily:
             raise IndexError(f"function index {i} out of range")
         return (self.packed[i] & self.provider.get(x)).bit_count() & 1
 
-    def fingerprint(self, x: int) -> int:
-        """All ell output bits at x, packed with g_0 in the low bit."""
-        X = self.provider.get(x)
-        fp = 0
-        for j, C in enumerate(self.packed):
-            fp |= ((C & X).bit_count() & 1) << j
-        return fp
+    def fingerprints(self, xs: list[int]) -> list[int]:
+        """All ell output bits at every x in xs, each packed with g_0 in the low bit.
+
+        The X-vectors come from one `get_many`; the AND matrix is then taken
+        FP_CHUNK_BYTES of X-vectors at a time, and each function's bit is the
+        popcount parity of its row's limbs XORed together.
+        """
+        Xs = self.provider.get_many(xs)
+        P = self._limbs
+        limbs = P.shape[1]
+        step = max(1, FP_CHUNK_BYTES // (8 * limbs))
+        fps: list[int] = []
+        for i in range(0, len(Xs), step):
+            X = _limb_matrix(Xs[i:i + step], limbs)
+            bits = np.empty((len(X), self.ell), dtype=np.uint8)
+            for j in range(self.ell):
+                bits[:, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
+            fps += _ints(np.packbits(bits, axis=1, bitorder="little"))
+        return fps
 
     def serialize(self) -> tuple[bytes, int]:
         """Per function in index order: s0, then s_1..s_m as fixed-width

@@ -8,6 +8,7 @@ module docstring and the README.
 
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from filterlab import acceptance, gf2, gfamily
@@ -52,14 +53,11 @@ def test_independence_criterion_detects_even_powers(monkeypatch):
     # fault injection: point vectors of even powers (x^2, x^4, ...) are
     # GF(2)-linear in x, so four points a, b, c, a^b^c give dependent bits
     # and the exhaustive k=5 count must trip
-    def even_powers(self, x):
-        if x == 0:
-            return self.const_bit
-        t = gf2.tables(self.w)
-        powers = t.exp[((self._odd + 1) * int(t.log[x])) % t.order]
-        return gfamily._pack_slots(powers, self.w) | self.const_bit
+    def even_powers(xs, m, w):
+        return np.array([[gf2.gf_pow(int(x), 2 * i + 2, w) for i in range(m)] for x in xs],
+                        dtype=np.uint64).reshape(len(xs), m)
 
     monkeypatch.setattr(gfamily, "_PROVIDERS", OrderedDict())
-    monkeypatch.setattr(gfamily.XProvider, "_build", even_powers)
+    monkeypatch.setattr(gf2, "odd_power_rows", even_powers)
     res = acceptance.criterion_8(seed=123)
     assert not res.passed

@@ -1,10 +1,13 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from filterlab.cli import ConfigError, config_to_campaign, main, parse_config
 from filterlab.experiments import FILTERS, RESULT_COLUMNS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASIC_CONFIG = """\
 # calibration campaign
@@ -185,6 +188,41 @@ def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, 
     rc, err = _config_error(tmp_path, capsys, text)
     assert rc == 2
     assert f"bad.ini:{_line_of(text, key + ' ')}:" in err and message in err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("seed = abc", "'seed' must be an integer"),
+    ("fp_samples = lots", "'fp_samples' must be an integer"),
+    ("fp_samples = 0", "fp_samples must be >= 1"),
+    ("lambda_bits = x", "'lambda_bits' must be an integer"),
+    ("shield = maybe", "'shield' must be true or false"),
+])
+def test_mistyped_value_reported_at_its_line(tmp_path, capsys, line, message):
+    key = line.split()[0]
+    if re.search(rf"^{key} = ", BASIC_CONFIG, flags=re.M):
+        text = re.sub(rf"^{key} = .*$", line, BASIC_CONFIG, flags=re.M)
+    else:  # a [filter] key the basic config leaves at its default
+        text = BASIC_CONFIG.replace("kind = baseline_bloom", f"kind = baseline_bloom\n{line}")
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, key + ' ')}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_duplicate_key_reported_with_both_lines(tmp_path, capsys):
+    # the bad first value must not vanish behind the later line
+    text = BASIC_CONFIG.replace("seed = 7", "seed = abc\nseed = 7")
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    first = _line_of(text, "seed = abc")
+    assert f"bad.ini:{first + 1}: duplicate key 'seed' in [experiment], " \
+           f"first set at line {first}" in err
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_shipped_configs_parse(config):
+    cfg, trials, seed, _ = config_to_campaign(str(CONFIGS / config))
+    assert trials >= 1 and seed == 7
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from filterlab import FilterParams, build_cuckoo, build_cuckoo_random_query, sample_set
-from filterlab.core import BuildError
+from filterlab.adversaries import MutatePositivesAttack, RandomProbeAttack
+from filterlab.core import BuildError, run_challenge
 from filterlab.cuckoo import CuckooFilterRep, cursor_bits, table_size
 
 SMALL = FilterParams(n=64, eps=2 ** -3, t=256, u_bits=12)
@@ -178,6 +179,30 @@ def test_per_function_load_below_k_at_production_scale():
             rep.query(rng.randrange(p.universe))
         assert max(rep.participation) <= rep.gfam.k
         assert sum(rep.participation) >= p.t  # every query touches some g_j
+
+
+@pytest.mark.parametrize("attack", [RandomProbeAttack, MutatePositivesAttack])
+@pytest.mark.parametrize("u_bits", [11, 32])
+def test_per_function_load_below_k_under_adaptive_adversaries(u_bits, attack):
+    # the paper's argument needs every g_j compared on at most k points under
+    # the real adversaries too, not only under uniform queries; u_bits = 32
+    # builds over GF(2^32) through the batch X-vector path
+    p = FilterParams(n=128, eps=2 ** -4, t=512, u_bits=u_bits)
+    built = []
+
+    def tracked_cuckoo(S, params, seed):
+        rep = build_cuckoo(S, params, seed)
+        rep.track_participation()
+        built.append(rep)
+        return rep
+
+    for trial in range(3):
+        tr = run_challenge(tracked_cuckoo, attack(), None, p, rng_seed=1000 + trial)
+        rep = built[-1]
+        assert rep.gfam.field_width == (16 if u_bits == 11 else 32)
+        assert len(tr.queries) == p.t
+        assert max(rep.participation) <= rep.gfam.k
+        assert sum(rep.participation) >= p.t
 
 
 def test_serialize_roundtrip_preserves_answers_and_cursors():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from filterlab import gf2
@@ -63,3 +64,17 @@ def test_gf_pow_matches_repeated_mul():
         for _ in range(e):
             ref = gf2.gf_mul(ref, a, 8)
         assert gf2.gf_pow(a, e, 8) == ref
+
+
+@pytest.mark.parametrize("w", gf2.SUPPORTED_WIDTHS)
+def test_odd_power_rows_match_gf_pow(w):
+    # the batch route (table gather, or the numpy carry-less multiply with its
+    # two folds) against scalar powers; all-ones points give the widest products
+    rng = random.Random(w)
+    top = (1 << w) - 1
+    xs = [0, 1, 2, top, top ^ 1, 1 << (w - 1)] + [rng.randrange(1 << w) for _ in range(40)]
+    for m in (0, 1, 6):
+        rows = gf2.odd_power_rows(np.array(xs, dtype=np.uint64), m, w)
+        assert rows.shape == (len(xs), m)
+        assert [[int(v) for v in row] for row in rows] == \
+               [[gf2.gf_pow(x, 2 * i + 1, w) for i in range(m)] for x in xs]

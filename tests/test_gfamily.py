@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from filterlab.gfamily import GFamily, g_sample, x_provider
+from filterlab import gfamily
+from filterlab.gfamily import GFamily, XProvider, g_sample, x_provider
 from filterlab.stats import chi2_sf
 
 
@@ -119,6 +120,8 @@ def test_point_outside_field_raises():
         fam.eval_bit(0, 16)
     with pytest.raises(ValueError):
         fam.evaluate(0, 16)
+    with pytest.raises(ValueError):
+        fam.fingerprints([3, 16])
 
 
 def test_sample_validation():
@@ -139,8 +142,7 @@ def test_fingerprint_bit_uniformity_chi_square():
     rng = random.Random(13)
     n = 10_000
     ones = [0] * fam.ell
-    for _ in range(n):
-        fp = fam.fingerprint(rng.randrange(1 << 16))
+    for fp in fam.fingerprints([rng.randrange(1 << 16) for _ in range(n)]):
         for j in range(fam.ell):
             ones[j] += (fp >> j) & 1
     stat = sum((o - n / 2) ** 2 / (n / 4) for o in ones)
@@ -159,6 +161,46 @@ def test_wide_field_slow_path_matches_reference():
     assert any(int(c) >> 63 for c in g_sample(8, 5, 64, rng_seed=8).coeffs.ravel())
     for x in [0, 1] + [rng.randrange(1 << 64) for _ in range(5)]:
         assert fam64.eval_bit(0, x) == fam64.evaluate(0, x)
+
+
+WIDTHS = [4, 8, 16, 32, 64]
+
+
+def _edge_points(w, rng, count):
+    """0, 1, 2^w - 1, random points, and one duplicate."""
+    points = [0, 1, (1 << w) - 1] + [rng.randrange(1 << w) for _ in range(count)]
+    return points + [points[3]]
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_get_many_matches_get_and_leaves_the_same_cache(w):
+    # w = 32/64: the numpy batch against the scalar chain of a query miss;
+    # both must leave the same entries, in the same order
+    rng = random.Random(w)
+    batch, single = XProvider(w, 5), XProvider(w, 5)
+    for points in (_edge_points(w, rng, 30), [], [rng.randrange(1 << w), 1, 0]):
+        assert batch.get_many(points) == [single.get(x) for x in points]
+        assert list(batch._cache.items()) == list(single._cache.items())
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_fingerprints_match_reference(w):
+    # ell > 64: the bits of one fingerprint span more than one uint64
+    fam = g_sample(70, 9, w, rng_seed=w)
+    points = _edge_points(w, random.Random(w + 1), 8)
+    fps = fam.fingerprints(points)
+    assert fps == [sum(fam.evaluate(j, x) << j for j in range(fam.ell)) for x in points]
+    assert fam.fingerprints([]) == []
+
+
+def test_fingerprints_do_not_depend_on_the_chunk(monkeypatch):
+    fam = g_sample(5, 200, 16, rng_seed=4)
+    points = random.Random(5).sample(range(1 << 16), 60)
+    whole = fam.fingerprints(points)
+    for chunk in (1, 8 * 26 * 7):  # one row per chunk; seven rows of 26 limbs
+        monkeypatch.setattr(gfamily, "FP_CHUNK_BYTES", chunk)
+        assert fam.fingerprints(points) == whole
+    assert whole == [sum(fam.eval_bit(j, x) << j for j in range(5)) for x in points]
 
 
 def test_chi2_sf_reference_points():
