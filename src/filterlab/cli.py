@@ -97,6 +97,17 @@ def _require(section: dict, name: str, key: str, path: str, kind=None):
     return value, lineno
 
 
+def _env_seed() -> int:
+    """The master seed when none is given: FILTERLAB_SEED, else DEFAULT_SEED."""
+    raw = os.environ.get("FILTERLAB_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"FILTERLAB_SEED must be an integer, got {raw!r}") from None
+
+
 def _optional(section: dict, name: str, key: str, path: str, kind, default):
     """A key checked like `_require`, or (default, 0) when it is absent."""
     if key not in section:
@@ -115,8 +126,7 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
     trials, trials_line = _require(exp, "experiment", "trials", path, int)
     if trials < 1:
         raise ConfigError(f"{path}:{trials_line}: trials must be >= 1")
-    seed, _ = _optional(exp, "experiment", "seed", path, int,
-                        int(os.environ.get("FILTERLAB_SEED", DEFAULT_SEED)))
+    seed, _ = _optional(exp, "experiment", "seed", path, int, _env_seed())
     fp_samples, fp_line = _optional(exp, "experiment", "fp_samples", path, int, 10_000)
     if fp_samples < 1:
         raise ConfigError(f"{path}:{fp_line}: fp_samples must be >= 1")
@@ -186,13 +196,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = sorted(int(x) for x in args.criteria.split(","))
-    seed = args.seed if args.seed is not None else int(
-        os.environ.get("FILTERLAB_SEED", DEFAULT_SEED))
+    try:
+        seed = args.seed if args.seed is not None else _env_seed()
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     results = []
-    for n in numbers or sorted(acceptance.CRITERIA):
+    for n in args.criteria or sorted(acceptance.CRITERIA):
         res = acceptance.run_criterion(n, seed)
         print(res.line(), flush=True)
         results.append(res)
@@ -237,6 +247,19 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _criteria(raw: str) -> list[int]:
+    try:
+        numbers = sorted(int(x) for x in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated criterion numbers, got {raw!r}") from None
+    unknown = [n for n in numbers if n not in acceptance.CRITERIA]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"no criterion {unknown[0]}; they run 1 to {max(acceptance.CRITERIA)}")
+    return numbers
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="filterlab",
@@ -255,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
     p_self.add_argument("--out", default=None)
-    p_self.add_argument("--criteria", default=None,
+    p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated criterion numbers (default all)")
     p_self.add_argument("--seed", type=int, default=None)
     p_self.set_defaults(fn=cmd_selftest)

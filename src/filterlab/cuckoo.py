@@ -4,6 +4,8 @@ Elements are placed by standard cuckoo hashing on the raw element (two
 tables of r = ceil(1.1 n) cells, h1/h2 keyed placement hashes), then every
 stored element is replaced by its ell-bit fingerprint g(x) from the k-wise
 independent family G.  A lookup compares g(x) against at most two cells.
+The cells are one flat list of 2r slots, table 1 then table 2, each holding
+a fingerprint or None when empty, with one cursor per slot beside it.
 
 Comparisons are bit-serial and cyclic: each cell keeps a cursor marking
 where the last comparison stopped, the next comparison resumes there, and a
@@ -13,6 +15,9 @@ comparisons, so each lookup touches only a constant number of the g_j and
 the per-function query load stays below the independence budget k even
 against adaptive adversaries.  Cursor state never changes an answer, only
 where comparison work lands; answers depend on fingerprint equality alone.
+The load of every g_j, the number of queries it was compared in, is always
+counted in `participation`: a bit is evaluated once per query, the first
+time either probe compares it, and that is where its function's count rises.
 
 The random-query variant uses ell = 2*ceil(log2(1/eps)), k = n, and
 compares always from bit 0 (cursors disabled and excluded from the memory
@@ -50,60 +55,50 @@ class CuckooFilterRep(Representation):
     kind = "unsteady"  # queries advance cursors; answers never change
 
     def __init__(self, params: FilterParams, ell: int, gfam: GFamily,
-                 seeds: tuple[int, int], occupied: list[bytearray],
-                 fingerprints: list[list[int]], cursors_enabled: bool):
+                 seeds: tuple[int, int], slots: list[int | None], cursors_enabled: bool):
         self.params = params
         self.ell = ell
         self.gfam = gfam
         self.seeds = seeds
-        self.r = len(occupied[0])
-        self.occupied = occupied
-        self.fingerprints = fingerprints
+        self.r = len(slots) // 2
+        self.slots = slots  # table 1 then table 2; a fingerprint, or None when empty
         self.cursors_enabled = cursors_enabled
-        self.cursors = [[0] * self.r, [0] * self.r]
+        self.cursors = [0] * len(slots)
         self.bit_comparisons = 0
         self.query_count = 0
-        self.participation: list[int] | None = None
+        self.participation = [0] * ell  # per g_j, the queries it was compared in
 
     @property
     def bits(self) -> int:
         cell = 1 + self.ell + (cursor_bits(self.ell) if self.cursors_enabled else 0)
         return 2 * self.r * cell + 2 * SEED_BITS + self.gfam.rep_bits
 
-    def track_participation(self) -> None:
-        """Start counting, per g_j, the number of queries it is compared in."""
-        self.participation = [0] * self.ell
+    def _probe(self, i: int, X: int, bits: list[int]) -> tuple[bool, int]:
+        """Bit-serial comparison against cell i: (matched, comparisons).
 
-    def _probe(self, tbl: int, pos: int, X: int, bits: list[int]) -> tuple[bool, int, int]:
-        """Bit-serial comparison against one cell.
-
-        Returns (matched, comparisons, mask of compared function indices)
-        and advances the cell cursor past the last compared bit.
+        Advances the cell cursor past the last compared bit.  A bit still
+        -1 in `bits` is first compared in this query, so evaluating it is
+        where its function's load is counted.
         """
-        if not self.occupied[tbl][pos]:
-            return False, 0, 0
-        fp = self.fingerprints[tbl][pos]
+        fp = self.slots[i]
+        if fp is None:
+            return False, 0
         ell = self.ell
         packed = self.gfam.packed
-        j = self.cursors[tbl][pos] if self.cursors_enabled else 0
-        n = 0
-        cmpmask = 0
-        matched = True
-        for _ in range(ell):
+        load = self.participation
+        j = self.cursors[i] if self.cursors_enabled else 0
+        for n in range(1, ell + 1):
             b = bits[j]
             if b < 0:
-                b = (packed[j] & X).bit_count() & 1
-                bits[j] = b
-            n += 1
-            cmpmask |= 1 << j
-            same = b == ((fp >> j) & 1)
+                b = bits[j] = (packed[j] & X).bit_count() & 1
+                load[j] += 1
+            same = b == (fp >> j) & 1
             j = j + 1 if j + 1 < ell else 0
             if not same:
-                matched = False
                 break
         if self.cursors_enabled:
-            self.cursors[tbl][pos] = j
-        return matched, n, cmpmask
+            self.cursors[i] = j
+        return same, n
 
     def query(self, x: int) -> bool:
         self.params.check_element(x)
@@ -111,19 +106,10 @@ class CuckooFilterRep(Representation):
         r = self.r
         s1, s2 = self.seeds
         bits = [-1] * self.ell
-        m1, n1, c1 = self._probe(0, mix64(s1, x) % r, X, bits)
-        m2, n2, c2 = self._probe(1, mix64(s2, x) % r, X, bits)
+        m1, n1 = self._probe(mix64(s1, x) % r, X, bits)
+        m2, n2 = self._probe(r + mix64(s2, x) % r, X, bits)
         self.bit_comparisons += n1 + n2
         self.query_count += 1
-        if self.participation is not None:
-            cm = c1 | c2
-            counts = self.participation
-            j = 0
-            while cm:
-                if cm & 1:
-                    counts[j] += 1
-                cm >>= 1
-                j += 1
         return m1 or m2
 
     @property
@@ -140,12 +126,11 @@ class CuckooFilterRep(Representation):
         for s in self.seeds:
             w.write(s, SEED_BITS)
         cb = cursor_bits(self.ell) if self.cursors_enabled else 0
-        for tbl in range(2):
-            for pos in range(self.r):
-                w.write(self.occupied[tbl][pos], 1)
-                w.write(self.fingerprints[tbl][pos], self.ell)
-                if cb:
-                    w.write(self.cursors[tbl][pos], cb)
+        for fp, cursor in zip(self.slots, self.cursors):
+            w.write(fp is not None, 1)
+            w.write(fp or 0, self.ell)
+            if cb:
+                w.write(cursor, cb)
         gdata, gbits = self.gfam.serialize()
         w.write(int.from_bytes(gdata, "big") >> ((len(gdata) * 8) - gbits), gbits)
         return w.getvalue(), w.bit_length
@@ -156,16 +141,14 @@ class CuckooFilterRep(Representation):
                     bit_length: int) -> "CuckooFilterRep":
         rd = BitReader(data, bit_length)
         seeds = (rd.read(SEED_BITS), rd.read(SEED_BITS))
-        occupied = [bytearray(r), bytearray(r)]
-        fingerprints = [[0] * r, [0] * r]
-        cursors = [[0] * r, [0] * r]
         cb = cursor_bits(ell) if cursors_enabled else 0
-        for tbl in range(2):
-            for pos in range(r):
-                occupied[tbl][pos] = rd.read(1)
-                fingerprints[tbl][pos] = rd.read(ell)
-                if cb:
-                    cursors[tbl][pos] = rd.read(cb)
+        slots: list[int | None] = []
+        cursors = []
+        for _ in range(2 * r):
+            full = rd.read(1)
+            fp = rd.read(ell)
+            slots.append(fp if full else None)
+            cursors.append(rd.read(cb) if cb else 0)
         gbits = family_bits(ell, k, field_width)
         graw = rd.read(gbits)
         pad = (-gbits) % 8
@@ -173,30 +156,27 @@ class CuckooFilterRep(Representation):
             ell, k, field_width,
             (graw << pad).to_bytes((gbits + pad) // 8, "big"), gbits,
         )
-        rep = cls(params, ell, gfam, seeds, occupied, fingerprints, cursors_enabled)
+        rep = cls(params, ell, gfam, seeds, slots, cursors_enabled)
         rep.cursors = cursors
         return rep
 
 
 def _place_all(members: Iterable[int], seeds: tuple[int, int], r: int,
-               kicks: int) -> list[list[int | None]] | None:
-    tables: list[list[int | None]] = [[None] * r, [None] * r]
+               kicks: int) -> list[int | None] | None:
+    """Cuckoo placement of the raw elements into 2r flat cells, table 1 then
+    table 2; None when some element is still homeless after `kicks` moves."""
+    cells: list[int | None] = [None] * (2 * r)
     for x in members:
-        cur = x
-        tbl = 0
-        pos = mix64(seeds[0], cur) % r
-        placed = False
+        cur, tbl = x, 0
         for _ in range(kicks):
-            if tables[tbl][pos] is None:
-                tables[tbl][pos] = cur
-                placed = True
+            i = tbl * r + mix64(seeds[tbl], cur) % r
+            cur, cells[i] = cells[i], cur
+            if cur is None:
                 break
-            cur, tables[tbl][pos] = tables[tbl][pos], cur
             tbl = 1 - tbl
-            pos = mix64(seeds[tbl], cur) % r
-        if not placed:
+        else:
             return None
-    return tables
+    return cells
 
 
 def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
@@ -213,26 +193,19 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
 
     r = table_size(params.n)
     kicks = max_kicks(params.n)
-    tables = None
+    cells = None
     seeds = (0, 0)
     for _ in range(REBUILD_LIMIT):
         seeds = (rng.getrandbits(SEED_BITS), rng.getrandbits(SEED_BITS))
-        tables = _place_all(members, seeds, r, kicks)
-        if tables is not None:
+        cells = _place_all(members, seeds, r, kicks)
+        if cells is not None:
             break
-    if tables is None:
+    if cells is None:
         raise BuildError(f"cuckoo placement failed after {REBUILD_LIMIT} rebuilds")
 
-    occupied = [bytearray(r), bytearray(r)]
-    fingerprints = [[0] * r, [0] * r]
-    cells = [(tbl, pos) for tbl in range(2) for pos in range(r)
-             if tables[tbl][pos] is not None]
-    fps = gfam.fingerprints([tables[tbl][pos] for tbl, pos in cells])
-    for (tbl, pos), fp in zip(cells, fps):
-        occupied[tbl][pos] = 1
-        fingerprints[tbl][pos] = fp
-    return CuckooFilterRep(params, ell, gfam, seeds, occupied, fingerprints,
-                           cursors_enabled)
+    fps = iter(gfam.fingerprints([x for x in cells if x is not None]))
+    slots = [None if x is None else next(fps) for x in cells]
+    return CuckooFilterRep(params, ell, gfam, seeds, slots, cursors_enabled)
 
 
 def build_cuckoo(S: Iterable[int], params: FilterParams, rng_seed: int) -> CuckooFilterRep:

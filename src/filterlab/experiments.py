@@ -134,12 +134,13 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
     S = core.sample_set(cfg.params, rng)
     rep = build_filter(cfg, S, cfg.params, split_seed(master_seed, 0, 2))
     u = cfg.params.universe
-    before = getattr(rep, "bit_comparisons", 0)
+    inner = getattr(rep, "inner", rep)  # a shield counts nothing itself
+    before = getattr(inner, "bit_comparisons", 0)
     hits = sum(1 for _ in range(samples)
                if rep.query(adversaries.fresh_element(rng, u, S)))
     mean_cmp = None
-    if isinstance(rep, cuckoo.CuckooFilterRep):
-        mean_cmp = (rep.bit_comparisons - before) / samples
+    if isinstance(inner, cuckoo.CuckooFilterRep):
+        mean_cmp = (inner.bit_comparisons - before) / samples
     return hits / samples, rep.bits, mean_cmp
 
 

@@ -26,7 +26,8 @@ bit into a single AND + popcount:
 
 X depends only on the field, m, and the point, never on the seeds, so it is
 cached and shared across every family (and filter build) with the same
-shape.  A filter build asks for every member at once (`fingerprints`): the
+shape (at the table widths w <= 16; wider fields build each vector anew).
+A filter build asks for every member at once (`fingerprints`): the
 missing X-vectors come from one batch (`gf2.odd_power_rows`, a table gather
 at w <= 16 and a numpy carry-less multiply at w = 32/64), and the ell bits
 of every member from a packed uint64 AND, an XOR over each row's limbs and a
@@ -95,6 +96,9 @@ class XProvider:
 
     `get_many` builds every missing vector of a batch at once (a cuckoo
     build); `get` builds one (a query miss).  Both leave the same entries.
+    Vectors are kept only at the table widths, where the field caps each
+    shape at 2^w points; at w = 32/64 nearly every point is new, so a kept
+    vector would only grow the cache, and each one is built and dropped.
     """
 
     def __init__(self, w: int, m: int):
@@ -102,22 +106,24 @@ class XProvider:
         self.m = m
         self.const_bit = 1 << (m * w)
         self._cache: dict[int, int] = {}
+        self._keep = w in gf2.TABLE_WIDTHS
         self._odd = 2 * np.arange(m, dtype=np.int64) + 1
 
     def get(self, x: int) -> int:
         v = self._cache.get(x)
         if v is None:
             v = self._build(x)
-            self._cache[x] = v
+            if self._keep:
+                self._cache[x] = v
         return v
 
     def get_many(self, xs: list[int]) -> list[int]:
         """X(x) for every x in xs, in order; misses are built in one batch."""
-        cache = self._cache
-        missing = [x for x in dict.fromkeys(xs) if x not in cache]
+        found = self._cache if self._keep else {}
+        missing = [x for x in dict.fromkeys(xs) if x not in found]
         if missing:
-            cache.update(zip(missing, self._build_many(missing)))
-        return [cache[x] for x in xs]
+            found.update(zip(missing, self._build_many(missing)))
+        return [found[x] for x in xs]
 
     def _check(self, x: int) -> None:
         if x >> self.w:

@@ -27,11 +27,7 @@ class ShieldedRep(Representation):
         self.inner = inner
         # the permutation is a pure function of the key: memoizing it is a
         # query-time cache, not representation state
-        self._memo: dict[int, int] | list[int | None]
-        if params.u_bits <= 16:
-            self._memo = [None] * params.universe
-        else:
-            self._memo = {}
+        self._memo: dict[int, int] = {}
 
     @property
     def kind(self) -> str:  # type: ignore[override]
@@ -42,17 +38,9 @@ class ShieldedRep(Representation):
         return self.inner.bits + self.params.lambda_bits
 
     def _permute(self, x: int) -> int:
-        memo = self._memo
-        if isinstance(memo, list):
-            y = memo[x]
-            if y is None:
-                y = permute(self.key, x)
-                memo[x] = y
-            return y
-        y = memo.get(x)
+        y = self._memo.get(x)
         if y is None:
-            y = permute(self.key, x)
-            memo[x] = y
+            y = self._memo[x] = permute(self.key, x)
         return y
 
     def query(self, x: int) -> bool:

@@ -26,10 +26,10 @@ def test_selftest_detects_corrupted_build(monkeypatch):
     # telemetry criterion must trip
     from filterlab.cuckoo import CuckooFilterRep
 
-    def corrupted(self, tbl, pos, X, bits):
-        if not self.occupied[tbl][pos]:
-            return False, 0, 0
-        fp = self.fingerprints[tbl][pos]
+    def corrupted(self, i, X, bits):
+        fp = self.slots[i]
+        if fp is None:
+            return False, 0
         packed = self.gfam.packed
         n = 0
         matched = True
@@ -41,7 +41,7 @@ def test_selftest_detects_corrupted_build(monkeypatch):
             n += 1
             if b != ((fp >> j) & 1):
                 matched = False
-        return matched, n, 0
+        return matched, n
 
     monkeypatch.setattr(CuckooFilterRep, "_probe", corrupted)
     monkeypatch.setattr(acceptance, "C7_SAMPLES", 3000)

@@ -278,3 +278,26 @@ def test_seed_env_override(tmp_path, monkeypatch):
     text = text.replace("trials = 100", "trials = 10")
     cfg, trials, seed, _ = config_to_campaign(_write(tmp_path, text))
     assert seed == 31337
+
+
+@pytest.mark.parametrize("command", ["selftest", "experiment"])
+def test_non_integer_seed_env_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("FILTERLAB_SEED", "abc")
+    text = "\n".join(l for l in BASIC_CONFIG.splitlines() if not l.startswith("seed"))
+    argv = (["selftest", "--criteria", "9"] if command == "selftest" else
+            ["experiment", "--config", _write(tmp_path, text),
+             "--out", str(tmp_path / "out.csv")])
+    assert main(argv) == 2
+    assert "FILTERLAB_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria, message", [
+    ("12", "no criterion 12"),
+    ("x", "expected comma-separated criterion numbers"),
+    ("9,0", "no criterion 0"),
+])
+def test_selftest_rejects_bad_criteria(capsys, criteria, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--criteria", criteria])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from filterlab import FilterParams, build_cuckoo, build_cuckoo_random_query, sam
 from filterlab.adversaries import MutatePositivesAttack, RandomProbeAttack
 from filterlab.core import BuildError, run_challenge
 from filterlab.cuckoo import CuckooFilterRep, cursor_bits, table_size
+from filterlab.hashing import mix64
 
 SMALL = FilterParams(n=64, eps=2 ** -3, t=256, u_bits=12)
 
@@ -67,8 +69,9 @@ def test_single_element_build():
     p = FilterParams(n=1, eps=2 ** -3, t=8, u_bits=8)
     rep = build_cuckoo([42], p, rng_seed=10)
     assert rep.query(42)
-    assert sum(rep.occupied[0]) == 1           # placed in the first table
-    assert sum(rep.occupied[1]) == 0
+    full = [fp is not None for fp in rep.slots]
+    assert sum(full[:rep.r]) == 1              # placed in the first table
+    assert sum(full[rep.r:]) == 0
 
 
 def test_member_match_costs_exactly_ell_comparisons():
@@ -99,7 +102,7 @@ def test_cursor_state_never_changes_answers():
     S = sample_set(SMALL, random.Random(13))
     rep = build_cuckoo(S, SMALL, rng_seed=14)
     frozen = copy.deepcopy(rep)
-    frozen.cursors = [[0] * frozen.r, [0] * frozen.r]
+    frozen.cursors = [0] * (2 * frozen.r)
     frozen.cursors_enabled = False             # compare from bit 0, never store
     rng = random.Random(15)
     seq = [rng.randrange(SMALL.universe) for _ in range(4000)]
@@ -115,13 +118,13 @@ def test_cursors_actually_move():
     rng = random.Random(18)
     for _ in range(500):
         rep.query(rng.randrange(SMALL.universe))
-    moved = sum(c != 0 for tbl in rep.cursors for c in tbl)
+    moved = sum(c != 0 for c in rep.cursors)
     assert moved > 0
     # the variant never moves cursors
     repv = build_cuckoo_random_query(S, SMALL, rng_seed=19)
     for _ in range(500):
         repv.query(rng.randrange(SMALL.universe))
-    assert all(c == 0 for tbl in repv.cursors for c in tbl)
+    assert all(c == 0 for c in repv.cursors)
 
 
 def test_mean_comparisons_small_scale():
@@ -157,7 +160,6 @@ def test_per_function_load_stays_below_k():
     for trial in range(10):
         S = sample_set(p, random.Random(400 + trial))
         rep = build_cuckoo(S, p, rng_seed=500 + trial)
-        rep.track_participation()
         rng = random.Random(600 + trial)
         for _ in range(p.t):
             rep.query(rng.randrange(p.universe))
@@ -173,7 +175,6 @@ def test_per_function_load_below_k_at_production_scale():
     for trial in range(3):
         S = sample_set(p, random.Random(700 + trial))
         rep = build_cuckoo(S, p, rng_seed=800 + trial)
-        rep.track_participation()
         rng = random.Random(900 + trial)
         for _ in range(p.t):
             rep.query(rng.randrange(p.universe))
@@ -192,7 +193,6 @@ def test_per_function_load_below_k_under_adaptive_adversaries(u_bits, attack):
 
     def tracked_cuckoo(S, params, seed):
         rep = build_cuckoo(S, params, seed)
-        rep.track_participation()
         built.append(rep)
         return rep
 
@@ -203,6 +203,57 @@ def test_per_function_load_below_k_under_adaptive_adversaries(u_bits, attack):
         assert len(tr.queries) == p.t
         assert max(rep.participation) <= rep.gfam.k
         assert sum(rep.participation) >= p.t
+
+
+def test_participation_counts_each_evaluated_function_once_per_query():
+    S = sample_set(SMALL, random.Random(30))
+    rep = build_cuckoo(S, SMALL, rng_seed=31)
+    assert rep.participation == [0] * rep.ell  # counted from the build on
+    s1, s2 = rep.seeds
+
+    def cells(x):
+        return mix64(s1, x) % rep.r, rep.r + mix64(s2, x) % rep.r
+
+    # a member whose other cell is full too: both cells compare some of the
+    # same bits, yet each g_j counts once for the query
+    x = next(x for x in sorted(S) if all(rep.slots[i] is not None for i in cells(x)))
+    before = rep.bit_comparisons
+    assert rep.query(x)
+    assert rep.bit_comparisons - before > rep.ell
+    assert rep.participation == [1] * rep.ell
+    # a point whose two cells are both empty compares nothing
+    y = next(y for y in range(SMALL.universe) if all(rep.slots[i] is None for i in cells(y)))
+    before = rep.bit_comparisons
+    assert not rep.query(y)
+    assert rep.bit_comparisons == before
+    assert rep.participation == [1] * rep.ell
+
+
+# SHA-256 over the answers, comparison counts, cursors, per-function loads and
+# serialized payloads of fixed query streams at u_bits 13 and 32, both
+# builders: it pins placement, probing, cursor movement, load counting and
+# the payload layout bit for bit.
+GOLDEN_DIGEST = "df09a699cc97dfd8a55ff524a4a9855baa7111044b63ec881e4844a058518290"
+
+
+def test_golden_streams_are_unchanged():
+    h = hashlib.sha256()
+    for u_bits in (13, 32):
+        p = FilterParams(n=64, eps=2 ** -3, t=64, u_bits=u_bits)
+        for builder in (build_cuckoo, build_cuckoo_random_query):
+            S = sample_set(p, random.Random(u_bits))
+            rep = builder(S, p, rng_seed=7 + u_bits)
+            rng = random.Random(100 + u_bits)
+            members = sorted(S)
+            seq = [rng.randrange(p.universe) for _ in range(300)]
+            seq += [rng.choice(members) ^ (1 << rng.randrange(u_bits)) for _ in range(100)]
+            seq += members
+            answers = bytes(rep.query(x) for x in seq)
+            data, nbits = rep.serialize()
+            h.update(repr((answers, rep.bit_comparisons, rep.query_count, rep.cursors,
+                           rep.participation, rep.bits, nbits)).encode())
+            h.update(data)
+    assert h.hexdigest() == GOLDEN_DIGEST
 
 
 def test_serialize_roundtrip_preserves_answers_and_cursors():

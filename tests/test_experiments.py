@@ -124,6 +124,16 @@ def test_result_record_blank_telemetry_for_bloom():
     assert result_record(res)["mean_bit_comparisons"] == ""
 
 
+def test_measure_fp_rate_reads_comparisons_through_the_shield():
+    plain = measure_fp_rate(GameConfig("cuckoo_resilient", "random_probe", P_SMALL),
+                            6, samples=500)
+    shielded = measure_fp_rate(GameConfig("cuckoo_resilient", "random_probe", P_SMALL,
+                                          shielded=True), 6, samples=500)
+    assert plain[2] is not None and shielded[2] is not None
+    assert 0 < shielded[2] <= 2 * P_SMALL.ell  # two cells of ell bits at most
+    assert shielded[1] == plain[1] + P_SMALL.lambda_bits
+
+
 def test_measure_fp_rate_exact_set_is_zero():
     cfg = GameConfig("exact_set", "random_probe", P_SMALL)
     rate, bits, mean_cmp = measure_fp_rate(cfg, 5, samples=2000)

@@ -1,9 +1,10 @@
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from filterlab import gfamily
+from filterlab import FilterParams, build_cuckoo, gf2, gfamily, sample_set
 from filterlab.gfamily import GFamily, XProvider, g_sample, x_provider
 from filterlab.stats import chi2_sf
 
@@ -181,6 +182,27 @@ def test_get_many_matches_get_and_leaves_the_same_cache(w):
     for points in (_edge_points(w, rng, 30), [], [rng.randrange(1 << w), 1, 0]):
         assert batch.get_many(points) == [single.get(x) for x in points]
         assert list(batch._cache.items()) == list(single._cache.items())
+
+
+@pytest.mark.parametrize("u_bits, w", [(13, 16), (32, 32)])
+def test_cache_keeps_vectors_only_at_table_widths(monkeypatch, u_bits, w):
+    # GF(2^16) caps a shape at 2^16 points; over GF(2^32) nearly every point
+    # is new, so its vectors are built for the call and dropped
+    monkeypatch.setattr(gfamily, "_PROVIDERS", OrderedDict())
+    p = FilterParams(n=64, eps=2 ** -3, t=64, u_bits=u_bits)
+    S = sample_set(p, random.Random(1))
+    rep = build_cuckoo(S, p, rng_seed=2)
+    rng = random.Random(3)
+    queries = [rng.randrange(p.universe) for _ in range(40)]
+    for x in queries + sorted(S):
+        rep.query(x)
+    assert rep.gfam.field_width == w
+    cache = rep.gfam.provider._cache
+    if w in gf2.TABLE_WIDTHS:
+        assert set(cache) == set(S) | set(queries)
+    else:
+        assert cache == {}
+    assert all(rep.query(x) for x in S)
 
 
 @pytest.mark.parametrize("w", WIDTHS)
