@@ -16,6 +16,7 @@ difference.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import statistics
@@ -121,7 +122,7 @@ def criterion_2(seed: int) -> CriterionResult:
     )
 
 
-def criterion_3(seed: int) -> CriterionResult:
+def criterion_3(seed: int, parallel: int = 1) -> CriterionResult:
     """Steady filters fall to consistency search at t = O(m/eps0)."""
     cfg = GameConfig(
         "baseline_bloom", "consistency_search", TOY_PARAMS,
@@ -129,7 +130,7 @@ def criterion_3(seed: int) -> CriterionResult:
         adversary_opts={"c": 200, "strict": True},
     )
     games = 60
-    wins = count_wins(cfg, games, seed)
+    wins = count_wins(cfg, games, seed, parallel=parallel)
     rate = wins / games
     return CriterionResult(
         3, "non-resilience of steady filters", measured=f"{wins}/{games}={rate:.3f}",
@@ -138,7 +139,7 @@ def criterion_3(seed: int) -> CriterionResult:
     )
 
 
-def criterion_4(seed: int) -> CriterionResult:
+def criterion_4(seed: int, parallel: int = 1) -> CriterionResult:
     """The shield collapses both attacks to the non-adaptive error rate and
     costs exactly lambda extra bits."""
     games = 1000
@@ -158,13 +159,13 @@ def criterion_4(seed: int) -> CriterionResult:
         bloom_bits=TOY_BLOOM_BITS, expose="structure",
         adversary_opts={"c": 200, "strict": False},
     )
-    rate_a = count_wins(cfg_a, games, seed, (0,)) / games
+    rate_a = count_wins(cfg_a, games, seed, (0,), parallel) / games
     bound_a = toy_eps + 0.05
 
     prod = FilterParams(n=1000, eps=2 ** -6, t=1000, u_bits=32)
     cfg_b = GameConfig("baseline_bloom", "seed_exposed", prod, shielded=True,
                        expose="full")
-    rate_b = count_wins(cfg_b, games, seed, (1,)) / games
+    rate_b = count_wins(cfg_b, games, seed, (1,), parallel) / games
     bound_b = prod.eps + 0.05
 
     rng = random.Random(split_seed(seed, 2))
@@ -183,14 +184,14 @@ def criterion_4(seed: int) -> CriterionResult:
     )
 
 
-def criterion_5(seed: int) -> CriterionResult:
+def criterion_5(seed: int, parallel: int = 1) -> CriterionResult:
     """The construction withstands its full adaptive budget."""
     games = 1000
     bound = PROD_PARAMS.eps + 0.02
     rates = {}
     for ai, adv in enumerate(("random_probe", "mutate_positives")):
         cfg = GameConfig("cuckoo_resilient", adv, PROD_PARAMS)
-        rates[adv] = count_wins(cfg, games, seed, (ai,)) / games
+        rates[adv] = count_wins(cfg, games, seed, (ai,), parallel) / games
     worst = max(rates.values())
     return CriterionResult(
         5, "resilience of the construction", seed=seed,
@@ -303,12 +304,12 @@ def criterion_9(seed: int) -> CriterionResult:
     )
 
 
-def criterion_10(seed: int) -> CriterionResult:
+def criterion_10(seed: int, parallel: int = 1) -> CriterionResult:
     """Random-query model: the cheaper variant holds at t = n/eps."""
     games = 1000
     bound = VARIANT_PARAMS.eps + 0.02
     cfg = GameConfig("cuckoo_random_query", "random_probe", VARIANT_PARAMS)
-    rate = count_wins(cfg, games, seed) / games
+    rate = count_wins(cfg, games, seed, parallel=parallel) / games
     return CriterionResult(
         10, "random-query variant", measured=f"{rate:.4f}",
         threshold=f"<= {bound:.4f}", passed=rate <= bound, seed=seed,
@@ -343,10 +344,14 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, master_seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion(number: int, master_seed: int = DEFAULT_SEED,
+                  parallel: int = 1) -> CriterionResult:
+    """Run one criterion; `parallel` workers play the games of those that
+    count wins (3, 4, 5, 10), and never change what they measure."""
     fn = CRITERIA[number]
     seed = split_seed(master_seed, 1000 + number)
+    kwargs = {"parallel": parallel} if "parallel" in inspect.signature(fn).parameters else {}
     t0 = time.perf_counter()
-    res = fn(seed)
+    res = fn(seed, **kwargs)
     res.runtime_s = time.perf_counter() - t0
     return res

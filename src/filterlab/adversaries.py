@@ -118,12 +118,15 @@ class ConsistencySearchAttack:
     """Label every sampled point via the oracle, invert by exhaustion, then
     predict a false positive from the recovered model.
 
-    The inverter is realised as a scan of the registered representation
-    space (feasible only for toy filters with ~2^20 candidate states): the
-    first candidate consistent with every recorded label is taken as the
-    model M'.  Sampling then looks for a fresh element the model marks
-    positive; since the model approximates the oracle on all of U, such an
-    element is a true false positive with high probability.
+    The inverter is the enumerator's `first_consistent(labels)`: the least
+    representation id consistent with every recorded label is taken as the
+    model M' (an exhaustive search, feasible only for toy filters with
+    ~2^20 candidate states; the Bloom space answers it with a few
+    vectorised passes over all ids).  The chosen model is re-checked
+    against every label through `model_query`.  Sampling then looks for a
+    fresh element the model marks positive; since the model approximates
+    the oracle on all of U, such an element is a true false positive with
+    high probability.
 
     The query budget is c*m/eps0; the default c = 200 is sized for the
     regime where the universe dwarfs the budget, so at desk scale the
@@ -160,17 +163,7 @@ class ConsistencySearchAttack:
             x = rng.randrange(u)
             labels.append((x, oracle.query(x)))
 
-        chosen = None
-        model_query = enum.model_query
-        for rid in enum.rep_ids():
-            ok = True
-            for x, y in labels:
-                if model_query(rid, x) != y:
-                    ok = False
-                    break
-            if ok:
-                chosen = rid
-                break
+        chosen = enum.first_consistent(labels)
         self.last_consistent_rep = chosen
 
         if chosen is None:
@@ -179,7 +172,11 @@ class ConsistencySearchAttack:
                     "no representation consistent with the oracle labels")
             return fresh_element(rng, u, ctx.S, oracle.queried)
 
-        assert all(model_query(chosen, x) == y for x, y in labels)
+        model_query = enum.model_query
+        if any(model_query(chosen, x) != y for x, y in labels):
+            raise InconsistentOracleError(
+                f"enumerator chose representation {chosen}, which contradicts "
+                "the oracle labels")
         attempts = min(math.ceil(100.0 / eps0), self.candidate_cap)
         for _ in range(attempts):
             x = rng.randrange(u)

@@ -12,9 +12,11 @@ import math
 import random
 from typing import Iterable
 
+import numpy as np
+
 from .bitio import BitReader, BitWriter
 from .core import SEED_BITS, BuildError, FilterParams, Representation
-from .hashing import mix64
+from .hashing import mix64, mix64_many
 
 
 def standard_bloom_bits(n: int, eps: float) -> int:
@@ -39,39 +41,67 @@ class BloomIndexStructure:
     def positions(self, x: int) -> list[int]:
         return [mix64(s, x) % self.m for s in self.seeds]
 
-    def position_masks(self) -> list[int]:
-        """Per-element OR-mask of index bits, precomputed over the universe.
+    def position_masks(self) -> np.ndarray:
+        """Per-element OR-mask of index bits over the whole universe (uint64).
 
-        Only for enumerable universes; lets candidate representations be
-        tested as integers: rep matches x iff rep & mask[x] == mask[x].
+        Only for enumerable universes and arrays of at most 64 bits; lets
+        candidate representations be tested as integers: rep matches x iff
+        rep & mask[x] == mask[x].
         """
         if self.u_bits > 16:
             raise ValueError("position masks only precomputed for u_bits <= 16")
-        masks = []
-        for x in range(1 << self.u_bits):
-            mk = 0
-            for p in self.positions(x):
-                mk |= 1 << p
-            masks.append(mk)
+        if self.m > 64:
+            raise ValueError("position masks need m <= 64")
+        xs = np.arange(1 << self.u_bits, dtype=np.uint64)
+        masks = np.zeros_like(xs)
+        for s in self.seeds:
+            masks |= np.uint64(1) << (mix64_many(s, xs) % np.uint64(self.m))
         return masks
 
 
 class BloomRepSpace:
-    """Exhaustive space of m-bit arrays under a published hash structure."""
+    """Exhaustive space of m-bit arrays under a published hash structure.
+
+    A representation id is the array read as an integer, bit p for
+    position p.
+    """
 
     def __init__(self, structure: BloomIndexStructure):
         if structure.m > 20:
             raise ValueError("representation space too large to enumerate")
         self.structure = structure
-        self.masks = structure.position_masks()
+        # m <= 20, so the masks and ids fit 32 bits: half the scan's memory
+        self._mask_array = structure.position_masks().astype(np.uint32)
+        self.masks = self._mask_array.tolist()  # scalar lookups in model_query
 
     @property
     def memory_bits(self) -> int:
         # the searched secret state is the array; the seeds are published
         return self.structure.m
 
-    def rep_ids(self) -> range:
-        return range(1 << self.structure.m)
+    def first_consistent(self, labels: list[tuple[int, bool]]) -> int | None:
+        """Least id answering y on every labelled x, or None.
+
+        An array answers every label exactly when it holds the OR of the
+        positive labels' masks and none of the negative labels' masks, so
+        the candidates are filtered once by that OR and then once per
+        distinct negative mask, in ascending order throughout.  Every
+        survivor of the first filter holds the OR, so a negative mask is
+        tested on its bits outside the OR only, which leaves few distinct
+        masks.
+        """
+        ids = np.arange(1 << self.structure.m, dtype=np.uint32)
+        if labels:
+            xs, ys = zip(*labels)
+            masks = self._mask_array[np.array(xs)]
+            positive = np.array(ys, dtype=bool)
+            need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
+            ids = ids[(ids & need) == need]
+            for mk in set((masks[~positive] & ~need).tolist()):
+                if not ids.size:
+                    break
+                ids = ids[(ids & mk) != mk]
+        return int(ids[0]) if ids.size else None
 
     def model_query(self, rep_id: int, x: int) -> bool:
         mk = self.masks[x]

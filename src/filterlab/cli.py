@@ -203,7 +203,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         return 2
     results = []
     for n in args.criteria or sorted(acceptance.CRITERIA):
-        res = acceptance.run_criterion(n, seed)
+        res = acceptance.run_criterion(n, seed, parallel=args.parallel)
         print(res.line(), flush=True)
         results.append(res)
     report = "\n".join(r.line() for r in results) + "\n"
@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated criterion numbers (default all)")
     p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--parallel", type=_positive_int, default=1,
+                        help="worker processes for the game-counting criteria "
+                             "3, 4, 5 and 10 (results do not change)")
     p_self.set_defaults(fn=cmd_selftest)
 
     p_audit = sub.add_parser("audit-memory", help="bit-exact memory accounting")

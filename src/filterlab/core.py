@@ -345,8 +345,10 @@ class ExactSetRepSpace:
     def memory_bits(self) -> int:
         return self._rep.bits
 
-    def rep_ids(self) -> range:
-        return range(1)
+    def first_consistent(self, labels: list[tuple[int, bool]]) -> int | None:
+        """0, the one representation, if it answers every label; else None."""
+        query = self._rep.query
+        return 0 if all(query(x) == y for x, y in labels) else None
 
     def model_query(self, rep_id: int, x: int) -> bool:
         return self._rep.query(x)

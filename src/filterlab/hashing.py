@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 _M64 = (1 << 64) - 1
 
 
@@ -26,6 +28,21 @@ def mix64(seed: int, x: int) -> int:
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _M64
     z ^= z >> 31
+    return z
+
+
+def mix64_many(seed: int, xs: np.ndarray) -> np.ndarray:
+    """`mix64(seed, x)` for every x of a uint64 array, in uint64 arithmetic.
+
+    Every operation has an array operand, so the 64-bit overflow the scalar
+    version masks off wraps silently here.
+    """
+    z = xs + np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
     return z
 
 

@@ -21,6 +21,12 @@ def test_criterion(number):
     assert res.passed, res.line()
 
 
+def test_worker_count_does_not_change_a_criterion():
+    one = acceptance.run_criterion(3, acceptance.DEFAULT_SEED, parallel=1)
+    two = acceptance.run_criterion(3, acceptance.DEFAULT_SEED, parallel=2)
+    assert (two.measured, two.threshold, two.seed) == (one.measured, one.threshold, one.seed)
+
+
 def test_selftest_detects_corrupted_build(monkeypatch):
     # fault injection: force full-width comparisons (no early exit) and the
     # telemetry criterion must trip

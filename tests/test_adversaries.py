@@ -1,4 +1,6 @@
+import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -14,8 +16,15 @@ from filterlab.adversaries import (
     fresh_element,
     mu_estimate,
 )
-from filterlab.core import AdversaryContext, QueryOracle, minimal_error, run_challenge
-from filterlab.experiments import GameConfig, play_game
+from filterlab.bloom import BloomIndexStructure, BloomRepSpace
+from filterlab.core import (
+    AdversaryContext,
+    ExactSetRepSpace,
+    QueryOracle,
+    minimal_error,
+    run_challenge,
+)
+from filterlab.experiments import GameConfig, build_filter, play_game
 from filterlab.hashing import split_seed
 
 TOY = FilterParams(n=4, eps=2 ** -4, t=51200, u_bits=10)
@@ -153,6 +162,138 @@ def test_recovered_model_approximates_the_oracle():
         if err <= eps0 / 10:
             good += 1
     assert good / runs >= 0.95
+
+
+def _scan(enum, ids, labels):
+    """The ascending candidate scan `first_consistent` replaced, as reference."""
+    for rid in ids:
+        ok = True
+        for x, y in labels:
+            if enum.model_query(rid, x) != y:
+                ok = False
+                break
+        if ok:
+            return rid
+    return None
+
+
+def _bloom_space(m, seed, k_h=3, u_bits=10):
+    rng = random.Random(seed)
+    seeds = tuple(rng.getrandbits(64) for _ in range(k_h))
+    return BloomRepSpace(BloomIndexStructure(m, seeds, u_bits))
+
+
+def _check_against_scan(enum, labels):
+    chosen = enum.first_consistent(labels)
+    assert chosen == _scan(enum, range(1 << enum.structure.m), labels)
+    return chosen
+
+
+@pytest.mark.parametrize("m", [1, 16])
+def test_first_consistent_matches_scan_on_random_labels(m):
+    for case in range(12):
+        enum = _bloom_space(m, split_seed(30, m, case), k_h=1 + case % 3)
+        rng = random.Random(split_seed(31, m, case))
+        truth = rng.getrandbits(m)
+        xs = [rng.randrange(1 << 10) for _ in range(rng.choice((1, 4, 40, 400)))]
+        xs += xs[:len(xs) // 2]  # duplicate labels
+        labels = [(x, enum.model_query(truth, x)) for x in xs]
+        chosen = _check_against_scan(enum, labels)
+        assert chosen is not None and chosen <= truth
+        noisy = [(x, rng.random() < 0.5) for x in xs[:rng.choice((1, 3, 12))]]
+        _check_against_scan(enum, noisy)
+
+
+def test_first_consistent_edge_label_sets():
+    enum = _bloom_space(16, 32)
+    assert _check_against_scan(enum, []) == 0
+    xs = range(0, 1 << 10, 97)
+    positives = [(x, True) for x in xs]
+    need = 0
+    for x in xs:
+        need |= enum.masks[x]
+    assert _check_against_scan(enum, positives) == need
+    assert _check_against_scan(enum, [(x, False) for x in xs]) == 0
+    assert _check_against_scan(enum, [(5, True), (7, False), (5, False)]) is None
+    # a negative whose mask lies inside a positive's leaves no array
+    x = next(x for x in range(1, 1 << 10) if enum.masks[x] & ~enum.masks[0] == 0)
+    assert _check_against_scan(enum, [(0, True), (x, False)]) is None
+
+
+def test_first_consistent_at_one_bit():
+    enum = _bloom_space(1, 33)
+    assert _check_against_scan(enum, [(3, False), (9, False)]) == 0
+    assert _check_against_scan(enum, [(3, True)]) == 1
+    assert _check_against_scan(enum, [(3, True), (9, False)]) is None
+
+
+def test_first_consistent_at_twenty_bits():
+    enum = _bloom_space(20, 34, k_h=2)
+    truth = 0b1011_0000_0000_0110_0001
+    xs = random.Random(35).sample(range(1 << 10), 300)
+    assert _check_against_scan(enum, [(x, enum.model_query(truth, x)) for x in xs]) == truth
+    full = (1 << 20) - 1
+    labels = [(x, enum.model_query(full ^ enum.masks[xs[0]], x)) for x in xs]
+    assert _check_against_scan(enum, labels) is not None
+    assert _check_against_scan(enum, labels + [(xs[0], True)]) is None
+
+
+def test_first_consistent_on_exact_set():
+    p = FilterParams(n=4, eps=2 ** -4, t=512, u_bits=10)
+    rep = build_exact_set(sample_set(p, random.Random(36)), p, 0)
+    enum = rep.rep_space_enumerator()
+    assert isinstance(enum, ExactSetRepSpace)
+    labels = [(x, rep.query(x)) for x in range(p.universe)]
+    for subset in ([], labels, labels[:10]):
+        assert enum.first_consistent(subset) == _scan(enum, range(1), subset) == 0
+    x, y = labels[3]
+    bad = labels[:10] + [(x, not y)]
+    assert enum.first_consistent(bad) is None and _scan(enum, range(1), bad) is None
+
+
+@pytest.mark.parametrize("shielded", [False, True])
+def test_first_consistent_matches_scan_in_played_games(shielded):
+    cfg = GameConfig("baseline_bloom", "consistency_search", TOY, shielded=shielded,
+                     bloom_bits=16, expose="structure")
+    for i in range(3):
+        rng = random.Random(split_seed(37, shielded, i))
+        S = sample_set(TOY, rng)
+        rep = build_filter(cfg, S, TOY, rng.getrandbits(63))
+        oracle = QueryOracle(rep, TOY.t)
+        enum = rep.rep_space_enumerator()
+        ctx = AdversaryContext(oracle=oracle, S=S, params=TOY, rng=rng,
+                               enumerator=enum)
+        attack = ConsistencySearchAttack(strict=not shielded)
+        attack.run(ctx)
+        assert attack.last_consistent_rep == _scan(enum, range(1 << 16), oracle.queries)
+        assert (attack.last_consistent_rep is None) == shielded
+
+
+def test_inversion_games_are_unchanged():
+    # SHA-256 over (challenge, success, queries, chosen id) of 20 games of
+    # each inversion config, computed with the candidate scan this replaced
+    h = hashlib.sha256()
+    for shielded in (False, True):
+        cfg = GameConfig("baseline_bloom", "consistency_search", TOY, shielded=shielded,
+                         bloom_bits=16, expose="structure")
+        for i in range(20):
+            attack = ConsistencySearchAttack(c=200, strict=not shielded)
+            tr = run_challenge(partial(build_filter, cfg), attack, None, TOY,
+                               split_seed(19, i), expose="structure")
+            h.update(repr((tr.challenge, tr.success, len(tr.queries),
+                           attack.last_consistent_rep)).encode())
+    assert h.hexdigest() == ("a0859cddb9212ea77ff91f36cfdbeb48"
+                             "0080598691915526a92479a12b84cb7a")
+
+
+def test_consistency_search_rejects_a_contradicted_model(monkeypatch):
+    # an enumerator answering an id that contradicts the labels must raise,
+    # also under `python -O`, which strips asserts
+    monkeypatch.setattr(BloomRepSpace, "first_consistent",
+                        lambda self, labels: (1 << self.structure.m) - 1)
+    with pytest.raises(InconsistentOracleError, match="contradicts"):
+        run_challenge(_toy_bloom, ConsistencySearchAttack(), None, TOY, 38,
+                      expose="structure")
 
 
 def test_err_estimate_identity_and_extremes():

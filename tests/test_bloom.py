@@ -1,9 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from filterlab import FilterParams, build_bloom, sample_set
-from filterlab.bloom import BloomFilterRep, index_count, standard_bloom_bits
+from filterlab.bloom import (
+    BloomFilterRep,
+    BloomIndexStructure,
+    index_count,
+    standard_bloom_bits,
+)
 from filterlab.core import BuildError
 
 PARAMS = FilterParams(n=1000, eps=2 ** -6, t=0, u_bits=32)
@@ -129,3 +135,28 @@ def test_enumerator_only_at_toy_scale():
     assert all(space.model_query(rep_id, x) == rep.query(x) for x in range(1024))
     big = build_bloom([1, 2], PARAMS, rng_seed=22)
     assert big.rep_space_enumerator() is None
+
+
+@pytest.mark.parametrize("m", [1, 16, 20])
+@pytest.mark.parametrize("u_bits", [10, 16])
+def test_position_masks_match_scalar_positions(u_bits, m):
+    # seed 2^64-1 makes x + seed wrap for every x > 0
+    rng = random.Random(u_bits * 100 + m)
+    seeds = (0, (1 << 64) - 1) + tuple(rng.getrandbits(64) for _ in range(2))
+    structure = BloomIndexStructure(m, seeds, u_bits)
+    masks = structure.position_masks()
+    assert masks.dtype == np.uint64 and len(masks) == 1 << u_bits
+    expected = []
+    for x in range(1 << u_bits):
+        mk = 0
+        for p in structure.positions(x):
+            mk |= 1 << p
+        expected.append(mk)
+    assert masks.tolist() == expected
+
+
+def test_position_masks_refuse_unenumerable_shapes():
+    with pytest.raises(ValueError):
+        BloomIndexStructure(16, (1,), 17).position_masks()
+    with pytest.raises(ValueError):
+        BloomIndexStructure(65, (1,), 10).position_masks()

@@ -240,6 +240,19 @@ def test_parallel_below_one_rejected(tmp_path, capsys, workers):
     assert "--parallel: must be >= 1" in capsys.readouterr().err
 
 
+def test_selftest_parallel_below_one_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["selftest", "--criteria", "9", "--parallel", "0"])
+    assert exit_.value.code == 2
+    assert "--parallel: must be >= 1" in capsys.readouterr().err
+
+
+def test_selftest_parallel_runs(tmp_path):
+    report = tmp_path / "report.txt"
+    assert main(["selftest", "--criteria", "3", "--parallel", "2", "--out", str(report)]) == 0
+    assert "PASS criterion  3" in report.read_text()
+
+
 def test_audit_memory_rejects_bad_params(capsys):
     rc = main(["audit-memory", "--filter", "exact_set", "--n", "4", "--eps", "0.1",
                "--t", "1", "--u-bits", "70"])
