@@ -3,8 +3,8 @@ estimators used to analyse them.
 
 Strategies receive an `AdversaryContext`: a budgeted oracle, the set S, the
 public parameters, and a seeded RNG.  Under debug exposure policies the
-context may also carry a published view of the representation (white-box
-attacks) or an enumerator over the representation space (consistency
+context may also carry the unshielded representation itself (white-box
+attacks) or an enumerator over its representation space (consistency
 search).  Every strategy is a deterministic function of its seed and the
 oracle's responses.
 """
@@ -17,6 +17,7 @@ import random
 from .core import AdversaryContext, Representation, minimal_error
 
 EXHAUSTIVE_LIMIT = 1 << 16  # universes up to this size are swept exactly
+CANDIDATE_CAP = 1_000_000  # most draws a consistency search makes for a model positive
 
 
 class SamplingError(RuntimeError):
@@ -104,7 +105,7 @@ class SeedExposedAttack:
         params, rng = ctx.params, ctx.rng
         u = params.universe
         published = ctx.published
-        if published is not None and hasattr(published, "query"):
+        if published is not None:
             for _ in range(self.candidate_budget):
                 x = rng.randrange(u)
                 if x in ctx.S:
@@ -138,11 +139,9 @@ class ConsistencySearchAttack:
     through a shield whose inner space the enumerator models).
     """
 
-    def __init__(self, c: int = 200, strict: bool = True,
-                 candidate_cap: int = 1_000_000):
+    def __init__(self, c: int = 200, strict: bool = True):
         self.c = c
         self.strict = strict
-        self.candidate_cap = candidate_cap
         self.last_consistent_rep: int | None = None  # inspectable by analyses
 
     def run(self, ctx: AdversaryContext) -> int:
@@ -177,7 +176,7 @@ class ConsistencySearchAttack:
             raise InconsistentOracleError(
                 f"enumerator chose representation {chosen}, which contradicts "
                 "the oracle labels")
-        attempts = min(math.ceil(100.0 / eps0), self.candidate_cap)
+        attempts = min(math.ceil(100.0 / eps0), CANDIDATE_CAP)
         for _ in range(attempts):
             x = rng.randrange(u)
             if x in ctx.S or x in oracle.queried:

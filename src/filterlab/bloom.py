@@ -1,9 +1,9 @@
 """Classic steady-representation Bloom filter.
 
 The non-resilient baseline: k_h keyed index hashes into an m-bit array.
-Index seeds are secret by default; debug exposure policies publish the hash
-structure (for representation-space search attacks) or the full state (for
-white-box search attacks).
+Index seeds are secret by default; debug exposure policies hand out the
+space of arrays under the hash structure (for representation-space search
+attacks) or the full state (for white-box search attacks).
 """
 
 from __future__ import annotations
@@ -139,28 +139,16 @@ class BloomFilterRep(Representation):
                 return False
         return True
 
-    def structure(self) -> BloomIndexStructure:
-        return BloomIndexStructure(self.m, self.seeds, self.params.u_bits)
-
-    def published_view(self, expose: str):
-        if expose == "structure":
-            return self.structure()
-        if expose == "full":
-            return self
-        return None
-
     def rep_space_enumerator(self):
         if self.m <= 20 and self.params.u_bits <= 16:
-            return BloomRepSpace(self.structure())
+            return BloomRepSpace(BloomIndexStructure(self.m, self.seeds, self.params.u_bits))
         return None
 
-    def serialize(self) -> tuple[bytes, int]:
-        w = BitWriter()
+    def write(self, w: BitWriter) -> None:
         for s in self.seeds:
             w.write(s, SEED_BITS)
         for pos in range(self.m):
             w.write(self._get(pos), 1)
-        return w.getvalue(), w.bit_length
 
     @classmethod
     def deserialize(cls, params: FilterParams, m: int, k_h: int,

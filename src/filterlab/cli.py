@@ -23,6 +23,7 @@ from .core import FilterParams, ParamError, sample_set
 from .experiments import GameConfig, RESULT_COLUMNS
 
 DEFAULT_SEED = acceptance.DEFAULT_SEED
+SEED_LIMIT = 1 << 128  # split_seed packs a master seed into 16 unsigned bytes
 
 
 class ConfigError(Exception):
@@ -97,15 +98,23 @@ def _require(section: dict, name: str, key: str, path: str, kind=None):
     return value, lineno
 
 
+def _check_seed(value: int, name: str) -> int:
+    """value, if split_seed can pack it as a master seed; else a ConfigError."""
+    if not 0 <= value < SEED_LIMIT:
+        raise ConfigError(f"{name} must be in [0, 2^128), got {value}")
+    return value
+
+
 def _env_seed() -> int:
     """The master seed when none is given: FILTERLAB_SEED, else DEFAULT_SEED."""
     raw = os.environ.get("FILTERLAB_SEED")
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"FILTERLAB_SEED must be an integer, got {raw!r}") from None
+    return _check_seed(value, "FILTERLAB_SEED")
 
 
 def _optional(section: dict, name: str, key: str, path: str, kind, default):
@@ -126,7 +135,8 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
     trials, trials_line = _require(exp, "experiment", "trials", path, int)
     if trials < 1:
         raise ConfigError(f"{path}:{trials_line}: trials must be >= 1")
-    seed, _ = _optional(exp, "experiment", "seed", path, int, _env_seed())
+    seed, seed_line = _optional(exp, "experiment", "seed", path, int, _env_seed())
+    _check_seed(seed, f"{path}:{seed_line}: seed")
     fp_samples, fp_line = _optional(exp, "experiment", "fp_samples", path, int, 10_000)
     if fp_samples < 1:
         raise ConfigError(f"{path}:{fp_line}: fp_samples must be >= 1")
@@ -148,7 +158,9 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
                           f"{path}: [filter] {e}") from None
 
     shielded, _ = _optional(flt, "filter", "shield", path, bool, False)
-    bloom_bits = flt.get("m", (None, 0))[0]
+    bloom_bits, m_line = _optional(flt, "filter", "m", path, int, None)
+    if bloom_bits is not None and bloom_bits < 1:
+        raise ConfigError(f"{path}:{m_line}: m must be >= 1")
     adv_kind, adv_line = _require(adv, "adversary", "kind", path, str)
     expose, expose_line = adv.get("expose", ("none", adv_line))
     adv_opts = {k: v for k, (v, _) in adv.items() if k not in ("kind", "expose")}
@@ -240,6 +252,13 @@ def cmd_audit_memory(args: argparse.Namespace) -> int:
     return 0 if audit["match"] else 1
 
 
+def _seed(raw: str) -> int:
+    try:
+        return _check_seed(int(raw), "seed")
+    except (ValueError, ConfigError) as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -272,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_exp.add_argument("--seed", type=int, default=None)
+    p_exp.add_argument("--seed", type=_seed, default=None)
     p_exp.add_argument("--parallel", type=_positive_int, default=1)
     p_exp.set_defaults(fn=cmd_experiment)
 
@@ -280,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     p_self.add_argument("--out", default=None)
     p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated criterion numbers (default all)")
-    p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--seed", type=_seed, default=None)
     p_self.add_argument("--parallel", type=_positive_int, default=1,
                         help="worker processes for the game-counting criteria "
                              "3, 4, 5 and 10 (results do not change)")

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol
 
+from .bitio import BitWriter
 from .hashing import split_seed
 
 SEED_BITS = 64  # size at which per-representation hash seeds are accounted
@@ -104,14 +105,12 @@ def minimal_error(m: int, n: int) -> float:
     """Best error rate any m-bit filter on n elements can reach: 2^(-m/n).
 
     Companion of the classic memory lower bound m >= n*log2(1/eps).  Exact
-    when n divides m (pure binary exponent), float otherwise.
+    when n divides m (m/n is then an integral float), float otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m % n == 0:
-        return 2.0 ** (-(m // n))
     return 2.0 ** (-(m / n))
 
 
@@ -131,9 +130,10 @@ class Representation:
     """Base class for built filters.
 
     Concrete filters expose exact bit accounting (`bits`), a query method,
-    and a bit-exact payload serialization.  `kind` distinguishes steady
-    representations (queries never mutate state) from unsteady ones (queries
-    may mutate; here only benign cursor state that never changes an answer).
+    and `write`, which appends their bit-exact payload to a shared writer.
+    `kind` distinguishes steady representations (queries never mutate state)
+    from unsteady ones (queries may mutate; here only benign cursor state
+    that never changes an answer).
     """
 
     kind = "steady"
@@ -147,23 +147,27 @@ class Representation:
     def query(self, x: int) -> bool:
         raise NotImplementedError
 
-    def serialize(self) -> tuple[bytes, int]:
-        """Payload bytes plus exact payload bit length (== self.bits)."""
+    def write(self, w: BitWriter) -> None:
+        """Append the payload, exactly `bits` bits, to w."""
         raise NotImplementedError
 
-    def published_view(self, expose: str):
-        """Adversary-visible state under a debug exposure policy.
+    def serialize(self) -> tuple[bytes, int]:
+        """Payload bytes plus exact payload bit length (== self.bits)."""
+        w = BitWriter()
+        self.write(w)
+        return w.getvalue(), w.bit_length
 
-        expose: "none" (default game), "structure" (hash/placement structure
-        public, contents secret), or "full" (entire representation public).
-        """
-        return None
+    @property
+    def unshielded(self) -> Representation:
+        """The filter a debug exposure policy may reveal: this one, unless
+        a shield's secret key stands in front of it."""
+        return self
 
     def rep_space_enumerator(self):
         """Enumerator over candidate representations, when desk-scale small.
 
-        Only meaningful under expose="structure" or "full"; None when the
-        representation space is not enumerable.
+        The game hands it over under expose="structure" or "full"; None when
+        the representation space is not enumerable.
         """
         return None
 
@@ -210,17 +214,14 @@ class QueryOracle:
         self.queried.add(x)
         return y
 
-    @property
-    def queries_used(self) -> int:
-        return len(self.queries)
-
 
 @dataclass
 class AdversaryContext:
     """Everything a strategy may see: oracle, the set, public parameters.
 
-    Never the build seeds or key material.  `published` and `enumerator`
-    are only populated under a debug exposure policy.
+    Never the build seeds or key material.  `published` (the unshielded
+    representation, under expose="full") and `enumerator` (its space, under
+    "structure" or "full") are only populated under a debug exposure policy.
     """
 
     oracle: QueryOracle
@@ -267,8 +268,8 @@ def run_challenge(
         S=S,
         params=params,
         rng=random.Random(adv_seed),
-        published=rep.published_view(expose) if expose != "none" else None,
-        enumerator=rep.rep_space_enumerator() if expose != "none" else None,
+        published=rep.unshielded if expose == "full" else None,
+        enumerator=rep.unshielded.rep_space_enumerator() if expose != "none" else None,
     )
     seeds = {"master": rng_seed, "set": set_seed, "build": build_seed, "adversary": adv_seed}
 
@@ -308,7 +309,6 @@ class ExactSetRep(Representation):
     def __init__(self, S: frozenset[int], params: FilterParams):
         self.params = params
         self._members = frozenset(S)
-        self._sorted: Sequence[int] = tuple(sorted(self._members))
 
     @property
     def bits(self) -> int:
@@ -317,18 +317,9 @@ class ExactSetRep(Representation):
     def query(self, x: int) -> bool:
         return x in self._members
 
-    def serialize(self) -> tuple[bytes, int]:
-        from .bitio import BitWriter
-
-        w = BitWriter()
-        for x in self._sorted:
+    def write(self, w: BitWriter) -> None:
+        for x in sorted(self._members):
             w.write(x, self.params.u_bits)
-        return w.getvalue(), w.bit_length
-
-    def published_view(self, expose: str):
-        if expose == "full":
-            return self
-        return None
 
     def rep_space_enumerator(self):
         # No secret randomness: the set itself is the only candidate.

@@ -33,7 +33,7 @@ from typing import Iterable
 from . import gf2
 from .bitio import BitReader, BitWriter
 from .core import SEED_BITS, BuildError, FilterParams, Representation
-from .gfamily import GFamily, family_bits, g_sample
+from .gfamily import GFamily, g_sample
 from .hashing import mix64
 
 REBUILD_LIMIT = 20
@@ -116,13 +116,7 @@ class CuckooFilterRep(Representation):
     def mean_bit_comparisons(self) -> float:
         return self.bit_comparisons / self.query_count if self.query_count else 0.0
 
-    def published_view(self, expose: str):
-        if expose == "full":
-            return self
-        return None
-
-    def serialize(self) -> tuple[bytes, int]:
-        w = BitWriter()
+    def write(self, w: BitWriter) -> None:
         for s in self.seeds:
             w.write(s, SEED_BITS)
         cb = cursor_bits(self.ell) if self.cursors_enabled else 0
@@ -131,9 +125,7 @@ class CuckooFilterRep(Representation):
             w.write(fp or 0, self.ell)
             if cb:
                 w.write(cursor, cb)
-        gdata, gbits = self.gfam.serialize()
-        w.write(int.from_bytes(gdata, "big") >> ((len(gdata) * 8) - gbits), gbits)
-        return w.getvalue(), w.bit_length
+        self.gfam.write(w)
 
     @classmethod
     def deserialize(cls, params: FilterParams, ell: int, k: int, field_width: int,
@@ -149,13 +141,7 @@ class CuckooFilterRep(Representation):
             fp = rd.read(ell)
             slots.append(fp if full else None)
             cursors.append(rd.read(cb) if cb else 0)
-        gbits = family_bits(ell, k, field_width)
-        graw = rd.read(gbits)
-        pad = (-gbits) % 8
-        gfam = GFamily.deserialize(
-            ell, k, field_width,
-            (graw << pad).to_bytes((gbits + pad) // 8, "big"), gbits,
-        )
+        gfam = GFamily.read(rd, ell, k, field_width)
         rep = cls(params, ell, gfam, seeds, slots, cursors_enabled)
         rep.cursors = cursors
         return rep

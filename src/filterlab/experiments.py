@@ -134,7 +134,7 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
     S = core.sample_set(cfg.params, rng)
     rep = build_filter(cfg, S, cfg.params, split_seed(master_seed, 0, 2))
     u = cfg.params.universe
-    inner = getattr(rep, "inner", rep)  # a shield counts nothing itself
+    inner = rep.unshielded  # a shield counts nothing itself
     before = getattr(inner, "bit_comparisons", 0)
     hits = sum(1 for _ in range(samples)
                if rep.query(adversaries.fresh_element(rng, u, S)))

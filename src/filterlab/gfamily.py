@@ -238,21 +238,18 @@ class GFamily:
             fps += _ints(np.packbits(bits, axis=1, bitorder="little"))
         return fps
 
-    def serialize(self) -> tuple[bytes, int]:
+    def write(self, w: BitWriter) -> None:
         """Per function in index order: s0, then s_1..s_m as fixed-width
-        big-endian field elements."""
-        w = BitWriter()
+        big-endian field elements; rep_bits in all."""
         fw = self.field_width
         for j in range(self.ell):
             w.write(int(self.s0[j]), 1)
             for c in self.coeffs[j]:
                 w.write(int(c), fw)
-        return w.getvalue(), w.bit_length
 
     @classmethod
-    def deserialize(cls, ell: int, k: int, field_width: int,
-                    data: bytes, bit_length: int) -> "GFamily":
-        r = BitReader(data, bit_length)
+    def read(cls, r: BitReader, ell: int, k: int, field_width: int) -> "GFamily":
+        """The family `write` left at r's position."""
         s0 = np.zeros(ell, dtype=np.uint8)
         coeffs = np.zeros((ell, odd_powers(k)), dtype=np.uint64)
         for j in range(ell):

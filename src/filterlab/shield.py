@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from .bitio import BitWriter
 from .core import FilterParams, FilterFactory, Representation
 from .permutation import PermKey, permute, sample_key
 
@@ -46,23 +47,15 @@ class ShieldedRep(Representation):
     def query(self, x: int) -> bool:
         return self.inner.query(self._permute(x))
 
-    def serialize(self) -> tuple[bytes, int]:
-        from .bitio import BitWriter
-
-        inner_data, inner_bits = self.inner.serialize()
-        w = BitWriter()
+    def write(self, w: BitWriter) -> None:
+        # the key, then the inner payload with no padding between
         w.write(self.key.key_bits, self.params.lambda_bits)
-        w.write(int.from_bytes(inner_data, "big"), len(inner_data) * 8)
-        # tail padding of the inner payload is excluded from the count
-        return w.getvalue(), self.params.lambda_bits + inner_bits
+        self.inner.write(w)
 
-    def published_view(self, expose: str):
+    @property
+    def unshielded(self) -> Representation:
         # exposure applies to the inner filter; the key is never published
-        return self.inner.published_view(expose)
-
-    def rep_space_enumerator(self):
-        # a black-box attacker enumerates the inner space it believes it faces
-        return self.inner.rep_space_enumerator()
+        return self.inner
 
 
 def build_shield(

@@ -260,7 +260,7 @@ def test_first_consistent_matches_scan_in_played_games(shielded):
         S = sample_set(TOY, rng)
         rep = build_filter(cfg, S, TOY, rng.getrandbits(63))
         oracle = QueryOracle(rep, TOY.t)
-        enum = rep.rep_space_enumerator()
+        enum = rep.unshielded.rep_space_enumerator()
         ctx = AdversaryContext(oracle=oracle, S=S, params=TOY, rng=rng,
                                enumerator=enum)
         attack = ConsistencySearchAttack(strict=not shielded)

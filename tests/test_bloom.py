@@ -117,14 +117,6 @@ def test_bits_accounting_and_roundtrip():
         assert back.query(x) == rep.query(x)
 
 
-def test_published_views():
-    rep = build_bloom([1, 2], PARAMS, rng_seed=20, m=64)
-    assert rep.published_view("none") is None
-    st = rep.published_view("structure")
-    assert st.m == 64 and st.k_h == rep.k_h and not hasattr(st, "array")
-    assert rep.published_view("full") is rep
-
-
 def test_enumerator_only_at_toy_scale():
     toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
     rep = build_bloom([1, 2, 3, 4], toy, rng_seed=21, m=16)

@@ -179,12 +179,22 @@ def test_too_wide_universe_reported_at_its_line(tmp_path, capsys, u_bits):
     assert f"bad.ini:{_line_of(text, 'u_bits')}:" in err and "u_bits must be <= 64" in err
 
 
+def _with_line(line):
+    """BASIC_CONFIG with `line` in place of its key's line, or, for a
+    [filter] key the basic config leaves at its default, added to [filter]."""
+    key = line.split()[0]
+    if re.search(rf"^{key} = ", BASIC_CONFIG, flags=re.M):
+        return re.sub(rf"^{key} = .*$", line, BASIC_CONFIG, flags=re.M)
+    return BASIC_CONFIG.replace("kind = baseline_bloom", f"kind = baseline_bloom\n{line}")
+
+
 @pytest.mark.parametrize("line,message", [
     ("eps = 3.0", "eps must be a probability"), ("t = -1", "t must be >= 0"),
+    ("m = 0", "m must be >= 1"),
 ])
 def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, message):
     key = line.split()[0]
-    text = re.sub(rf"^{key} = .*$", line, BASIC_CONFIG, flags=re.M)
+    text = _with_line(line)
     rc, err = _config_error(tmp_path, capsys, text)
     assert rc == 2
     assert f"bad.ini:{_line_of(text, key + ' ')}:" in err and message in err
@@ -196,13 +206,13 @@ def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, 
     ("fp_samples = 0", "fp_samples must be >= 1"),
     ("lambda_bits = x", "'lambda_bits' must be an integer"),
     ("shield = maybe", "'shield' must be true or false"),
+    ("m = lots", "'m' must be an integer"),
+    ("seed = -1", "seed must be in [0, 2^128), got -1"),
+    (f"seed = {2 ** 128}", f"seed must be in [0, 2^128), got {2 ** 128}"),
 ])
 def test_mistyped_value_reported_at_its_line(tmp_path, capsys, line, message):
     key = line.split()[0]
-    if re.search(rf"^{key} = ", BASIC_CONFIG, flags=re.M):
-        text = re.sub(rf"^{key} = .*$", line, BASIC_CONFIG, flags=re.M)
-    else:  # a [filter] key the basic config leaves at its default
-        text = BASIC_CONFIG.replace("kind = baseline_bloom", f"kind = baseline_bloom\n{line}")
+    text = _with_line(line)
     rc, err = _config_error(tmp_path, capsys, text)
     assert rc == 2
     assert f"bad.ini:{_line_of(text, key + ' ')}: {message}" in err
@@ -302,6 +312,27 @@ def test_non_integer_seed_env_exits_2(tmp_path, monkeypatch, capsys, command):
              "--out", str(tmp_path / "out.csv")])
     assert main(argv) == 2
     assert "FILTERLAB_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["selftest", "experiment"])
+@pytest.mark.parametrize("env,option", [("-3", None), (None, "-1"), (None, str(2 ** 130))])
+def test_out_of_range_seed_exits_2(tmp_path, monkeypatch, capsys, command, env, option):
+    # split_seed packs a master seed into 16 unsigned bytes
+    text = "\n".join(l for l in BASIC_CONFIG.splitlines() if not l.startswith("seed"))
+    argv = (["selftest", "--criteria", "9"] if command == "selftest" else
+            ["experiment", "--config", _write(tmp_path, text),
+             "--out", str(tmp_path / "out.csv")])
+    if env is not None:
+        monkeypatch.setenv("FILTERLAB_SEED", env)
+        assert main(argv) == 2
+        message = f"FILTERLAB_SEED must be in [0, 2^128), got {env}"
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--seed", option])
+        assert exit_.value.code == 2
+        message = f"--seed: seed must be in [0, 2^128), got {option}"
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("criteria, message", [

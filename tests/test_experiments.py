@@ -1,9 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from filterlab import FilterParams, sample_set, split_seed
-from filterlab.core import ParamError
+from filterlab import FilterParams, run_challenge, sample_set, split_seed
+from filterlab.adversaries import fresh_element
+from filterlab.bloom import BloomRepSpace
+from filterlab.core import ExactSetRepSpace, ParamError
 from filterlab.experiments import (
     ADVERSARIES,
     FILTERS,
@@ -76,20 +79,61 @@ def test_every_filter_kind_plays_at_u_bits_64(kind):
         assert 0 <= tr.challenge < 2 ** 64
 
 
-@pytest.mark.parametrize("kind,shielded", [
-    ("baseline_bloom", False),
-    ("baseline_bloom", True),
-    ("exact_set", False),
-    ("cuckoo_resilient", False),
-    ("cuckoo_random_query", False),
-])
+@pytest.mark.parametrize("kind,shielded",
+                         [(kind, shielded) for kind in FILTERS for shielded in (False, True)])
 def test_audit_memory_every_filter_kind(kind, shielded):
-    cfg = GameConfig(kind, "random_probe", P_SMALL, shielded=shielded)
-    S = sample_set(P_SMALL, random.Random(1))
-    rep = build_filter(cfg, S, P_SMALL, 2)
-    audit = audit_memory(rep)
-    assert audit["match"], audit
-    assert audit["declared_bits"] == rep.bits
+    # the filter contract: `write` lays down exactly `bits` bits, a shield's
+    # key and inner payload with no padding between, at any key size
+    for lambda_bits in (128, 5):
+        p = replace(P_SMALL, lambda_bits=lambda_bits)
+        cfg = GameConfig(kind, "random_probe", p, shielded=shielded)
+        S = sample_set(p, random.Random(1))
+        rep = build_filter(cfg, S, p, 2)
+        data, bits = rep.serialize()
+        assert bits == rep.bits and len(data) == -(-bits // 8)
+        audit = audit_memory(rep)
+        assert audit["match"], audit
+        assert audit["declared_bits"] == rep.bits
+        assert rep.unshielded is (rep.inner if shielded else rep)
+
+
+class _Recorder:
+    """A strategy that keeps the context the game hands it."""
+
+    def run(self, ctx):
+        self.ctx = ctx
+        return fresh_element(ctx.rng, ctx.params.universe, ctx.S)
+
+
+@pytest.mark.parametrize("expose", ["none", "structure", "full"])
+@pytest.mark.parametrize("shielded", [False, True])
+@pytest.mark.parametrize("kind", list(FILTERS))
+def test_only_the_game_applies_an_exposure_policy(kind, shielded, expose):
+    # the adversary may see the unshielded filter (under "full") and an
+    # enumerator over its space (under "structure" and "full"), never a key
+    toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
+    cfg = GameConfig(kind, "random_probe", toy, shielded=shielded, bloom_bits=16)
+    built = []
+
+    def factory(S, p, seed):
+        built.append(build_filter(cfg, S, p, seed))
+        return built[0]
+
+    strategy = _Recorder()
+    run_challenge(factory, strategy, None, toy, 3, expose=expose)
+    rep, ctx = built[0], strategy.ctx
+    inner = rep.inner if shielded else rep
+    assert ctx.published is (inner if expose == "full" else None)
+    spaces = {"baseline_bloom": BloomRepSpace, "exact_set": ExactSetRepSpace}
+    if expose == "none" or kind not in spaces:
+        assert ctx.enumerator is None
+    else:
+        assert type(ctx.enumerator) is spaces[kind]
+        # it models the inner filter, so the inner filter's labels fit it
+        labels = [(x, inner.query(x)) for x in range(toy.universe)]
+        assert ctx.enumerator.first_consistent(labels) is not None
+    if shielded:
+        assert rep.rep_space_enumerator() is None  # keyed: not enumerable
 
 
 def test_campaign_order_independent_of_worker_count():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from filterlab import FilterParams, build_cuckoo, gf2, gfamily, sample_set
+from filterlab.bitio import BitReader, BitWriter
 from filterlab.gfamily import GFamily, XProvider, g_sample, x_provider
 from filterlab.stats import chi2_sf
 
@@ -81,18 +82,24 @@ def test_rep_bits_accounting():
         assert g_sample(ell, k, w, rng_seed=0).rep_bits == ell * (1 + (k // 2) * w)
 
 
+def _payload(fam):
+    w = BitWriter()
+    fam.write(w)
+    return w.getvalue(), w.bit_length
+
+
 def test_serialization_layout_and_roundtrip():
     # per function: s0, then fixed-width big-endian elements in index order
     fam = GFamily(ell=2, k=3, field_width=8, s0=np.array([1, 0], dtype=np.uint8),
                   coeffs=np.array([[0xAB], [0x12]], dtype=np.uint64))
-    data, bits = fam.serialize()
+    data, bits = _payload(fam)
     assert bits == 18  # 1 10101011 0 00010010
     assert data == bytes([0b11010101, 0b10000100, 0b10000000])
 
     fam2 = g_sample(3, 11, 16, rng_seed=21)
-    data, bits = fam2.serialize()
+    data, bits = _payload(fam2)
     assert bits == fam2.rep_bits
-    back = GFamily.deserialize(3, 11, 16, data, bits)
+    back = GFamily.read(BitReader(data, bits), 3, 11, 16)
     assert np.array_equal(back.coeffs, fam2.coeffs)
     assert np.array_equal(back.s0, fam2.s0)
     for x in (0, 5, 999, 65535):
@@ -101,9 +108,9 @@ def test_serialization_layout_and_roundtrip():
 
     # stream not byte-aligned: 3*(1+2*4) = 27 bits
     fam3 = g_sample(3, 5, 4, rng_seed=22)
-    data, bits = fam3.serialize()
+    data, bits = _payload(fam3)
     assert bits == 27
-    back3 = GFamily.deserialize(3, 5, 4, data, bits)
+    back3 = GFamily.read(BitReader(data, bits), 3, 5, 4)
     assert np.array_equal(back3.coeffs, fam3.coeffs)
     assert np.array_equal(back3.s0, fam3.s0)
 

@@ -63,14 +63,8 @@ class _InstrumentedInner:
         self.inputs.append(x)
         return self.rep.query(x)
 
-    def serialize(self):
-        return self.rep.serialize()
-
-    def published_view(self, expose):
-        return self.rep.published_view(expose)
-
-    def rep_space_enumerator(self):
-        return self.rep.rep_space_enumerator()
+    def write(self, w):
+        self.rep.write(w)
 
 
 def test_distinct_outer_queries_never_collide_inside():
@@ -108,10 +102,9 @@ def test_seed_exposed_attack_beats_unshielded_baseline():
 def test_shield_publishes_inner_but_never_key():
     S = sample_set(PARAMS, random.Random(13))
     rep = build_shield(_bloom, S, PARAMS, rng_seed=14)
-    pub = rep.published_view("full")
+    pub = rep.unshielded
     assert pub is rep.inner
     assert not hasattr(pub, "key")
-    assert rep.published_view("structure").m == rep.inner.m
 
 
 def test_permuted_build_is_complete_for_every_seed():
