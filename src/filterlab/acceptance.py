@@ -111,8 +111,8 @@ def criterion_2(seed: int) -> CriterionResult:
     S = sample_set(params, rng)
     rep = build_bloom(S, params, split_seed(seed, 1))
     samples = 100_000
-    hits = sum(rep.query(fresh_element(rng, params.universe, S))
-               for _ in range(samples))
+    hits = sum(rep.query_many([fresh_element(rng, params.universe, S)
+                               for _ in range(samples)]))
     rate = hits / samples
     lo, hi = params.eps / 2, 2 * params.eps
     return CriterionResult(
@@ -231,8 +231,7 @@ def criterion_7(seed: int) -> CriterionResult:
     S = sample_set(PROD_PARAMS, rng)
     rep = build_cuckoo(S, PROD_PARAMS, rng.getrandbits(63))
     samples = C7_SAMPLES
-    for _ in range(samples):
-        rep.query(fresh_element(rng, PROD_PARAMS.universe, S))
+    rep.query_many([fresh_element(rng, PROD_PARAMS.universe, S) for _ in range(samples)])
     mean = rep.mean_bit_comparisons
     return CriterionResult(
         7, "comparison telemetry", measured=f"mean={mean:.4f}",

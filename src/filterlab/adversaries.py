@@ -54,8 +54,7 @@ class RandomProbeAttack:
         u = params.universe
         if u <= params.t + params.n:
             raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
-        for _ in range(params.t):
-            oracle.query(rng.randrange(u))
+        oracle.query_many([rng.randrange(u) for _ in range(params.t)])
         return fresh_element(rng, u, ctx.S, oracle.queried)
 
 
@@ -157,10 +156,8 @@ class ConsistencySearchAttack:
 
         budget = math.ceil(self.c * m / eps0)
         samples_wanted = min(oracle.budget, budget, 2 * u)
-        labels: list[tuple[int, bool]] = []
-        for _ in range(samples_wanted):
-            x = rng.randrange(u)
-            labels.append((x, oracle.query(x)))
+        xs = [rng.randrange(u) for _ in range(samples_wanted)]
+        labels = list(zip(xs, oracle.query_many(xs)))
 
         chosen = enum.first_consistent(labels)
         self.last_consistent_rep = chosen
@@ -186,6 +183,16 @@ class ConsistencySearchAttack:
         return fresh_element(rng, u, ctx.S, oracle.queried)
 
 
+def _estimate_points(u: int, sample_count: int, rng: random.Random | None) -> list[int]:
+    """The whole universe when it fits in EXHAUSTIVE_LIMIT, else sample_count
+    uniform draws (from random.Random(0) when no rng is given)."""
+    if u <= EXHAUSTIVE_LIMIT:
+        return list(range(u))
+    if rng is None:
+        rng = random.Random(0)
+    return [rng.randrange(u) for _ in range(sample_count)]
+
+
 def err_estimate(rep_a: Representation, rep_b: Representation,
                  sample_count: int = 10_000,
                  rng: random.Random | None = None) -> float:
@@ -194,26 +201,14 @@ def err_estimate(rep_a: Representation, rep_b: Representation,
     Exhaustive when the universe fits in 2^16, Monte Carlo otherwise.
     Meant for steady representations (the estimate itself queries both).
     """
-    u = rep_a.params.universe
-    if u <= EXHAUSTIVE_LIMIT:
-        return sum(rep_a.query(x) != rep_b.query(x) for x in range(u)) / u
-    if rng is None:
-        rng = random.Random(0)
-    diff = sum(
-        rep_a.query(x) != rep_b.query(x)
-        for x in (rng.randrange(u) for _ in range(sample_count))
-    )
-    return diff / sample_count
+    xs = _estimate_points(rep_a.params.universe, sample_count, rng)
+    diff = sum(a != b for a, b in zip(rep_a.query_many(xs), rep_b.query_many(xs)))
+    return diff / len(xs)
 
 
 def mu_estimate(rep: Representation,
                 sample_count: int = 10_000,
                 rng: random.Random | None = None) -> float:
     """Fraction of the universe the representation answers True on."""
-    u = rep.params.universe
-    if u <= EXHAUSTIVE_LIMIT:
-        return sum(rep.query(x) for x in range(u)) / u
-    if rng is None:
-        rng = random.Random(0)
-    pos = sum(rep.query(x) for x in (rng.randrange(u) for _ in range(sample_count)))
-    return pos / sample_count
+    xs = _estimate_points(rep.params.universe, sample_count, rng)
+    return sum(rep.query_many(xs)) / len(xs)

@@ -9,16 +9,30 @@ from __future__ import annotations
 
 
 class BitWriter:
-    """Accumulates values MSB-first into a growing bit string."""
+    """Accumulates values MSB-first into a growing bit string.
+
+    Whole bytes leave the accumulator as soon as they are complete, so it
+    never holds more than 7 bits between writes and a write costs time in
+    its own width, not in the length of the stream written so far.
+    """
 
     def __init__(self) -> None:
-        self._acc = 0
+        self._bytes = bytearray()
+        self._acc = 0      # the bits not yet in a whole byte
+        self._pending = 0  # how many: always < 8 between writes
         self._nbits = 0
 
     def write(self, value: int, nbits: int) -> None:
         if value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
+        acc = (self._acc << nbits) | value
+        pending = self._pending + nbits
+        if pending >= 8:
+            keep = pending & 7
+            self._bytes += (acc >> keep).to_bytes(pending >> 3, "big")
+            acc &= (1 << keep) - 1
+            pending = keep
+        self._acc, self._pending = acc, pending
         self._nbits += nbits
 
     @property
@@ -27,8 +41,9 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Bytes holding the stream, zero-padded at the tail to a byte edge."""
-        pad = (-self._nbits) % 8
-        return ((self._acc << pad)).to_bytes((self._nbits + pad) // 8, "big")
+        if not self._pending:
+            return bytes(self._bytes)
+        return bytes(self._bytes) + (self._acc << (8 - self._pending)).to_bytes(1, "big")
 
 
 class BitReader:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitio import BitReader, BitWriter
 from .core import SEED_BITS, BuildError, FilterParams, Representation
-from .hashing import mix64, mix64_many
+from .hashing import mix64, mix64_many, u64_array
 
 
 def standard_bloom_bits(n: int, eps: float) -> int:
@@ -138,6 +138,17 @@ class BloomFilterRep(Representation):
             if not (arr[p >> 3] >> (p & 7)) & 1:
                 return False
         return True
+
+    def query_many(self, xs: list[int]) -> list[bool]:
+        """`query` for every x: each seed's positions by `mix64_many`, then
+        one gather from the array."""
+        xs = u64_array(xs)
+        arr = np.frombuffer(self.array, dtype=np.uint8)
+        hit = np.ones(len(xs), dtype=bool)
+        for s in self.seeds:
+            p = mix64_many(s, xs) % np.uint64(self.m)
+            hit &= (arr[p >> 3] >> (p & 7)) & 1 == 1
+        return hit.tolist()
 
     def rep_space_enumerator(self):
         if self.m <= 20 and self.params.u_bits <= 16:

@@ -114,6 +114,13 @@ def minimal_error(m: int, n: int) -> float:
     return 2.0 ** (-(m / n))
 
 
+def first_outside(xs: list[int], size: int) -> int:
+    """Index of the first x outside [0, size), or len(xs) when there is none."""
+    if not xs or (min(xs) >= 0 and max(xs) < size):
+        return len(xs)
+    return next(i for i, x in enumerate(xs) if not 0 <= x < size)
+
+
 def sample_set(params: FilterParams, rng: random.Random) -> frozenset[int]:
     """Sample S of size n without replacement from the universe.
 
@@ -146,6 +153,13 @@ class Representation:
 
     def query(self, x: int) -> bool:
         raise NotImplementedError
+
+    def query_many(self, xs: list[int]) -> list[bool]:
+        """`[self.query(x) for x in xs]`, and exactly that: the same answers,
+        and every counter and cursor left as that loop leaves it.  A point
+        the filter rejects raises the error `query` raises, after the points
+        before it are answered.  Filters override it with a batch."""
+        return [self.query(x) for x in xs]
 
     def write(self, w: BitWriter) -> None:
         """Append the payload, exactly `bits` bits, to w."""
@@ -213,6 +227,24 @@ class QueryOracle:
         self.queries.append((x, y))
         self.queried.add(x)
         return y
+
+    def query_many(self, xs: list[int]) -> list[bool]:
+        """Answers to xs, for a strategy that chose them all before any answer.
+
+        Records and raises as a loop of `query` does: a batch that crosses
+        the budget is answered and recorded up to the budget, then raises
+        QueryBudgetExceeded.  A point the filter rejects raises its error
+        after the filter has answered the points before it; the oracle then
+        records none of the batch, as the game ends there either way.
+        """
+        xs = list(xs)
+        fit = xs[:self.budget - len(self.queries)]
+        ys = self._rep.query_many(fit)
+        self.queries += zip(fit, ys)
+        self.queried.update(fit)
+        if len(fit) < len(xs):
+            raise QueryBudgetExceeded(f"query budget t={self.budget} exhausted")
+        return ys
 
 
 @dataclass

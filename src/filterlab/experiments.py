@@ -136,8 +136,7 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
     u = cfg.params.universe
     inner = rep.unshielded  # a shield counts nothing itself
     before = getattr(inner, "bit_comparisons", 0)
-    hits = sum(1 for _ in range(samples)
-               if rep.query(adversaries.fresh_element(rng, u, S)))
+    hits = sum(rep.query_many([adversaries.fresh_element(rng, u, S) for _ in range(samples)]))
     mean_cmp = None
     if isinstance(inner, cuckoo.CuckooFilterRep):
         mean_cmp = (inner.bit_comparisons - before) / samples

@@ -27,12 +27,13 @@ bit into a single AND + popcount:
 X depends only on the field, m, and the point, never on the seeds, so it is
 cached and shared across every family (and filter build) with the same
 shape (at the table widths w <= 16; wider fields build each vector anew).
-A filter build asks for every member at once (`fingerprints`): the
-missing X-vectors come from one batch (`gf2.odd_power_rows`, a table gather
-at w <= 16 and a numpy carry-less multiply at w = 32/64), and the ell bits
-of every member from a packed uint64 AND, an XOR over each row's limbs and a
-popcount.  A query miss builds its single X-vector alone, by m scalar
-multiplications at w = 32/64.  A slow direct evaluation with field powers
+A filter build asks for every member at once (`fingerprints`), and so does
+a batch of queries (`fingerprint_bits`): the missing X-vectors come from
+one batch (`gf2.odd_power_rows`, a table gather at w <= 16 and a numpy
+carry-less multiply at w = 32/64), and the ell bits of every point from a
+packed uint64 AND, an XOR over each row's limbs and a popcount.  A single
+query's miss builds its X-vector alone, by m scalar multiplications at
+w = 32/64.  A slow direct evaluation with field powers
 (`GFamily.evaluate`) is kept as the reference oracle; both routes are
 cross-checked against it in tests.
 """
@@ -49,8 +50,9 @@ from .bitio import BitReader, BitWriter
 
 _SLOT_DTYPES = {4: "<u1", 8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
-# Row chunk of the fingerprint AND matrix, in bytes: the whole batch at once
-# would hold every X-vector as a second, numpy-shaped copy.
+# Row chunk, in bytes, of the fingerprint AND matrix and of the power rows
+# behind a batch of X-vectors: the whole batch at once would hold every
+# X-vector as a second, numpy-shaped copy.
 FP_CHUNK_BYTES = 1 << 18
 
 
@@ -150,10 +152,16 @@ class XProvider:
         return _ints(_pack_rows(row[None], 1, w))[0]
 
     def _build_many(self, xs: list[int]) -> list[int]:
+        """Built about FP_CHUNK_BYTES of power rows, at 8 bytes a power, at a
+        time: the whole batch at once would hold [len(xs), m] temporaries."""
         for x in xs:
             self._check(x)
-        powers = gf2.odd_power_rows(np.array(xs, dtype=np.uint64), self.m, self.w)
-        return _ints(_pack_rows(powers, 1, self.w))
+        step = max(1, FP_CHUNK_BYTES // (8 * max(1, self.m)))
+        out: list[int] = []
+        for i in range(0, len(xs), step):
+            chunk = np.array(xs[i:i + step], dtype=np.uint64)
+            out += _ints(_pack_rows(gf2.odd_power_rows(chunk, self.m, self.w), 1, self.w))
+        return out
 
 
 _PROVIDERS: OrderedDict[tuple[int, int], XProvider] = OrderedDict()
@@ -218,8 +226,9 @@ class GFamily:
             raise IndexError(f"function index {i} out of range")
         return (self.packed[i] & self.provider.get(x)).bit_count() & 1
 
-    def fingerprints(self, xs: list[int]) -> list[int]:
-        """All ell output bits at every x in xs, each packed with g_0 in the low bit.
+    def fingerprint_bits(self, xs: list[int]) -> np.ndarray:
+        """All ell output bits at every x in xs: a uint8 [len(xs), ell] array
+        whose entry [i, j] is g_j(xs[i]).
 
         The X-vectors come from one `get_many`; the AND matrix is then taken
         FP_CHUNK_BYTES of X-vectors at a time, and each function's bit is the
@@ -229,14 +238,16 @@ class GFamily:
         P = self._limbs
         limbs = P.shape[1]
         step = max(1, FP_CHUNK_BYTES // (8 * limbs))
-        fps: list[int] = []
+        bits = np.empty((len(Xs), self.ell), dtype=np.uint8)
         for i in range(0, len(Xs), step):
             X = _limb_matrix(Xs[i:i + step], limbs)
-            bits = np.empty((len(X), self.ell), dtype=np.uint8)
             for j in range(self.ell):
-                bits[:, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
-            fps += _ints(np.packbits(bits, axis=1, bitorder="little"))
-        return fps
+                bits[i:i + step, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
+        return bits
+
+    def fingerprints(self, xs: list[int]) -> list[int]:
+        """All ell output bits at every x in xs, each packed with g_0 in the low bit."""
+        return _ints(np.packbits(self.fingerprint_bits(xs), axis=1, bitorder="little"))
 
     def write(self, w: BitWriter) -> None:
         """Per function in index order: s0, then s_1..s_m as fixed-width

@@ -17,7 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .hashing import mix64
+import numpy as np
+
+from .core import first_outside
+from .hashing import mix64, mix64_many
 
 ROUNDS = 4
 
@@ -78,6 +81,32 @@ def permute(key: PermKey, x: int) -> int:
     while y >= key.domain_size:  # cycle-walk back into the domain
         y = _feistel(key, y, inverse=False)
     return y
+
+
+def _feistel_many(key: PermKey, v: np.ndarray) -> np.ndarray:
+    """The forward network on every value of a uint64 array: 2w <= 64."""
+    w = key.half_width
+    mask = np.uint64((1 << w) - 1)
+    left, right = v >> w, v & mask
+    for rk in key.round_keys:
+        left, right = right, left ^ (mix64_many(rk, right) & mask)
+    return (left << w) | right
+
+
+def permute_many(key: PermKey, xs: list[int]) -> list[int]:
+    """`permute` of every x, cycle-walking only the values still outside the
+    domain; raises `permute`'s ValueError when some x is outside it."""
+    bad = first_outside(xs, key.domain_size)
+    if bad < len(xs):
+        permute(key, xs[bad])  # raises
+    y = _feistel_many(key, np.array(xs, dtype=np.uint64))
+    if key.domain_size < 1 << (2 * key.half_width):  # else every value is inside
+        size = np.uint64(key.domain_size)
+        walk = np.flatnonzero(y >= size)
+        while walk.size:
+            y[walk] = _feistel_many(key, y[walk])
+            walk = walk[y[walk] >= size]
+    return y.tolist()
 
 
 def invert(key: PermKey, y: int) -> int:

@@ -17,8 +17,8 @@ import random
 from typing import Iterable
 
 from .bitio import BitWriter
-from .core import FilterParams, FilterFactory, Representation
-from .permutation import PermKey, permute, sample_key
+from .core import FilterParams, FilterFactory, Representation, first_outside
+from .permutation import PermKey, permute, permute_many, sample_key
 
 
 class ShieldedRep(Representation):
@@ -46,6 +46,15 @@ class ShieldedRep(Representation):
 
     def query(self, x: int) -> bool:
         return self.inner.query(self._permute(x))
+
+    def query_many(self, xs: list[int]) -> list[bool]:
+        """Permute the points in one batch, then query the inner batch."""
+        xs = list(xs)
+        ok = first_outside(xs, self.key.domain_size)
+        ys = self.inner.query_many(permute_many(self.key, xs[:ok]))
+        if ok < len(xs):
+            self.query(xs[ok])  # raises, after the same prefix as the scalar loop
+        return ys
 
     def write(self, w: BitWriter) -> None:
         # the key, then the inner payload with no padding between

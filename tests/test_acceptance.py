@@ -29,7 +29,9 @@ def test_worker_count_does_not_change_a_criterion():
 
 def test_selftest_detects_corrupted_build(monkeypatch):
     # fault injection: force full-width comparisons (no early exit) and the
-    # telemetry criterion must trip
+    # telemetry criterion must trip; criterion 7 queries in one batch, so the
+    # batch runs as the scalar loop that reaches the corrupted probe
+    from filterlab.core import Representation
     from filterlab.cuckoo import CuckooFilterRep
 
     def corrupted(self, i, X, bits):
@@ -50,6 +52,7 @@ def test_selftest_detects_corrupted_build(monkeypatch):
         return matched, n
 
     monkeypatch.setattr(CuckooFilterRep, "_probe", corrupted)
+    monkeypatch.setattr(CuckooFilterRep, "query_many", Representation.query_many)
     monkeypatch.setattr(acceptance, "C7_SAMPLES", 3000)
     res = acceptance.criterion_7(seed=123)
     assert not res.passed

@@ -152,3 +152,19 @@ def test_position_masks_refuse_unenumerable_shapes():
         BloomIndexStructure(16, (1,), 17).position_masks()
     with pytest.raises(ValueError):
         BloomIndexStructure(65, (1,), 10).position_masks()
+
+
+@pytest.mark.parametrize("u_bits", [10, 32, 64])
+def test_query_many_equals_the_scalar_loop(u_bits):
+    p = FilterParams(n=200, eps=2 ** -4, t=0, u_bits=u_bits)
+    rng = random.Random(u_bits)
+    S = sample_set(p, rng)
+    rep = build_bloom(S, p, rng_seed=u_bits + 1)
+    xs = [rng.randrange(p.universe) for _ in range(3000)] + sorted(S)
+    xs += [0, p.universe - 1, 2 ** 64 - 1]
+    xs += [-1, 2 ** 64, 2 ** 70 + 5]  # a Bloom query reduces any int mod 2^64
+    rng.shuffle(xs)
+    ys = rep.query_many(xs)
+    assert ys == [rep.query(x) for x in xs]
+    assert 0 < sum(ys) < len(xs)
+    assert rep.query_many([]) == []

@@ -219,6 +219,34 @@ def test_bitio_roundtrip():
         BitWriter().write(4, 2)  # does not fit
 
 
+def _fold(pairs):
+    """The stream as one integer built write by write, padded at its tail."""
+    acc = nbits = 0
+    for value, width in pairs:
+        acc = (acc << width) | value
+        nbits += width
+    pad = (-nbits) % 8
+    return (acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bitwriter_matches_reference_fold(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        pairs = []
+        for _ in range(rng.randrange(80)):
+            width = rng.choice((0, 1, 1, 2, 3, 7, 8, 9, 13, 24, 63, 64, 64, 65, 130))
+            value = rng.choice((0, (1 << width) - 1, rng.getrandbits(width))) if width else 0
+            pairs.append((value, width))
+        w = BitWriter()
+        for value, width in pairs:
+            w.write(value, width)
+        assert (w.getvalue(), w.bit_length) == _fold(pairs)
+        r = BitReader(w.getvalue(), w.bit_length)
+        assert [r.read(width) for _, width in pairs] == [v for v, _ in pairs]
+        assert r.remaining == 0
+
+
 def test_transcript_recompute_rules():
     tr = GameTranscript(queries=[(1, True)], challenge=2, challenge_response=True,
                         success=False, valid=True)

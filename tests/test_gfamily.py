@@ -232,6 +232,15 @@ def test_fingerprints_do_not_depend_on_the_chunk(monkeypatch):
     assert whole == [sum(fam.eval_bit(j, x) << j for j in range(5)) for x in points]
 
 
+@pytest.mark.parametrize("w", [16, 32])
+def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
+    points = random.Random(w).sample(range(1 << 16), 40)
+    whole = XProvider(w, 5)._build_many(points)
+    monkeypatch.setattr(gfamily, "FP_CHUNK_BYTES", 8 * 5 * 7)  # seven rows of m = 5 powers
+    assert XProvider(w, 5)._build_many(points) == whole
+    assert whole == [XProvider(w, 5)._build(x) for x in points]
+
+
 def test_chi2_sf_reference_points():
     # textbook upper-tail critical values for df=24
     assert chi2_sf(33.196, 24) == pytest.approx(0.10, abs=2e-3)

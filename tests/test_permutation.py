@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from filterlab.permutation import PermKey, invert, permute, sample_key
+from filterlab.permutation import PermKey, invert, permute, permute_many, sample_key
 
 
 def _key(seed: int, domain: int) -> PermKey:
@@ -82,3 +82,24 @@ def test_sample_key_uses_lambda_bits():
     assert 0 <= key.key_bits < (1 << 128)
     assert key.lambda_bits == 128
     assert key.domain_size == 1 << 10
+
+
+@pytest.mark.parametrize("domain", [256, 1000, 1024, 3000, 2 ** 32 - 5, 2 ** 63, 2 ** 64])
+def test_permute_many_equals_permute(domain):
+    # 1000 and 3000 cycle-walk; 2^63 and 2^64 are u_bits 63 and 64, and
+    # 2^64 itself does not fit the uint64 the batch works in
+    rng = random.Random(domain)
+    for seed in range(3):
+        key = _key(seed, domain)
+        xs = [rng.randrange(domain) for _ in range(2000)] + [0, 1, domain - 1, domain - 2]
+        if domain <= 3000:
+            xs += range(domain)
+        assert permute_many(key, xs) == [permute(key, x) for x in xs]
+    assert permute_many(key, []) == []
+
+
+@pytest.mark.parametrize("bad", [-1, 1000, 2 ** 64])
+def test_permute_many_rejects_out_of_domain_points(bad):
+    key = _key(6, 1000)
+    with pytest.raises(ValueError, match=f"{bad} outside permutation domain"):
+        permute_many(key, [3, 5, bad, 7])
