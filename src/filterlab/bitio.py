@@ -47,22 +47,28 @@ class BitWriter:
 
 
 class BitReader:
-    """Consumes values MSB-first from bytes produced by BitWriter."""
+    """Consumes values MSB-first from bytes produced by BitWriter.
+
+    A read converts only the bytes its own bits span, so it costs time in
+    its width, not in the length of the stream left to read.
+    """
 
     def __init__(self, data: bytes, bit_length: int) -> None:
         if len(data) * 8 < bit_length:
             raise ValueError("buffer shorter than declared bit length")
-        self._val = int.from_bytes(data, "big") >> ((len(data) * 8) - bit_length)
-        self._remaining = bit_length
+        self._data = bytes(data)
+        self._pos = 0
+        self._end = bit_length
 
     def read(self, nbits: int) -> int:
-        if nbits > self._remaining:
+        if nbits > self._end - self._pos:
             raise ValueError("read past end of bit stream")
-        self._remaining -= nbits
-        out = self._val >> self._remaining
-        self._val &= (1 << self._remaining) - 1
-        return out
+        start, stop = self._pos, self._pos + nbits
+        self._pos = stop
+        last = (stop + 7) >> 3
+        chunk = int.from_bytes(self._data[start >> 3:last], "big")
+        return (chunk >> ((last << 3) - stop)) & ((1 << nbits) - 1)
 
     @property
     def remaining(self) -> int:
-        return self._remaining
+        return self._end - self._pos

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, BuildError, FilterParams, Representation
+from .core import SEED_BITS, BuildError, FilterParams, Representation, first_outside
 from .hashing import mix64, mix64_many, u64_array
 
 
@@ -188,9 +188,13 @@ def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
     rng = random.Random(rng_seed)
     k_h = index_count(m, params.n)
     seeds = tuple(rng.getrandbits(SEED_BITS) for _ in range(k_h))
-    rep = BloomFilterRep(params, m, seeds, bytearray((m + 7) // 8))
-    for x in members:
-        params.check_element(x)
-        for s in seeds:
-            rep._set(mix64(s, x) % m)
-    return rep
+    xs = list(members)
+    bad = first_outside(xs, params.universe)
+    if bad < len(xs):
+        params.check_element(xs[bad])  # raises
+    # every member under every seed in one pass: row i is seed i's positions
+    positions = mix64_many(np.array(seeds, dtype=np.uint64)[:, None], u64_array(xs))
+    hit = np.zeros(m, dtype=bool)
+    hit[positions % np.uint64(m)] = True
+    array = bytearray(np.packbits(hit, bitorder="little").tobytes())
+    return BloomFilterRep(params, m, seeds, array)

@@ -16,7 +16,11 @@ discrete-log/antilog tables with generator x are available (`FieldTables`).
 `odd_power_rows` computes x, x^3, ..., x^(2m-1) for a whole array of points
 at once: by one table gather at w <= 16, and at w = 32 and 64 by a numpy
 carry-less multiply on uint64 arrays, reduced by folding the high half with
-the sparse low terms of the pinned modulus.
+the sparse low terms of the pinned modulus.  `packed_odd_powers` computes
+the same powers for one point at w = 32 and 64, packed into one int, with
+plain Python int multiplication: each bit of an element gets a byte of its
+own, so an ordinary product holds the carry-less one in the low bit of
+every byte, and the modulus is folded in the same spread domain.
 """
 
 from __future__ import annotations
@@ -178,6 +182,68 @@ def odd_power_rows(xs: np.ndarray, m: int, w: int) -> np.ndarray:
         for i in range(1, m):
             out[:, i] = by_x2.times(out[:, i - 1])
     return out
+
+
+class _Spread:
+    """Constants of GF(2^w) arithmetic in the byte-spread domain.
+
+    An element is spread by giving each of its bits a byte of its own: bit
+    i becomes byte i of an int (its low bit).  The plain integer product of
+    two spread elements then holds in byte k the number of bit pairs with
+    i + j = k, at most w < 256, so no carry crosses a byte and the low bit
+    of each byte is the carry-less product.  x^w is replaced by the spread
+    low terms of the modulus (`taps`) twice, as `_WideMultiplier._reduce`
+    does; with every byte cut back to its low bit first, the folds sum at
+    most 1 + 4 and then 5 + 4*5 into a byte.
+    """
+
+    def __init__(self, w: int):
+        low = [e for e in range(w) if MODULI[w] >> e & 1]
+        assert max(low) < w // 2 and len(low) <= 4
+        self.shift = 8 * w
+        self.ones = int.from_bytes(b"\x01" * w, "big")
+        self.ones2 = int.from_bytes(b"\x01" * (2 * w), "big")
+        self.low = (1 << self.shift) - 1
+        self.taps = sum(1 << (8 * e) for e in low)
+        self.fmt = f"0{w}b"
+
+    def spread(self, x: int) -> int:
+        # the ASCII digits '0'/'1' are 0x30/0x31: their low bits are x's bits
+        return int.from_bytes(format(x, self.fmt).encode(), "big") & self.ones
+
+    def mul(self, a: int, b: int) -> int:
+        c = a * b & self.ones2
+        c = (c & self.low) + (c >> self.shift) * self.taps
+        c = (c & self.low) + (c >> self.shift) * self.taps
+        return c & self.ones
+
+
+_SPREADS = {w: _Spread(w) for w in (32, 64)}
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def packed_odd_powers(x: int, m: int, w: int) -> int:
+    """x, x^3, ..., x^(2m-1) in GF(2^w), w = 32 or 64, packed into one int:
+    x^(2i+1) at bits [i*w, (i+1)*w).
+
+    One point's powers, as a query miss needs them: a numpy batch of one
+    would pay dozens of per-call costs per product.  The chain of products
+    by x^2 runs on byte-spread ints (`_Spread`), and the spread powers are
+    packed back by reading their bytes as the binary digits of one int.
+    """
+    if x >> w:
+        raise ValueError(f"point {x} does not embed in GF(2^{w})")
+    if m == 0:
+        return 0
+    sp = _SPREADS[w]
+    a = sp.spread(x)
+    x2 = sp.mul(a, a)
+    powers = [a]
+    for _ in range(m - 1):
+        a = sp.mul(a, x2)
+        powers.append(a)
+    digits = b"".join(p.to_bytes(w, "big") for p in reversed(powers))
+    return int(digits.translate(_TO_DIGITS), 2)
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

@@ -32,10 +32,13 @@ a batch of queries (`fingerprint_bits`): the missing X-vectors come from
 one batch (`gf2.odd_power_rows`, a table gather at w <= 16 and a numpy
 carry-less multiply at w = 32/64), and the ell bits of every point from a
 packed uint64 AND, an XOR over each row's limbs and a popcount.  A single
-query's miss builds its X-vector alone, by m scalar multiplications at
-w = 32/64.  A slow direct evaluation with field powers
-(`GFamily.evaluate`) is kept as the reference oracle; both routes are
-cross-checked against it in tests.
+query's miss builds its X-vector alone: at w = 32/64 by the chain of m
+products by x^2 that `gf2.packed_odd_powers` runs on byte-spread Python
+ints (each bit of an element in a byte of its own, so one plain integer
+product carries a whole carry-less product), packed into the X-vector by
+reading those bytes as binary digits.  A slow direct evaluation with field
+powers (`GFamily.evaluate`, one `gf2.gf_pow` per term) is kept as the
+reference oracle; every route is cross-checked against it in tests.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ _SLOT_DTYPES = {4: "<u1", 8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 # behind a batch of X-vectors: the whole batch at once would hold every
 # X-vector as a second, numpy-shaped copy.
 FP_CHUNK_BYTES = 1 << 18
+
+# Row chunk, in bytes, of the power rows at w = 32/64, where each pass runs
+# the whole numpy power chain (m products of dozens of calls each): at
+# FP_CHUNK_BYTES and m = 683 a pass holds only 48 rows, and call overhead,
+# not arithmetic, sets the time.
+WIDE_CHUNK_BYTES = 1 << 23
 
 
 def odd_powers(k: int) -> int:
@@ -134,29 +143,26 @@ class XProvider:
     def _build(self, x: int) -> int:
         """One point.  A numpy batch of one would pay every per-call cost of
         the batch route (dozens of them per product at w = 32/64), so the
-        powers come from one table gather or from m scalar multiplications
-        by x^2."""
+        powers come from one table gather, or at w = 32/64 from the
+        byte-spread chain of `gf2.packed_odd_powers`."""
         self._check(x)
         if x == 0 or self.m == 0:
             return self.const_bit  # every odd power of 0 is 0
         w = self.w
-        if w in gf2.TABLE_WIDTHS:
-            t = gf2.tables(w)
-            row = t.exp[(self._odd * int(t.log[x])) % t.order]
-        else:
-            x2 = gf2.gf_mul(x, x, w)
-            powers = [x]
-            for _ in range(self.m - 1):
-                powers.append(gf2.gf_mul(powers[-1], x2, w))
-            row = np.array(powers, dtype=np.uint64)
+        if w not in gf2.TABLE_WIDTHS:
+            return gf2.packed_odd_powers(x, self.m, w) | self.const_bit
+        t = gf2.tables(w)
+        row = t.exp[(self._odd * int(t.log[x])) % t.order]
         return _ints(_pack_rows(row[None], 1, w))[0]
 
     def _build_many(self, xs: list[int]) -> list[int]:
-        """Built about FP_CHUNK_BYTES of power rows, at 8 bytes a power, at a
-        time: the whole batch at once would hold [len(xs), m] temporaries."""
+        """Built about FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power
+        rows, at 8 bytes a power, at a time: the whole batch at once would
+        hold [len(xs), m] temporaries."""
         for x in xs:
             self._check(x)
-        step = max(1, FP_CHUNK_BYTES // (8 * max(1, self.m)))
+        nbytes = FP_CHUNK_BYTES if self.w in gf2.TABLE_WIDTHS else WIDE_CHUNK_BYTES
+        step = max(1, nbytes // (8 * max(1, self.m)))
         out: list[int] = []
         for i in range(0, len(xs), step):
             chunk = np.array(xs[i:i + step], dtype=np.uint64)

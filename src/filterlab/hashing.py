@@ -31,13 +31,15 @@ def mix64(seed: int, x: int) -> int:
     return z
 
 
-def mix64_many(seed: int, xs: np.ndarray) -> np.ndarray:
+def mix64_many(seed: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """`mix64(seed, x)` for every x of a uint64 array, in uint64 arithmetic.
 
-    Every operation has an array operand, so the 64-bit overflow the scalar
+    `seed` is one seed, or a uint64 array of seeds that broadcasts against
+    xs: a column of seeds hashes every x under each in one pass.  Every
+    operation has an array operand, so the 64-bit overflow the scalar
     version masks off wraps silently here.
     """
-    z = xs + np.uint64(seed)
+    z = xs + np.asarray(seed, dtype=np.uint64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)

@@ -77,7 +77,7 @@ def build_shield(
     rng = random.Random(rng_seed)
     key = sample_key(params.lambda_bits, params.universe, rng)
     members = frozenset(S)
-    permuted = {permute(key, x) for x in members}
+    permuted = set(permute_many(key, list(members)))
     assert len(permuted) == len(members), "bijection cannot collapse the set"
     inner_seed = rng.getrandbits(63)
     inner = inner_builder(permuted, params, inner_seed)

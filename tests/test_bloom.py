@@ -11,6 +11,7 @@ from filterlab.bloom import (
     standard_bloom_bits,
 )
 from filterlab.core import BuildError
+from filterlab.hashing import mix64
 
 PARAMS = FilterParams(n=1000, eps=2 ** -6, t=0, u_bits=32)
 
@@ -24,6 +25,27 @@ def test_empty_set_builds_all_zero_array():
 def test_duplicates_rejected():
     with pytest.raises(BuildError):
         build_bloom([3, 3, 5], PARAMS, rng_seed=1, m=64)
+
+
+def test_elements_outside_the_universe_rejected():
+    with pytest.raises(ValueError, match="outside universe"):
+        build_bloom([3, PARAMS.universe, 5], PARAMS, rng_seed=1, m=64)
+    with pytest.raises(ValueError, match="outside universe"):
+        build_bloom([-1], PARAMS, rng_seed=1, m=64)
+
+
+@pytest.mark.parametrize("n, u_bits", [(4, 10), (300, 32), (50, 64)])
+def test_build_sets_exactly_the_scalar_positions(n, u_bits):
+    # the batch hash of every member under every seed against `mix64` and
+    # `_set`, member by member
+    p = FilterParams(n=n, eps=2 ** -5, t=0, u_bits=u_bits)
+    S = sample_set(p, random.Random(n))
+    rep = build_bloom(S, p, rng_seed=u_bits)
+    ref = BloomFilterRep(p, rep.m, rep.seeds, bytearray((rep.m + 7) // 8))
+    for x in S:
+        for s in rep.seeds:
+            ref._set(mix64(s, x) % rep.m)
+    assert rep.array == ref.array
 
 
 def test_members_always_positive():

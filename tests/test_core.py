@@ -217,6 +217,10 @@ def test_bitio_roundtrip():
         r.read(1)
     with pytest.raises(ValueError):
         BitWriter().write(4, 2)  # does not fit
+    r = BitReader(data + b"\xff", 20)  # bytes past the declared length are never read
+    assert [r.read(3), r.read(16), r.read(1), r.remaining] == [0b101, 0xDEAD, 1, 0]
+    with pytest.raises(ValueError):
+        r.read(1)
 
 
 def _fold(pairs):

@@ -205,6 +205,27 @@ def test_per_function_load_below_k_under_adaptive_adversaries(u_bits, attack):
         assert sum(rep.participation) >= p.t
 
 
+@pytest.mark.parametrize("attack", [RandomProbeAttack, MutatePositivesAttack])
+def test_criterion_5_shape_over_gf_2_32(attack):
+    # the full budget of criterion 5 over a 32-bit universe: every query
+    # builds its X-vector by the wide routes, one game per adaptive adversary
+    p = FilterParams(n=1024, eps=2 ** -6, t=4096, u_bits=32)
+    built = []
+
+    def tracked_cuckoo(S, params, seed):
+        rep = build_cuckoo(S, params, seed)
+        built.append(rep)
+        return rep
+
+    S = sample_set(p, random.Random(1100))
+    tr = run_challenge(tracked_cuckoo, attack(), S, p, rng_seed=1101)
+    rep = built[-1]
+    assert tr.valid and len(tr.queries) == p.t
+    assert rep.gfam.field_width == 32
+    assert max(rep.participation) <= rep.gfam.k
+    assert all(rep.query_many(sorted(S)))
+
+
 def test_participation_counts_each_evaluated_function_once_per_query():
     S = sample_set(SMALL, random.Random(30))
     rep = build_cuckoo(S, SMALL, rng_seed=31)

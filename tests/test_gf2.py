@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from filterlab import gf2
+from filterlab.gfamily import _ints, _pack_rows
 
 
 def test_pinned_moduli_are_irreducible():
@@ -78,3 +79,26 @@ def test_odd_power_rows_match_gf_pow(w):
         assert rows.shape == (len(xs), m)
         assert [[int(v) for v in row] for row in rows] == \
                [[gf2.gf_pow(x, 2 * i + 1, w) for i in range(m)] for x in xs]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 11, 683])
+@pytest.mark.parametrize("w", [32, 64])
+def test_packed_odd_powers_match_batch_rows_and_gf_pow(w, m):
+    # the byte-spread chain of one point against the numpy batch route,
+    # packed as the X-vectors are, and against field powers; all-ones points
+    # give the largest byte sums before each fold
+    rng = random.Random(1000 * w + m)
+    top = (1 << w) - 1
+    xs = [0, 1, 2, top, top ^ 1, 1 << (w - 1)] + [rng.randrange(1 << w) for _ in range(8)]
+    rows = gf2.odd_power_rows(np.array(xs, dtype=np.uint64), m, w)
+    packed = [gf2.packed_odd_powers(x, m, w) for x in xs]
+    assert packed == _ints(_pack_rows(rows, 0, w))
+    slots = range(m) if m <= 11 else [0, 1, 2, 341, m - 2, m - 1]
+    for x, v in zip(xs, packed):
+        assert v >> (m * w) == 0
+        assert [(v >> (i * w)) & top for i in slots] == [gf2.gf_pow(x, 2 * i + 1, w) for i in slots]
+
+
+def test_packed_odd_powers_rejects_points_outside_the_field():
+    with pytest.raises(ValueError):
+        gf2.packed_odd_powers(1 << 32, 3, 32)

@@ -236,8 +236,17 @@ def test_fingerprints_do_not_depend_on_the_chunk(monkeypatch):
 def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
     points = random.Random(w).sample(range(1 << 16), 40)
     whole = XProvider(w, 5)._build_many(points)
-    monkeypatch.setattr(gfamily, "FP_CHUNK_BYTES", 8 * 5 * 7)  # seven rows of m = 5 powers
+    for name in ("FP_CHUNK_BYTES", "WIDE_CHUNK_BYTES"):
+        monkeypatch.setattr(gfamily, name, 8 * 5 * 7)  # seven rows of m = 5 powers
+    passes, rows = [], gf2.odd_power_rows
+
+    def counted(xs, m, w):
+        passes.append(len(xs))
+        return rows(xs, m, w)
+
+    monkeypatch.setattr(gf2, "odd_power_rows", counted)
     assert XProvider(w, 5)._build_many(points) == whole
+    assert passes == [7] * 5 + [5]
     assert whole == [XProvider(w, 5)._build(x) for x in points]
 
 

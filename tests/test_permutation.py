@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from filterlab import permutation
 from filterlab.permutation import PermKey, invert, permute, permute_many, sample_key
 
 
@@ -95,11 +96,14 @@ def test_permute_many_equals_permute(domain):
         if domain <= 3000:
             xs += range(domain)
         assert permute_many(key, xs) == [permute(key, x) for x in xs]
+        few = xs[-permutation.BATCH_MIN:]  # the smallest batch the numpy route takes
+        assert permute_many(key, few) == [permute(key, x) for x in few]
     assert permute_many(key, []) == []
 
 
 @pytest.mark.parametrize("bad", [-1, 1000, 2 ** 64])
 def test_permute_many_rejects_out_of_domain_points(bad):
     key = _key(6, 1000)
-    with pytest.raises(ValueError, match=f"{bad} outside permutation domain"):
-        permute_many(key, [3, 5, bad, 7])
+    for xs in ([3, 5, bad, 7], [3, 5, bad] + list(range(7, 47))):  # scalar route, then batch
+        with pytest.raises(ValueError, match=f"{bad} outside permutation domain"):
+            permute_many(key, xs)
