@@ -29,55 +29,44 @@ def index_count(m: int, n: int) -> int:
     return max(1, round(math.log(2) * m / n))
 
 
-class BloomIndexStructure:
-    """The public hash structure of a Bloom filter: everything but the array."""
+def position_masks(m: int, seeds: tuple[int, ...], u_bits: int) -> np.ndarray:
+    """Per-element OR-mask of index bits over the whole universe (uint64).
 
-    def __init__(self, m: int, seeds: tuple[int, ...], u_bits: int):
-        self.m = m
-        self.seeds = seeds
-        self.k_h = len(seeds)
-        self.u_bits = u_bits
-
-    def positions(self, x: int) -> list[int]:
-        return [mix64(s, x) % self.m for s in self.seeds]
-
-    def position_masks(self) -> np.ndarray:
-        """Per-element OR-mask of index bits over the whole universe (uint64).
-
-        Only for enumerable universes and arrays of at most 64 bits; lets
-        candidate representations be tested as integers: rep matches x iff
-        rep & mask[x] == mask[x].
-        """
-        if self.u_bits > 16:
-            raise ValueError("position masks only precomputed for u_bits <= 16")
-        if self.m > 64:
-            raise ValueError("position masks need m <= 64")
-        xs = np.arange(1 << self.u_bits, dtype=np.uint64)
-        masks = np.zeros_like(xs)
-        for s in self.seeds:
-            masks |= np.uint64(1) << (mix64_many(s, xs) % np.uint64(self.m))
-        return masks
+    Only for enumerable universes and arrays of at most 64 bits; lets
+    candidate representations be tested as integers: rep matches x iff
+    rep & mask[x] == mask[x].
+    """
+    if u_bits > 16:
+        raise ValueError("position masks only precomputed for u_bits <= 16")
+    if m > 64:
+        raise ValueError("position masks need m <= 64")
+    xs = np.arange(1 << u_bits, dtype=np.uint64)
+    masks = np.zeros_like(xs)
+    for s in seeds:
+        masks |= np.uint64(1) << (mix64_many(s, xs) % np.uint64(m))
+    return masks
 
 
 class BloomRepSpace:
-    """Exhaustive space of m-bit arrays under a published hash structure.
+    """Exhaustive space of m-bit arrays under a published hash structure
+    (the index seeds over a u_bits universe).
 
     A representation id is the array read as an integer, bit p for
     position p.
     """
 
-    def __init__(self, structure: BloomIndexStructure):
-        if structure.m > 20:
+    def __init__(self, m: int, seeds: tuple[int, ...], u_bits: int):
+        if m > 20:
             raise ValueError("representation space too large to enumerate")
-        self.structure = structure
+        self.m = m
         # m <= 20, so the masks and ids fit 32 bits: half the scan's memory
-        self._mask_array = structure.position_masks().astype(np.uint32)
+        self._mask_array = position_masks(m, seeds, u_bits).astype(np.uint32)
         self.masks = self._mask_array.tolist()  # scalar lookups in model_query
 
     @property
     def memory_bits(self) -> int:
         # the searched secret state is the array; the seeds are published
-        return self.structure.m
+        return self.m
 
     def first_consistent(self, labels: list[tuple[int, bool]]) -> int | None:
         """Least id answering y on every labelled x, or None.
@@ -90,7 +79,7 @@ class BloomRepSpace:
         tested on its bits outside the OR only, which leaves few distinct
         masks.
         """
-        ids = np.arange(1 << self.structure.m, dtype=np.uint32)
+        ids = np.arange(1 << self.m, dtype=np.uint32)
         if labels:
             xs, ys = zip(*labels)
             masks = self._mask_array[np.array(xs)]
@@ -152,7 +141,7 @@ class BloomFilterRep(Representation):
 
     def rep_space_enumerator(self):
         if self.m <= 20 and self.params.u_bits <= 16:
-            return BloomRepSpace(BloomIndexStructure(self.m, self.seeds, self.params.u_bits))
+            return BloomRepSpace(self.m, self.seeds, self.params.u_bits)
         return None
 
     def write(self, w: BitWriter) -> None:

@@ -25,17 +25,13 @@ accounting).
 
 A batch of points chosen in advance (`query_many`) leaves the answers, the
 counters, the cursors and the loads exactly as one `query` per point
-would.  The fingerprints of every point come from one
-`GFamily.fingerprint_bits` and are XORed with the two cells, which gives
-every answer at once.  Cells do not interact, so a probe's work depends
-only on the probes before it on the same cell: its comparison count is the
-index of the lowest set bit of `fp XOR cell`, read cyclically from the
-cell's cursor, plus 1 (ell when the XOR is zero), and the cursor moves on
-by that count.  The probes are sorted stably by cell and taken rank by
-rank, the first probe of every cell, then the second, and so on, each rank
-vectorised over cells; the loop runs once per probe of the busiest cell.
-A query's load on g_j counts once when bit j lies in the cyclic range of
-either of its probes.  Without cursors every probe is its cell's first.
+would.  The fingerprints of the batch come from one `GFamily.fingerprints`
+call, and the queries are then taken in order, each probe in closed form:
+rotate `diff = fp XOR cell` right by the cell's cursor c0 within ell bits;
+the comparison count n is the index of its lowest set bit plus 1 (ell when
+diff is 0, a full match), the probe compares the bits in the cyclic span
+[c0, c0 + n), and the cursor moves on to (c0 + n) mod ell.  A query's load
+on g_j counts once when bit j lies in the span of either of its probes.
 """
 
 from __future__ import annotations
@@ -54,8 +50,8 @@ from .hashing import mix64, mix64_many
 
 REBUILD_LIMIT = 20
 
-# Queries per numpy pass of `query_many`: a pass holds a few bytes per
-# compared bit of each of its queries, so a larger batch goes in passes.
+# Queries per pass of `query_many`: a pass holds a byte per fingerprint bit
+# and per load bit of each of its queries, so a larger batch goes in passes.
 QUERY_CHUNK = 1 << 14
 
 
@@ -141,7 +137,8 @@ class CuckooFilterRep(Representation):
         return m1 or m2
 
     def query_many(self, xs: list[int]) -> list[bool]:
-        """`query` for every x in one batch, rank by rank (module docstring)."""
+        """`query` for every x in one batch, probe by probe in closed form
+        (module docstring)."""
         xs = list(xs)
         ok = first_outside(xs, self.params.universe)
         ys: list[bool] = []
@@ -152,58 +149,41 @@ class CuckooFilterRep(Representation):
         return ys
 
     def _query_batch(self, xs: list[int]) -> list[bool]:
-        ell, r, nq = self.ell, self.r, len(xs)
+        ell, r = self.ell, self.r
         pts, inv = np.unique(np.array(xs, dtype=np.uint64), return_inverse=True)
         s1, s2 = self.seeds
         size = np.uint64(r)
-        # probe p asks cell cells[p]: queries 0..nq-1 in table 1, then in table 2
-        cells = np.concatenate([(mix64_many(s1, pts) % size)[inv],
-                                (mix64_many(s2, pts) % size + size)[inv]]).astype(np.intp)
-        full = np.array([fp is not None for fp in self.slots])
-        live = np.flatnonzero(full[cells])  # an empty cell costs 0 and keeps its cursor
-        c, q = cells[live], live % nq
-        need, at = np.unique(inv[q], return_inverse=True)
-        fps = self.gfam.fingerprint_bits(pts[need].tolist())
-        diff = fps[at] ^ _bit_rows([fp or 0 for fp in self.slots], ell)[c]
-        match = ~diff.any(axis=1)
-
-        # A probe's cursor is where the probe before it on the same cell left
-        # it, so probes go in rounds: the first probe of every cell, then the
-        # second, ...  Without cursors every probe compares from bit 0.
-        rank = np.zeros(len(c), dtype=np.intp)
-        if self.cursors_enabled:
-            order = np.argsort(c, kind="stable")
-            by_cell = c[order]
-            starts = np.flatnonzero(np.r_[True, by_cell[1:] != by_cell[:-1]])
-            rank[order] = np.arange(len(c)) - np.repeat(starts, np.diff(np.r_[starts, len(c)]))
-        cursors = np.array(self.cursors, dtype=np.intp)
-        count = np.empty(len(c), dtype=np.intp)
-        compared = np.empty((len(c), ell), dtype=bool)  # the bits each probe compared
-        j = np.arange(ell)
-        by_rank = np.argsort(rank, kind="stable")
-        for p in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
-            c0 = cursors[c[p]]
-            # the row read cyclically from the cursor: the first mismatch
-            # ends the comparison; a full match takes all ell bits
-            walk = np.take_along_axis(diff[p], (c0[:, None] + j) % ell, axis=1)
-            n = count[p] = np.where(match[p], ell, walk.argmax(axis=1) + 1)
-            compared[p] = (j - c0[:, None]) % ell < n[:, None]
-            if self.cursors_enabled:
-                cursors[c[p]] = (c0 + n) % ell
-
-        # a query's load on g_j: once if either of its probes compared bit j
-        seen = np.zeros((nq, ell), dtype=bool)
-        in_t1 = live < nq
-        seen[q[in_t1]] = compared[in_t1]
-        seen[q[~in_t1]] |= compared[~in_t1]
-        for g, load in enumerate(seen.sum(axis=0).tolist()):
+        c1 = (mix64_many(s1, pts) % size)[inv]
+        c2 = (mix64_many(s2, pts) % size + size)[inv]
+        slots, cursors = self.slots, self.cursors
+        full = np.array([fp is not None for fp in slots])
+        need = np.unique(inv[full[c1] | full[c2]])  # points with a cell to compare
+        fps = dict(zip(need.tolist(), self.gfam.fingerprints(pts[need].tolist())))
+        mask = (1 << ell) - 1
+        count = 0
+        loads, answers = [], []
+        for i, a, b in zip(inv.tolist(), c1.tolist(), c2.tolist()):
+            load, hit = 0, False
+            for c in (a, b):
+                fp = slots[c]
+                if fp is None:  # an empty cell costs 0 and keeps its cursor
+                    continue
+                diff, c0 = fps[i] ^ fp, cursors[c]
+                diff = (diff >> c0 | diff << (ell - c0)) & mask
+                n = (diff & -diff).bit_length() if diff else ell
+                span = ((1 << n) - 1) << c0
+                load |= (span | span >> ell) & mask
+                if self.cursors_enabled:
+                    cursors[c] = (c0 + n) % ell
+                count += n
+                hit = hit or not diff
+            loads.append(load)
+            answers.append(hit)
+        for g, load in enumerate(_bit_rows(loads, ell).sum(axis=0).tolist()):
             self.participation[g] += load
-        self.cursors[:] = cursors.tolist()
-        self.bit_comparisons += int(count.sum())
-        self.query_count += nq
-        answers = np.zeros(nq, dtype=bool)
-        answers[q[match]] = True
-        return answers.tolist()
+        self.bit_comparisons += count
+        self.query_count += len(xs)
+        return answers
 
     @property
     def mean_bit_comparisons(self) -> float:

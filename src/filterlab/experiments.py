@@ -62,10 +62,14 @@ class GameConfig:
         if self.expose not in ("none", "structure", "full"):
             raise ParamError("expose", f"unknown exposure policy {self.expose!r}")
         known = inspect.signature(ADVERSARIES[self.adversary_kind]).parameters
-        for key in self.adversary_opts:
+        for key, value in self.adversary_opts.items():
+            bad = f"bad adversary options for {self.adversary_kind}: "
             if key not in known:
-                raise ParamError(key, f"bad adversary options for {self.adversary_kind}: "
-                                      f"unknown option {key!r}")
+                raise ParamError(key, bad + f"unknown option {key!r}")
+            # a value has its default's exact type, so a bool is no int
+            kind = type(known[key].default)
+            if type(value) is not kind:
+                raise ParamError(key, bad + f"{key!r} must be {kind.__name__}, got {value!r}")
 
 
 def build_filter(cfg: GameConfig, S: Iterable[int], params: FilterParams,

@@ -26,9 +26,6 @@ class ShieldedRep(Representation):
         self.params = params
         self.key = key
         self.inner = inner
-        # the permutation is a pure function of the key: memoizing it is a
-        # query-time cache, not representation state
-        self._memo: dict[int, int] = {}
 
     @property
     def kind(self) -> str:  # type: ignore[override]
@@ -38,14 +35,8 @@ class ShieldedRep(Representation):
     def bits(self) -> int:
         return self.inner.bits + self.params.lambda_bits
 
-    def _permute(self, x: int) -> int:
-        y = self._memo.get(x)
-        if y is None:
-            y = self._memo[x] = permute(self.key, x)
-        return y
-
     def query(self, x: int) -> bool:
-        return self.inner.query(self._permute(x))
+        return self.inner.query(permute(self.key, x))
 
     def query_many(self, xs: list[int]) -> list[bool]:
         """Permute the points in one batch, then query the inner batch."""

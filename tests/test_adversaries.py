@@ -16,7 +16,7 @@ from filterlab.adversaries import (
     fresh_element,
     mu_estimate,
 )
-from filterlab.bloom import BloomIndexStructure, BloomRepSpace
+from filterlab.bloom import BloomRepSpace
 from filterlab.core import (
     AdversaryContext,
     ExactSetRepSpace,
@@ -180,12 +180,12 @@ def _scan(enum, ids, labels):
 def _bloom_space(m, seed, k_h=3, u_bits=10):
     rng = random.Random(seed)
     seeds = tuple(rng.getrandbits(64) for _ in range(k_h))
-    return BloomRepSpace(BloomIndexStructure(m, seeds, u_bits))
+    return BloomRepSpace(m, seeds, u_bits)
 
 
 def _check_against_scan(enum, labels):
     chosen = enum.first_consistent(labels)
-    assert chosen == _scan(enum, range(1 << enum.structure.m), labels)
+    assert chosen == _scan(enum, range(1 << enum.m), labels)
     return chosen
 
 
@@ -290,7 +290,7 @@ def test_consistency_search_rejects_a_contradicted_model(monkeypatch):
     # an enumerator answering an id that contradicts the labels must raise,
     # also under `python -O`, which strips asserts
     monkeypatch.setattr(BloomRepSpace, "first_consistent",
-                        lambda self, labels: (1 << self.structure.m) - 1)
+                        lambda self, labels: (1 << self.m) - 1)
     with pytest.raises(InconsistentOracleError, match="contradicts"):
         run_challenge(_toy_bloom, ConsistencySearchAttack(), None, TOY, 38,
                       expose="structure")

@@ -6,8 +6,9 @@ import pytest
 from filterlab import FilterParams, build_bloom, sample_set
 from filterlab.bloom import (
     BloomFilterRep,
-    BloomIndexStructure,
+    BloomRepSpace,
     index_count,
+    position_masks,
     standard_bloom_bits,
 )
 from filterlab.core import BuildError
@@ -157,23 +158,26 @@ def test_position_masks_match_scalar_positions(u_bits, m):
     # seed 2^64-1 makes x + seed wrap for every x > 0
     rng = random.Random(u_bits * 100 + m)
     seeds = (0, (1 << 64) - 1) + tuple(rng.getrandbits(64) for _ in range(2))
-    structure = BloomIndexStructure(m, seeds, u_bits)
-    masks = structure.position_masks()
+    masks = position_masks(m, seeds, u_bits)
     assert masks.dtype == np.uint64 and len(masks) == 1 << u_bits
     expected = []
     for x in range(1 << u_bits):
         mk = 0
-        for p in structure.positions(x):
-            mk |= 1 << p
+        for s in seeds:
+            mk |= 1 << mix64(s, x) % m
         expected.append(mk)
     assert masks.tolist() == expected
 
 
 def test_position_masks_refuse_unenumerable_shapes():
     with pytest.raises(ValueError):
-        BloomIndexStructure(16, (1,), 17).position_masks()
+        position_masks(16, (1,), 17)
     with pytest.raises(ValueError):
-        BloomIndexStructure(65, (1,), 10).position_masks()
+        position_masks(65, (1,), 10)
+    with pytest.raises(ValueError):
+        BloomRepSpace(21, (1,), 10)
+    with pytest.raises(ValueError):
+        BloomRepSpace(16, (1,), 17)
 
 
 @pytest.mark.parametrize("u_bits", [10, 32, 64])

@@ -179,12 +179,21 @@ def test_too_wide_universe_reported_at_its_line(tmp_path, capsys, u_bits):
     assert f"bad.ini:{_line_of(text, 'u_bits')}:" in err and "u_bits must be <= 64" in err
 
 
+# adversary option -> an adversary that takes it
+OPTION_OWNERS = {"c": "consistency_search", "strict": "consistency_search",
+                 "candidate_budget": "seed_exposed"}
+
+
 def _with_line(line):
-    """BASIC_CONFIG with `line` in place of its key's line, or, for a
+    """BASIC_CONFIG with `line` in place of its key's line; for an adversary
+    option, added to [adversary] under an adversary that takes it; for a
     [filter] key the basic config leaves at its default, added to [filter]."""
     key = line.split()[0]
     if re.search(rf"^{key} = ", BASIC_CONFIG, flags=re.M):
         return re.sub(rf"^{key} = .*$", line, BASIC_CONFIG, flags=re.M)
+    if key in OPTION_OWNERS:
+        return BASIC_CONFIG.replace("kind = random_probe",
+                                    f"kind = {OPTION_OWNERS[key]}\n{line}")
     return BASIC_CONFIG.replace("kind = baseline_bloom", f"kind = baseline_bloom\n{line}")
 
 
@@ -209,6 +218,11 @@ def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, 
     ("m = lots", "'m' must be an integer"),
     ("seed = -1", "seed must be in [0, 2^128), got -1"),
     (f"seed = {2 ** 128}", f"seed must be in [0, 2^128), got {2 ** 128}"),
+    ("c = lots", "bad adversary options for consistency_search: 'c' must be int, got 'lots'"),
+    ("strict = maybe",
+     "bad adversary options for consistency_search: 'strict' must be bool, got 'maybe'"),
+    ("candidate_budget = 2.5",
+     "bad adversary options for seed_exposed: 'candidate_budget' must be int, got 2.5"),
 ])
 def test_mistyped_value_reported_at_its_line(tmp_path, capsys, line, message):
     key = line.split()[0]

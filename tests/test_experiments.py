@@ -43,6 +43,13 @@ def test_unknown_names_rejected():
     ("expose", dict(expose="everything")),
     ("bogus", dict(adversary_kind="seed_exposed",
                    adversary_opts={"candidate_budget": 9, "bogus": 5})),
+    ("c", dict(adversary_kind="consistency_search", adversary_opts={"c": "lots"})),
+    ("c", dict(adversary_kind="consistency_search", adversary_opts={"c": True})),
+    ("strict", dict(adversary_kind="consistency_search",
+                    adversary_opts={"c": 200, "strict": "maybe"})),
+    ("strict", dict(adversary_kind="consistency_search", adversary_opts={"strict": 1})),
+    ("candidate_budget", dict(adversary_kind="seed_exposed",
+                              adversary_opts={"candidate_budget": 2.5})),
 ])
 def test_config_errors_name_their_field(key, kwargs):
     with pytest.raises(ParamError) as err:

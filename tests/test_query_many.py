@@ -18,6 +18,7 @@ from filterlab.core import QueryBudgetExceeded, QueryOracle
 from filterlab import cuckoo
 from filterlab.cuckoo import CuckooFilterRep
 from filterlab.experiments import FILTERS, build_filter
+from filterlab.hashing import mix64
 
 CASES = [(kind, shielded) for kind in sorted(FILTERS) for shielded in (False, True)]
 
@@ -147,3 +148,23 @@ def test_oracle_batch_crossing_the_budget_records_the_prefix(kind, shielded):
         batch.query_many(crossing[:1])
     assert batch.query_many([]) == []
     assert len(batch.queries) == 130
+
+
+@pytest.mark.parametrize("kind", ["cuckoo_random_query", "cuckoo_resilient"])
+def test_points_on_two_empty_cells_equal_the_scalar_loop(kind):
+    # no probe compares anything: every answer is no, no cursor moves and
+    # no function gains load, yet every point counts as a query
+    params = _params(13, 2 ** -6)
+    cfg, S, loop_rep, batch_rep = _pair(kind, False, params, 13)
+    loop_rep.query_many(sorted(S))  # move some cursors first
+    batch_rep.query_many(sorted(S))
+    before = _state(batch_rep)
+    (s1, s2), r = batch_rep.seeds, batch_rep.r
+    xs = [x for x in range(params.universe)
+          if batch_rep.slots[mix64(s1, x) % r] is None
+          and batch_rep.slots[r + mix64(s2, x) % r] is None][:300]
+    assert len(xs) == 300
+    xs += xs[:50]
+    assert batch_rep.query_many(xs) == [loop_rep.query(x) for x in xs] == [False] * 350
+    assert _state(batch_rep) == _state(loop_rep)
+    assert _state(batch_rep)[:4] == (before[0], before[1] + 350, *before[2:4])
