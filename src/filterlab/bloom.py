@@ -15,8 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, BuildError, FilterParams, Representation, first_outside
-from .hashing import mix64, mix64_many, u64_array
+from .core import SEED_BITS, FilterParams, Representation
+from .hashing import mix64, mix64_many
 
 
 def standard_bloom_bits(n: int, eps: float) -> int:
@@ -120,6 +120,7 @@ class BloomFilterRep(Representation):
         self.array[pos >> 3] |= 1 << (pos & 7)
 
     def query(self, x: int) -> bool:
+        self.params.check_element(x)
         m = self.m
         arr = self.array
         for s in self.seeds:
@@ -128,10 +129,10 @@ class BloomFilterRep(Representation):
                 return False
         return True
 
-    def query_many(self, xs: list[int]) -> list[bool]:
+    def _query_batch(self, xs: list[int]) -> list[bool]:
         """`query` for every x: each seed's positions by `mix64_many`, then
         one gather from the array."""
-        xs = u64_array(xs)
+        xs = np.array(xs, dtype=np.uint64)
         arr = np.frombuffer(self.array, dtype=np.uint8)
         hit = np.ones(len(xs), dtype=bool)
         for s in self.seeds:
@@ -166,10 +167,7 @@ class BloomFilterRep(Representation):
 def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
                 m: int | None = None) -> BloomFilterRep:
     """Build the baseline filter; m defaults to standard sizing from eps."""
-    elems = list(S)
-    members = frozenset(elems)
-    if len(members) != len(elems):
-        raise BuildError("duplicate elements in S")
+    xs = params.check_members(S)
     if m is None:
         m = standard_bloom_bits(params.n, params.eps)
     if m < 1:
@@ -177,12 +175,9 @@ def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
     rng = random.Random(rng_seed)
     k_h = index_count(m, params.n)
     seeds = tuple(rng.getrandbits(SEED_BITS) for _ in range(k_h))
-    xs = list(members)
-    bad = first_outside(xs, params.universe)
-    if bad < len(xs):
-        params.check_element(xs[bad])  # raises
     # every member under every seed in one pass: row i is seed i's positions
-    positions = mix64_many(np.array(seeds, dtype=np.uint64)[:, None], u64_array(xs))
+    positions = mix64_many(np.array(seeds, dtype=np.uint64)[:, None],
+                           np.array(xs, dtype=np.uint64))
     hit = np.zeros(m, dtype=bool)
     hit[positions % np.uint64(m)] = True
     array = bytearray(np.packbits(hit, bitorder="little").tobytes())

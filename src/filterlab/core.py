@@ -100,6 +100,17 @@ class FilterParams:
         if not (0 <= x < self.universe):
             raise ValueError(f"element {x} outside universe [0, 2^{self.u_bits})")
 
+    def check_members(self, S: Iterable[int]) -> list[int]:
+        """list(S), the one member rule of every builder: raises BuildError on a
+        repeated element, and `check_element`'s ValueError on a point outside."""
+        xs = list(S)
+        if len(set(xs)) != len(xs):
+            raise BuildError("duplicate elements in S")
+        bad = first_outside(xs, self.universe)
+        if bad < len(xs):
+            self.check_element(xs[bad])  # raises
+        return xs
+
 
 def minimal_error(m: int, n: int) -> float:
     """Best error rate any m-bit filter on n elements can reach: 2^(-m/n).
@@ -157,8 +168,17 @@ class Representation:
     def query_many(self, xs: list[int]) -> list[bool]:
         """`[self.query(x) for x in xs]`, and exactly that: the same answers,
         and every counter and cursor left as that loop leaves it.  A point
-        the filter rejects raises the error `query` raises, after the points
-        before it are answered.  Filters override it with a batch."""
+        outside the universe raises `check_element`'s ValueError, as `query`
+        does, after `_query_batch` has answered the points before it."""
+        xs = list(xs)
+        ok = first_outside(xs, self.params.universe)
+        ys = self._query_batch(xs[:ok])
+        if ok < len(xs):
+            self.params.check_element(xs[ok])  # raises after the same prefix
+        return ys
+
+    def _query_batch(self, xs: list[int]) -> list[bool]:
+        """`query_many` of points all inside the universe; filters batch it."""
         return [self.query(x) for x in xs]
 
     def write(self, w: BitWriter) -> None:
@@ -233,9 +253,9 @@ class QueryOracle:
 
         Records and raises as a loop of `query` does: a batch that crosses
         the budget is answered and recorded up to the budget, then raises
-        QueryBudgetExceeded.  A point the filter rejects raises its error
-        after the filter has answered the points before it; the oracle then
-        records none of the batch, as the game ends there either way.
+        QueryBudgetExceeded.  A point outside the universe raises after the
+        filter has answered the points before it; the oracle then records
+        none of the batch, as the game ends there either way.
         """
         xs = list(xs)
         fit = xs[:self.budget - len(self.queries)]
@@ -313,7 +333,6 @@ def run_challenge(
             success=False, valid=False, seed_record=seeds,
         )
 
-    params.check_element(challenge)
     response = rep.query(challenge)  # post-transcript verification, once
     success = (
         challenge not in S
@@ -347,6 +366,7 @@ class ExactSetRep(Representation):
         return self.params.n * self.params.u_bits
 
     def query(self, x: int) -> bool:
+        self.params.check_element(x)
         return x in self._members
 
     def write(self, w: BitWriter) -> None:
@@ -378,7 +398,7 @@ class ExactSetRepSpace:
 
 
 def build_exact_set(S: Iterable[int], params: FilterParams, rng_seed: int) -> ExactSetRep:
-    members = frozenset(S)
+    members = frozenset(params.check_members(S))
     if len(members) != params.n:
-        raise BuildError("duplicate elements or wrong set size")
+        raise BuildError(f"|S|={len(members)} but params.n={params.n}")
     return ExactSetRep(members, params)

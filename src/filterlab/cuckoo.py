@@ -44,13 +44,13 @@ import numpy as np
 
 from . import gf2
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, BuildError, FilterParams, Representation, first_outside
+from .core import SEED_BITS, BuildError, FilterParams, Representation
 from .gfamily import GFamily, g_sample
 from .hashing import mix64, mix64_many
 
 REBUILD_LIMIT = 20
 
-# Queries per pass of `query_many`: a pass holds a byte per fingerprint bit
+# Queries per pass of a batch: a pass holds a byte per fingerprint bit
 # and per load bit of each of its queries, so a larger batch goes in passes.
 QUERY_CHUNK = 1 << 14
 
@@ -136,19 +136,14 @@ class CuckooFilterRep(Representation):
         self.query_count += 1
         return m1 or m2
 
-    def query_many(self, xs: list[int]) -> list[bool]:
-        """`query` for every x in one batch, probe by probe in closed form
-        (module docstring)."""
-        xs = list(xs)
-        ok = first_outside(xs, self.params.universe)
+    def _query_batch(self, xs: list[int]) -> list[bool]:
+        """`query` for every x, QUERY_CHUNK a pass, each probe in closed form."""
         ys: list[bool] = []
-        for i in range(0, ok, QUERY_CHUNK):
-            ys += self._query_batch(xs[i:min(ok, i + QUERY_CHUNK)])
-        if ok < len(xs):
-            self.params.check_element(xs[ok])  # raises after the same prefix
+        for i in range(0, len(xs), QUERY_CHUNK):
+            ys += self._query_pass(xs[i:i + QUERY_CHUNK])
         return ys
 
-    def _query_batch(self, xs: list[int]) -> list[bool]:
+    def _query_pass(self, xs: list[int]) -> list[bool]:
         ell, r = self.ell, self.r
         pts, inv = np.unique(np.array(xs, dtype=np.uint64), return_inverse=True)
         s1, s2 = self.seeds
@@ -240,10 +235,7 @@ def _place_all(members: Iterable[int], seeds: tuple[int, int], r: int,
 
 def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
            ell: int, k: int, cursors_enabled: bool) -> CuckooFilterRep:
-    elems = list(S)
-    members = frozenset(elems)
-    if len(members) != len(elems):
-        raise BuildError("duplicate elements in S")
+    members = frozenset(params.check_members(S))
     if len(members) != params.n:
         raise BuildError(f"|S|={len(members)} but params.n={params.n}")
     field_width = gf2.width_for(params.u_bits)

@@ -70,6 +70,8 @@ class GameConfig:
             kind = type(known[key].default)
             if type(value) is not kind:
                 raise ParamError(key, bad + f"{key!r} must be {kind.__name__}, got {value!r}")
+            if kind is int and value < 1:  # every int option is a count
+                raise ParamError(key, bad + f"{key!r} must be >= 1, got {value!r}")
 
 
 def build_filter(cfg: GameConfig, S: Iterable[int], params: FilterParams,

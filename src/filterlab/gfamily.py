@@ -32,7 +32,7 @@ a batch of queries (`fingerprint_bits`): the missing X-vectors come from
 one batch (`gf2.odd_power_rows`, a table gather at w <= 16 and a numpy
 carry-less multiply at w = 32/64), and the ell bits of every point from a
 packed uint64 AND, an XOR over each row's limbs and a popcount.  A single
-query's miss builds its X-vector alone: at w = 32/64 by the chain of m
+query's miss is a batch of one at w <= 16; at w = 32/64 it is the chain of m
 products by x^2 that `gf2.packed_odd_powers` runs on byte-spread Python
 ints (each bit of an element in a byte of its own, so one plain integer
 product carries a whole carry-less product), packed into the X-vector by
@@ -118,7 +118,6 @@ class XProvider:
         self.const_bit = 1 << (m * w)
         self._cache: dict[int, int] = {}
         self._keep = w in gf2.TABLE_WIDTHS
-        self._odd = 2 * np.arange(m, dtype=np.int64) + 1
 
     def get(self, x: int) -> int:
         v = self._cache.get(x)
@@ -141,19 +140,12 @@ class XProvider:
             raise ValueError(f"point {x} does not embed in GF(2^{self.w})")
 
     def _build(self, x: int) -> int:
-        """One point.  A numpy batch of one would pay every per-call cost of
-        the batch route (dozens of them per product at w = 32/64), so the
-        powers come from one table gather, or at w = 32/64 from the
-        byte-spread chain of `gf2.packed_odd_powers`."""
-        self._check(x)
-        if x == 0 or self.m == 0:
-            return self.const_bit  # every odd power of 0 is 0
-        w = self.w
-        if w not in gf2.TABLE_WIDTHS:
-            return gf2.packed_odd_powers(x, self.m, w) | self.const_bit
-        t = gf2.tables(w)
-        row = t.exp[(self._odd * int(t.log[x])) % t.order]
-        return _ints(_pack_rows(row[None], 1, w))[0]
+        """One point: a batch of one (one table gather) at the table widths; at
+        w = 32/64, where a numpy batch of one would pay dozens of per-call
+        costs per product, the byte-spread chain of `gf2.packed_odd_powers`."""
+        if self._keep:
+            return self._build_many([x])[0]
+        return gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
 
     def _build_many(self, xs: list[int]) -> list[int]:
         """Built about FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power

@@ -48,13 +48,6 @@ def mix64_many(seed: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     return z
 
 
-def u64_array(xs: list[int]) -> np.ndarray:
-    """xs as a uint64 array, each reduced mod 2^64 as `mix64` reduces x."""
-    if xs and (min(xs) < 0 or max(xs) > _M64):
-        xs = [x & _M64 for x in xs]
-    return np.array(xs, dtype=np.uint64)
-
-
 def split_seed(master: int, *path: int) -> int:
     """Derive a child seed from a master seed and a counter path."""
     h = hashlib.sha256()

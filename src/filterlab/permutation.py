@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .core import first_outside
 from .hashing import mix64, mix64_many
 
 ROUNDS = 4
+_M64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -30,7 +33,8 @@ class PermKey:
     """Secret key material and the domain it permutes.
 
     key_bits holds exactly lambda_bits of secret entropy; round keys are
-    derived from it and are not separately accounted.
+    derived from it and are not separately accounted, and every 64-bit word
+    of it (at least two) feeds each round key.
     """
 
     key_bits: int
@@ -47,10 +51,11 @@ class PermKey:
         u_bits = (self.domain_size - 1).bit_length()
         w = (u_bits + 1) // 2  # 2w >= u_bits, rounded up to even
         object.__setattr__(self, "half_width", w)
+        words = [self.key_bits >> s & _M64 for s in range(0, max(128, self.lambda_bits), 64)]
         object.__setattr__(
             self,
             "round_keys",
-            tuple(mix64(r, self.key_bits & ((1 << 64) - 1)) ^ mix64(r + ROUNDS, self.key_bits >> 64)
+            tuple(reduce(xor, (mix64(r + i * ROUNDS, v) for i, v in enumerate(words)))
                   for r in range(ROUNDS)),
         )
 

@@ -6,6 +6,9 @@ set) and at query time.  Adaptive queries therefore reach the inner filter
 as points the adversary cannot steer, and the memory overhead is exactly
 the key: lambda_bits.
 
+It checks S and every query point by the filters' own rule before permuting,
+so a repeated member or a point outside the universe raises as it would unshielded.
+
 Only the key must stay secret: publishing the inner representation must not
 help an attacker, and the debug exposure policies deliberately exercise
 that claim.
@@ -17,7 +20,7 @@ import random
 from typing import Iterable
 
 from .bitio import BitWriter
-from .core import FilterParams, FilterFactory, Representation, first_outside
+from .core import FilterParams, FilterFactory, Representation
 from .permutation import PermKey, permute, permute_many, sample_key
 
 
@@ -36,16 +39,13 @@ class ShieldedRep(Representation):
         return self.inner.bits + self.params.lambda_bits
 
     def query(self, x: int) -> bool:
+        self.params.check_element(x)
         return self.inner.query(permute(self.key, x))
 
-    def query_many(self, xs: list[int]) -> list[bool]:
-        """Permute the points in one batch, then query the inner batch."""
-        xs = list(xs)
-        ok = first_outside(xs, self.key.domain_size)
-        ys = self.inner.query_many(permute_many(self.key, xs[:ok]))
-        if ok < len(xs):
-            self.query(xs[ok])  # raises, after the same prefix as the scalar loop
-        return ys
+    def _query_batch(self, xs: list[int]) -> list[bool]:
+        """Permute the points in one batch, then answer them by the inner
+        batch: a bijection of the universe leaves every point inside it."""
+        return self.inner._query_batch(permute_many(self.key, xs))
 
     def write(self, w: BitWriter) -> None:
         # the key, then the inner payload with no padding between
@@ -64,11 +64,11 @@ def build_shield(
     params: FilterParams,
     rng_seed: int,
 ) -> ShieldedRep:
-    """Sample a key, permute S, and build the wrapped filter on the image."""
+    """Check S, sample a key, permute S, and build the wrapped filter on the image."""
+    members = params.check_members(S)
     rng = random.Random(rng_seed)
     key = sample_key(params.lambda_bits, params.universe, rng)
-    members = frozenset(S)
-    permuted = set(permute_many(key, list(members)))
+    permuted = set(permute_many(key, members))
     assert len(permuted) == len(members), "bijection cannot collapse the set"
     inner_seed = rng.getrandbits(63)
     inner = inner_builder(permuted, params, inner_seed)

@@ -52,7 +52,7 @@ def test_selftest_detects_corrupted_build(monkeypatch):
         return matched, n
 
     monkeypatch.setattr(CuckooFilterRep, "_probe", corrupted)
-    monkeypatch.setattr(CuckooFilterRep, "query_many", Representation.query_many)
+    monkeypatch.setattr(CuckooFilterRep, "_query_batch", Representation._query_batch)
     monkeypatch.setattr(acceptance, "C7_SAMPLES", 3000)
     res = acceptance.criterion_7(seed=123)
     assert not res.passed

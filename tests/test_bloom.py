@@ -187,8 +187,7 @@ def test_query_many_equals_the_scalar_loop(u_bits):
     S = sample_set(p, rng)
     rep = build_bloom(S, p, rng_seed=u_bits + 1)
     xs = [rng.randrange(p.universe) for _ in range(3000)] + sorted(S)
-    xs += [0, p.universe - 1, 2 ** 64 - 1]
-    xs += [-1, 2 ** 64, 2 ** 70 + 5]  # a Bloom query reduces any int mod 2^64
+    xs += [0, p.universe - 1]
     rng.shuffle(xs)
     ys = rep.query_many(xs)
     assert ys == [rep.query(x) for x in xs]

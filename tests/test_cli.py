@@ -223,6 +223,10 @@ def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, 
      "bad adversary options for consistency_search: 'strict' must be bool, got 'maybe'"),
     ("candidate_budget = 2.5",
      "bad adversary options for seed_exposed: 'candidate_budget' must be int, got 2.5"),
+    ("c = -1", "bad adversary options for consistency_search: 'c' must be >= 1, got -1"),
+    ("c = 0", "bad adversary options for consistency_search: 'c' must be >= 1, got 0"),
+    ("candidate_budget = 0",
+     "bad adversary options for seed_exposed: 'candidate_budget' must be >= 1, got 0"),
 ])
 def test_mistyped_value_reported_at_its_line(tmp_path, capsys, line, message):
     key = line.split()[0]

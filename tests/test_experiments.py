@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from filterlab import FilterParams, run_challenge, sample_set, split_seed
 from filterlab.adversaries import fresh_element
 from filterlab.bloom import BloomRepSpace
-from filterlab.core import ExactSetRepSpace, ParamError
+from filterlab.core import BuildError, ExactSetRepSpace, ParamError
 from filterlab.experiments import (
     ADVERSARIES,
     FILTERS,
@@ -50,6 +51,10 @@ def test_unknown_names_rejected():
     ("strict", dict(adversary_kind="consistency_search", adversary_opts={"strict": 1})),
     ("candidate_budget", dict(adversary_kind="seed_exposed",
                               adversary_opts={"candidate_budget": 2.5})),
+    ("c", dict(adversary_kind="consistency_search", adversary_opts={"c": -1})),
+    ("c", dict(adversary_kind="consistency_search", adversary_opts={"c": 0})),
+    ("candidate_budget", dict(adversary_kind="seed_exposed",
+                              adversary_opts={"candidate_budget": 0})),
 ])
 def test_config_errors_name_their_field(key, kwargs):
     with pytest.raises(ParamError) as err:
@@ -84,6 +89,28 @@ def test_every_filter_kind_plays_at_u_bits_64(kind):
         tr = play_game(GameConfig(kind, "mutate_positives", p, shielded=shielded), 5)
         assert tr.valid and len(tr.queries) == p.t
         assert 0 <= tr.challenge < 2 ** 64
+
+
+@pytest.mark.parametrize("kind,shielded",
+                         [(kind, shielded) for kind in FILTERS for shielded in (False, True)])
+def test_every_filter_kind_accepts_the_same_members_and_points(kind, shielded):
+    # one rule for every kind, plain or shielded: S holds distinct points of
+    # the universe, and so does every query
+    p = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=13)
+    cfg = GameConfig(kind, "random_probe", p, shielded=shielded)
+    with pytest.raises(BuildError, match="duplicate elements in S"):
+        build_filter(cfg, [1, 2, 3, 2], p, 5)
+    S = [1, 2, 3, p.universe - 1]
+    rep = build_filter(cfg, S, p, 5)
+    assert rep.query_many(S) == [rep.query(x) for x in S] == [True] * 4
+    for bad in (-1, p.universe, 2 ** 64):
+        outside = re.escape(f"element {bad} outside universe [0, 2^13)")
+        with pytest.raises(ValueError, match=outside):
+            build_filter(cfg, [1, 2, 3, bad], p, 5)
+        with pytest.raises(ValueError, match=outside):
+            rep.query(bad)
+        with pytest.raises(ValueError, match=outside):
+            rep.query_many([1, bad, 2])
 
 
 @pytest.mark.parametrize("kind,shielded",

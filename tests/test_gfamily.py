@@ -7,7 +7,8 @@ import pytest
 from filterlab import FilterParams, build_cuckoo, gf2, gfamily, sample_set
 from filterlab.bitio import BitReader, BitWriter
 from filterlab.gfamily import GFamily, XProvider, g_sample, x_provider
-from filterlab.stats import chi2_sf
+
+from stats import chi2_sf
 
 
 def test_sampling_is_deterministic():

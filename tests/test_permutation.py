@@ -3,6 +3,7 @@ import random
 import pytest
 
 from filterlab import permutation
+from filterlab.hashing import mix64
 from filterlab.permutation import PermKey, invert, permute, permute_many, sample_key
 
 
@@ -43,6 +44,22 @@ def test_distinct_keys_give_distinct_permutations():
         if k1.key_bits == k2.key_bits:
             continue
         assert any(permute(k1, x) != permute(k2, x) for x in range(256))
+
+
+def test_every_key_word_reaches_the_round_keys():
+    # the first two 64-bit words give the round keys they always gave, and
+    # a bit above 128 still changes the permutation
+    rng = random.Random(10)
+    for lambda_bits in (5, 64, 128):
+        kb = rng.getrandbits(lambda_bits)
+        key = PermKey(kb, lambda_bits, 256)
+        assert key.round_keys == tuple(
+            mix64(r, kb & (1 << 64) - 1) ^ mix64(r + permutation.ROUNDS, kb >> 64)
+            for r in range(permutation.ROUNDS))
+    kb = rng.getrandbits(256)
+    k1, k2 = PermKey(kb, 256, 256), PermKey(kb ^ 1 << 200, 256, 256)
+    assert all(a != b for a, b in zip(k1.round_keys, k2.round_keys))
+    assert any(permute(k1, x) != permute(k2, x) for x in range(256))
 
 
 def test_no_tested_key_is_the_identity():
