@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from .core import AdversaryContext, Representation, minimal_error
+from .core import AdversaryContext, Representation, minimal_error, stopped
 
 EXHAUSTIVE_LIMIT = 1 << 16  # universes up to this size are swept exactly
 CANDIDATE_CAP = 1_000_000  # most draws a consistency search makes for a model positive
@@ -64,21 +64,50 @@ class MutatePositivesAttack:
     Keeps every non-member that answered True; half of the remaining budget
     probes single-bit mutations of those, the rest stays uniform.  The final
     challenge is a fresh mutation of a random positive when one exists.
+
+    Only a new positive changes the next draw, so the queries go out in
+    speculative blocks, drawn ahead with the positives known so far and
+    sent as one `query_many` that stops right after the first non-member
+    answering True.  The RNG state is saved before each block; on a stop it
+    is restored and the answered prefix drawn again, so every draw and
+    every query is the one the query-by-query loop makes.  The first block
+    is the whole budget, the one batch a game without positives needs.
+    After a stop the blocks restart at RESTART points and double, so the
+    points drawn past the next stop, work thrown away, number at most
+    RESTART plus the queries answered since this one.
     """
+
+    RESTART = 64
 
     def run(self, ctx: AdversaryContext) -> int:
         params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
-        u = params.universe
+        u, S = params.universe, ctx.S
         if u <= params.t + params.n:
             raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
         positives: list[int] = []
-        for _ in range(params.t):
+
+        def draw() -> int:
             if positives and rng.random() < 0.5:
-                x = rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
-            else:
-                x = rng.randrange(u)
-            if oracle.query(x) and x not in ctx.S:
-                positives.append(x)
+                return rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
+            return rng.randrange(u)
+
+        def new_positive(i: int, y: bool) -> bool:  # on the block in flight
+            return y and xs[i] not in S
+
+        left = block = params.t
+        while left:
+            state = rng.getstate()
+            xs = [draw() for _ in range(min(block, left))]
+            ys = oracle.query_many(xs, new_positive)
+            left -= len(ys)
+            block *= 2
+            if stopped(ys, new_positive):  # the draws after it change
+                if len(ys) < len(xs):
+                    rng.setstate(state)
+                    for _ in ys:
+                        draw()
+                positives.append(xs[len(ys) - 1])
+                block = self.RESTART
         if positives:
             for _ in range(256):
                 x = rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))

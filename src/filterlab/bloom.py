@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, FilterParams, Representation
+from .core import SEED_BITS, FilterParams, Representation, Stop
 from .hashing import mix64, mix64_many
 
 
@@ -129,16 +129,21 @@ class BloomFilterRep(Representation):
                 return False
         return True
 
-    def _query_batch(self, xs: list[int]) -> list[bool]:
+    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
         """`query` for every x: each seed's positions by `mix64_many`, then
-        one gather from the array."""
+        one gather from the array.  A query changes nothing here, so a stop
+        only cuts the answers."""
         xs = np.array(xs, dtype=np.uint64)
         arr = np.frombuffer(self.array, dtype=np.uint8)
         hit = np.ones(len(xs), dtype=bool)
         for s in self.seeds:
             p = mix64_many(s, xs) % np.uint64(self.m)
             hit &= (arr[p >> 3] >> (p & 7)) & 1 == 1
-        return hit.tolist()
+        ys = hit.tolist()
+        if stop is not None:
+            end = next((i + 1 for i, y in enumerate(ys) if stop(i, y)), len(ys))
+            del ys[end:]
+        return ys
 
     def rep_space_enumerator(self):
         if self.m <= 20 and self.params.u_bits <= 16:

@@ -132,6 +132,17 @@ def first_outside(xs: list[int], size: int) -> int:
     return next(i for i, x in enumerate(xs) if not 0 <= x < size)
 
 
+# A batch's stop predicate: stop(i, y) holds at the answer y to point i that
+# ends the batch.  It must be pure, since `stopped` asks it again.
+Stop = Callable[[int, bool], bool]
+
+
+def stopped(ys: list[bool], stop: Stop | None) -> bool:
+    """Whether a batch that answered ys ended at a stop: every answer before
+    the last one failed the predicate, so the last one alone can hold it."""
+    return stop is not None and bool(ys) and stop(len(ys) - 1, ys[-1])
+
+
 def sample_set(params: FilterParams, rng: random.Random) -> frozenset[int]:
     """Sample S of size n without replacement from the universe.
 
@@ -165,21 +176,32 @@ class Representation:
     def query(self, x: int) -> bool:
         raise NotImplementedError
 
-    def query_many(self, xs: list[int]) -> list[bool]:
+    def query_many(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
         """`[self.query(x) for x in xs]`, and exactly that: the same answers,
         and every counter and cursor left as that loop leaves it.  A point
         outside the universe raises `check_element`'s ValueError, as `query`
-        does, after `_query_batch` has answered the points before it."""
+        does, after `_query_batch` has answered the points before it.
+
+        With `stop`, the batch ends right after the first answer y, at index
+        i, for which `stop(i, y)` holds, as the loop would with
+        `if stop(i, y): break`; only that prefix is answered, and a point
+        outside the universe after it raises nothing.
+        """
         xs = list(xs)
         ok = first_outside(xs, self.params.universe)
-        ys = self._query_batch(xs[:ok])
-        if ok < len(xs):
+        ys = self._query_batch(xs[:ok], stop)
+        if ok < len(xs) and not stopped(ys, stop):
             self.params.check_element(xs[ok])  # raises after the same prefix
         return ys
 
-    def _query_batch(self, xs: list[int]) -> list[bool]:
+    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
         """`query_many` of points all inside the universe; filters batch it."""
-        return [self.query(x) for x in xs]
+        ys = []
+        for i, x in enumerate(xs):
+            ys.append(self.query(x))
+            if stop is not None and stop(i, ys[-1]):
+                break
+        return ys
 
     def write(self, w: BitWriter) -> None:
         """Append the payload, exactly `bits` bits, to w."""
@@ -248,21 +270,29 @@ class QueryOracle:
         self.queried.add(x)
         return y
 
-    def query_many(self, xs: list[int]) -> list[bool]:
-        """Answers to xs, for a strategy that chose them all before any answer.
+    def query_many(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
+        """Answers to xs, for a strategy that chose them before any answer, or
+        that would change course only where `stop(i, y)` holds.
 
         Records and raises as a loop of `query` does: a batch that crosses
         the budget is answered and recorded up to the budget, then raises
-        QueryBudgetExceeded.  A point outside the universe raises after the
-        filter has answered the points before it; the oracle then records
-        none of the batch, as the game ends there either way.
+        QueryBudgetExceeded.  With `stop`, the batch ends right after the
+        first answer that holds it (see `Representation.query_many`): only
+        that prefix is answered and recorded, and a stop before the budget
+        is no overrun.  The filter may still have built X-vectors for points
+        of the batch after the stop (a cuckoo pass fingerprints all of its
+        points first); that fills a cache and changes no answer or counter.
+        A point outside the universe raises after the filter has answered
+        the points before it; the oracle then records none of the batch, as
+        the game ends there either way.
         """
         xs = list(xs)
         fit = xs[:self.budget - len(self.queries)]
-        ys = self._rep.query_many(fit)
-        self.queries += zip(fit, ys)
-        self.queried.update(fit)
-        if len(fit) < len(xs):
+        ys = self._rep.query_many(fit, stop)
+        answered = fit[:len(ys)]
+        self.queries += zip(answered, ys)
+        self.queried.update(answered)
+        if len(fit) < len(xs) and not stopped(ys, stop):
             raise QueryBudgetExceeded(f"query budget t={self.budget} exhausted")
         return ys
 

@@ -32,6 +32,16 @@ the comparison count n is the index of its lowest set bit plus 1 (ell when
 diff is 0, a full match), the probe compares the bits in the cyclic span
 [c0, c0 + n), and the cursor moves on to (c0 + n) mod ell.  A query's load
 on g_j counts once when bit j lies in the span of either of its probes.
+
+A batch may carry a stop predicate, stop(i, y): it then ends right after
+the first answer that holds it, exactly as the loop that breaks there, so
+the counters, cursors and loads cover the answered prefix alone.  The
+queries run in passes of QUERY_CHUNK points, and a pass fingerprints every
+distinct point of it with a full cell before its first query.  So a
+stopped pass may already have built the X-vectors of its points after the
+stop; they stay in the X-cache at the table widths and change no answer or
+counter.  A point whose two cells are empty is never fingerprinted, since
+its probes compare nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import numpy as np
 
 from . import gf2
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, BuildError, FilterParams, Representation
+from .core import SEED_BITS, BuildError, FilterParams, Representation, Stop, stopped
 from .gfamily import GFamily, g_sample
 from .hashing import mix64, mix64_many
 
@@ -86,6 +96,7 @@ class CuckooFilterRep(Representation):
         self.seeds = seeds
         self.r = len(slots) // 2
         self.slots = slots  # table 1 then table 2; a fingerprint, or None when empty
+        self._full = np.array([fp is not None for fp in slots])  # slots never change
         self.cursors_enabled = cursors_enabled
         self.cursors = [0] * len(slots)
         self.bit_comparisons = 0
@@ -136,30 +147,38 @@ class CuckooFilterRep(Representation):
         self.query_count += 1
         return m1 or m2
 
-    def _query_batch(self, xs: list[int]) -> list[bool]:
+    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
         """`query` for every x, QUERY_CHUNK a pass, each probe in closed form."""
         ys: list[bool] = []
         for i in range(0, len(xs), QUERY_CHUNK):
-            ys += self._query_pass(xs[i:i + QUERY_CHUNK])
+            ys += self._query_pass(xs[i:i + QUERY_CHUNK], i, stop)
+            if stopped(ys, stop):
+                break
         return ys
 
-    def _query_pass(self, xs: list[int]) -> list[bool]:
+    def _query_pass(self, xs: list[int], start: int, stop: Stop | None) -> list[bool]:
+        """One pass over xs, which sit at start, start + 1, ... of the batch
+        `stop` indexes: every distinct point is hashed and, when one of its
+        cells is full, fingerprinted up front; the queries then run in order
+        and end at a stop."""
         ell, r = self.ell, self.r
-        pts, inv = np.unique(np.array(xs, dtype=np.uint64), return_inverse=True)
+        index: dict[int, int] = {}  # each distinct point's row, in first-seen order
+        rows = [index.setdefault(x, len(index)) for x in xs]
+        pts = np.array(list(index), dtype=np.uint64)
         s1, s2 = self.seeds
         size = np.uint64(r)
-        c1 = (mix64_many(s1, pts) % size)[inv]
-        c2 = (mix64_many(s2, pts) % size + size)[inv]
-        slots, cursors = self.slots, self.cursors
-        full = np.array([fp is not None for fp in slots])
-        need = np.unique(inv[full[c1] | full[c2]])  # points with a cell to compare
+        c1 = mix64_many(s1, pts) % size
+        c2 = mix64_many(s2, pts) % size + size
+        need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare
         fps = dict(zip(need.tolist(), self.gfam.fingerprints(pts[need].tolist())))
+        c1, c2 = c1.tolist(), c2.tolist()
+        slots, cursors = self.slots, self.cursors
         mask = (1 << ell) - 1
         count = 0
         loads, answers = [], []
-        for i, a, b in zip(inv.tolist(), c1.tolist(), c2.tolist()):
+        for i in rows:
             load, hit = 0, False
-            for c in (a, b):
+            for c in (c1[i], c2[i]):
                 fp = slots[c]
                 if fp is None:  # an empty cell costs 0 and keeps its cursor
                     continue
@@ -174,10 +193,12 @@ class CuckooFilterRep(Representation):
                 hit = hit or not diff
             loads.append(load)
             answers.append(hit)
+            if stop is not None and stop(start + len(answers) - 1, hit):
+                break
         for g, load in enumerate(_bit_rows(loads, ell).sum(axis=0).tolist()):
             self.participation[g] += load
         self.bit_comparisons += count
-        self.query_count += len(xs)
+        self.query_count += len(answers)
         return answers
 
     @property

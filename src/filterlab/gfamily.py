@@ -27,6 +27,9 @@ bit into a single AND + popcount:
 X depends only on the field, m, and the point, never on the seeds, so it is
 cached and shared across every family (and filter build) with the same
 shape (at the table widths w <= 16; wider fields build each vector anew).
+The cache holds each X-vector as bytes, its little-endian uint64 limbs:
+the rows the batch path reads, joined and viewed as one numpy matrix with
+no per-vector conversion.  A scalar query reads its one vector as an int.
 A filter build asks for every member at once (`fingerprints`), and so does
 a batch of queries (`fingerprint_bits`): the missing X-vectors come from
 one batch (`gf2.odd_power_rows`, a table gather at w <= 16 and a numpy
@@ -36,9 +39,11 @@ query's miss is a batch of one at w <= 16; at w = 32/64 it is the chain of m
 products by x^2 that `gf2.packed_odd_powers` runs on byte-spread Python
 ints (each bit of an element in a byte of its own, so one plain integer
 product carries a whole carry-less product), packed into the X-vector by
-reading those bytes as binary digits.  A slow direct evaluation with field
-powers (`GFamily.evaluate`, one `gf2.gf_pow` per term) is kept as the
-reference oracle; every route is cross-checked against it in tests.
+reading those bytes as binary digits.  A wide batch of fewer than
+WIDE_BATCH_MIN points takes that route point by point too.  A slow direct
+evaluation with field powers (`GFamily.evaluate`, one `gf2.gf_pow` per
+term) is kept as the reference oracle; every route is cross-checked
+against it in tests.
 """
 
 from __future__ import annotations
@@ -63,6 +68,13 @@ FP_CHUNK_BYTES = 1 << 18
 # FP_CHUNK_BYTES and m = 683 a pass holds only 48 rows, and call overhead,
 # not arithmetic, sets the time.
 WIDE_CHUNK_BYTES = 1 << 23
+
+# Below this many points, building each X-vector by `gf2.packed_odd_powers`
+# beats the numpy batch at w = 32/64, whose fixed cost is dozens of numpy
+# calls per power (on a 2-core x86_64 box the two meet near 64 points at
+# w = 32, at m = 11 and at m = 683, and at 64-128 points at w = 64), as
+# `permutation.BATCH_MIN` does for `permute_many`.
+WIDE_BATCH_MIN = 64
 
 
 def odd_powers(k: int) -> int:
@@ -95,40 +107,39 @@ def _ints(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
 
 
-def _limb_matrix(values: list[int], limbs: int) -> np.ndarray:
-    """The inverse of `_ints` for uint64 limbs: a [len(values), limbs] array."""
-    nb = 8 * limbs
-    data = b"".join(v.to_bytes(nb, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), limbs)
-
-
 class XProvider:
     """Cache of packed point vectors X(x) = (x, x^3, ..., x^(2m-1), 1).
 
-    `get_many` builds every missing vector of a batch at once (a cuckoo
-    build); `get` builds one (a query miss).  Both leave the same entries.
-    Vectors are kept only at the table widths, where the field caps each
-    shape at 2^w points; at w = 32/64 nearly every point is new, so a kept
-    vector would only grow the cache, and each one is built and dropped.
+    A vector is kept as its little-endian uint64 limbs, `nbytes` bytes, the
+    rows `fingerprint_bits` reads; `get` turns the one vector a scalar query
+    needs into an int.  `get_many` builds every missing vector of a batch at
+    once (a cuckoo build); `get` builds one (a query miss).  Both leave the
+    same entries.  Vectors are kept only at the table widths, where the
+    field caps each shape at 2^w points; at w = 32/64 nearly every point is
+    new, so a kept vector would only grow the cache, and each one is built
+    and dropped.
     """
 
     def __init__(self, w: int, m: int):
         self.w = w
         self.m = m
         self.const_bit = 1 << (m * w)
-        self._cache: dict[int, int] = {}
+        self.nbytes = 8 * -(-(m + 1) * w // 64)
+        self._cache: dict[int, bytes] = {}
         self._keep = w in gf2.TABLE_WIDTHS
 
     def get(self, x: int) -> int:
+        """X(x) as an int, the form the lazy scalar probe ANDs with."""
         v = self._cache.get(x)
         if v is None:
             v = self._build(x)
             if self._keep:
                 self._cache[x] = v
-        return v
+        return int.from_bytes(v, "little")
 
-    def get_many(self, xs: list[int]) -> list[int]:
-        """X(x) for every x in xs, in order; misses are built in one batch."""
+    def get_many(self, xs: list[int]) -> list[bytes]:
+        """X(x) for every x in xs, in order, as limb bytes; misses are built
+        in one batch."""
         found = self._cache if self._keep else {}
         missing = [x for x in dict.fromkeys(xs) if x not in found]
         if missing:
@@ -139,26 +150,32 @@ class XProvider:
         if x >> self.w:
             raise ValueError(f"point {x} does not embed in GF(2^{self.w})")
 
-    def _build(self, x: int) -> int:
+    def _build(self, x: int) -> bytes:
         """One point: a batch of one (one table gather) at the table widths; at
         w = 32/64, where a numpy batch of one would pay dozens of per-call
         costs per product, the byte-spread chain of `gf2.packed_odd_powers`."""
         if self._keep:
             return self._build_many([x])[0]
-        return gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
+        v = gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
+        return v.to_bytes(self.nbytes, "little")
 
-    def _build_many(self, xs: list[int]) -> list[int]:
+    def _build_many(self, xs: list[int]) -> list[bytes]:
         """Built about FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power
         rows, at 8 bytes a power, at a time: the whole batch at once would
-        hold [len(xs), m] temporaries."""
+        hold [len(xs), m] temporaries.  At w = 32/64 a batch below
+        WIDE_BATCH_MIN points is built point by point, as `_build` does."""
+        if not self._keep and len(xs) < WIDE_BATCH_MIN:
+            return [self._build(x) for x in xs]
         for x in xs:
             self._check(x)
-        nbytes = FP_CHUNK_BYTES if self.w in gf2.TABLE_WIDTHS else WIDE_CHUNK_BYTES
+        nbytes = FP_CHUNK_BYTES if self._keep else WIDE_CHUNK_BYTES
         step = max(1, nbytes // (8 * max(1, self.m)))
-        out: list[int] = []
+        nb = self.nbytes
+        out: list[bytes] = []
         for i in range(0, len(xs), step):
             chunk = np.array(xs[i:i + step], dtype=np.uint64)
-            out += _ints(_pack_rows(gf2.odd_power_rows(chunk, self.m, self.w), 1, self.w))
+            rows = _pack_rows(gf2.odd_power_rows(chunk, self.m, self.w), 1, self.w).tobytes()
+            out += [rows[j:j + nb] for j in range(0, len(rows), nb)]
         return out
 
 
@@ -228,8 +245,9 @@ class GFamily:
         """All ell output bits at every x in xs: a uint8 [len(xs), ell] array
         whose entry [i, j] is g_j(xs[i]).
 
-        The X-vectors come from one `get_many`; the AND matrix is then taken
-        FP_CHUNK_BYTES of X-vectors at a time, and each function's bit is the
+        The X-vectors come from one `get_many`, as limb bytes; the AND matrix
+        is then taken FP_CHUNK_BYTES of X-vectors at a time, each chunk one
+        `b"".join` viewed as uint64 rows, and each function's bit is the
         popcount parity of its row's limbs XORed together.
         """
         Xs = self.provider.get_many(xs)
@@ -238,7 +256,7 @@ class GFamily:
         step = max(1, FP_CHUNK_BYTES // (8 * limbs))
         bits = np.empty((len(Xs), self.ell), dtype=np.uint8)
         for i in range(0, len(Xs), step):
-            X = _limb_matrix(Xs[i:i + step], limbs)
+            X = np.frombuffer(b"".join(Xs[i:i + step]), dtype="<u8").reshape(-1, limbs)
             for j in range(self.ell):
                 bits[i:i + step, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
         return bits

@@ -20,7 +20,7 @@ import random
 from typing import Iterable
 
 from .bitio import BitWriter
-from .core import FilterParams, FilterFactory, Representation
+from .core import FilterParams, FilterFactory, Representation, Stop
 from .permutation import PermKey, permute, permute_many, sample_key
 
 
@@ -42,10 +42,11 @@ class ShieldedRep(Representation):
         self.params.check_element(x)
         return self.inner.query(permute(self.key, x))
 
-    def _query_batch(self, xs: list[int]) -> list[bool]:
+    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
         """Permute the points in one batch, then answer them by the inner
-        batch: a bijection of the universe leaves every point inside it."""
-        return self.inner._query_batch(permute_many(self.key, xs))
+        batch: a bijection of the universe leaves every point inside it, and
+        keeps each point's index, which is all `stop` sees of it."""
+        return self.inner._query_batch(permute_many(self.key, xs), stop)
 
     def write(self, w: BitWriter) -> None:
         # the key, then the inner payload with no padding between

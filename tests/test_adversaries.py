@@ -26,6 +26,7 @@ from filterlab.core import (
 )
 from filterlab.experiments import GameConfig, build_filter, play_game
 from filterlab.hashing import split_seed
+from test_query_many import _state
 
 TOY = FilterParams(n=4, eps=2 ** -4, t=51200, u_bits=10)
 
@@ -70,6 +71,65 @@ def test_mutate_positives_respects_contract():
         tr = run_challenge(build_exact_set, MutatePositivesAttack(), None, p,
                            split_seed(8, i))
         assert not tr.success
+
+
+class ScalarMutatePositives:
+    """MutatePositivesAttack as one oracle query at a time: the reference its
+    speculative blocks must match draw for draw and query for query."""
+
+    def run(self, ctx):
+        params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
+        u = params.universe
+        if u <= params.t + params.n:
+            raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
+        positives = []
+        for _ in range(params.t):
+            if positives and rng.random() < 0.5:
+                x = rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
+            else:
+                x = rng.randrange(u)
+            if oracle.query(x) and x not in ctx.S:
+                positives.append(x)
+        if positives:
+            for _ in range(256):
+                x = rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
+                if x not in ctx.S and x not in oracle.queried:
+                    return x
+        return fresh_element(rng, u, ctx.S, oracle.queried)
+
+
+def _played(cfg, strategy, seed):
+    """The transcript of one game of cfg's filter against strategy, and the
+    filter it left behind."""
+    reps = []
+
+    def build(S, params, build_seed):
+        reps.append(build_filter(cfg, S, params, build_seed))
+        return reps[-1]
+
+    tr = run_challenge(build, strategy, None, cfg.params, seed)
+    return tr, reps[0]
+
+
+@pytest.mark.parametrize("kind,shielded,params", [
+    ("cuckoo_resilient", False, FilterParams(n=1024, eps=2 ** -2, t=4096, u_bits=13)),
+    ("cuckoo_resilient", True, FilterParams(n=1024, eps=2 ** -2, t=4096, u_bits=13)),
+    ("baseline_bloom", False, FilterParams(n=64, eps=2 ** -2, t=1000, u_bits=12)),
+])
+def test_mutate_positives_equals_the_scalar_loop(kind, shielded, params):
+    # shapes where non-member positives are frequent, so blocks stop, the
+    # RNG rewinds and the block size restarts many times in one game
+    cfg = GameConfig(kind, "mutate_positives", params, shielded=shielded)
+    positives = 0
+    for i in range(3):
+        seed = split_seed(21, i)
+        tr, rep = _played(cfg, MutatePositivesAttack(), seed)
+        ref, ref_rep = _played(cfg, ScalarMutatePositives(), seed)
+        assert tr == ref
+        assert _state(rep) == _state(ref_rep)
+        S = sample_set(params, random.Random(tr.seed_record["set"]))
+        positives += sum(y and x not in S for x, y in tr.queries)
+    assert positives >= 15
 
 
 def test_seed_exposed_white_box_wins_without_oracle_queries():

@@ -183,12 +183,18 @@ def _edge_points(w, rng, count):
 
 @pytest.mark.parametrize("w", WIDTHS)
 def test_get_many_matches_get_and_leaves_the_same_cache(w):
-    # w = 32/64: the numpy batch against the scalar chain of a query miss;
-    # both must leave the same entries, in the same order
+    # the cache holds each vector as its limb bytes: get_many hands them out
+    # and get reads one as an int.  At w = 32/64 the first batch is large
+    # enough for the numpy route, so it meets the scalar chain of a query
+    # miss; both must give equal vectors and leave the same entries, in the
+    # same order
     rng = random.Random(w)
     batch, single = XProvider(w, 5), XProvider(w, 5)
-    for points in (_edge_points(w, rng, 30), [], [rng.randrange(1 << w), 1, 0]):
-        assert batch.get_many(points) == [single.get(x) for x in points]
+    for points in (_edge_points(w, rng, gfamily.WIDE_BATCH_MIN), [],
+                   [rng.randrange(1 << w), 1, 0]):
+        vectors = batch.get_many(points)
+        assert all(len(v) == batch.nbytes for v in vectors)
+        assert [int.from_bytes(v, "little") for v in vectors] == [single.get(x) for x in points]
         assert list(batch._cache.items()) == list(single._cache.items())
 
 
@@ -235,7 +241,8 @@ def test_fingerprints_do_not_depend_on_the_chunk(monkeypatch):
 
 @pytest.mark.parametrize("w", [16, 32])
 def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
-    points = random.Random(w).sample(range(1 << 16), 40)
+    # 70 points: at w = 32 a batch below WIDE_BATCH_MIN would go point by point
+    points = random.Random(w).sample(range(1 << 16), 70)
     whole = XProvider(w, 5)._build_many(points)
     for name in ("FP_CHUNK_BYTES", "WIDE_CHUNK_BYTES"):
         monkeypatch.setattr(gfamily, name, 8 * 5 * 7)  # seven rows of m = 5 powers
@@ -247,8 +254,27 @@ def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
 
     monkeypatch.setattr(gf2, "odd_power_rows", counted)
     assert XProvider(w, 5)._build_many(points) == whole
-    assert passes == [7] * 5 + [5]
+    assert passes == [7] * 10
     assert whole == [XProvider(w, 5)._build(x) for x in points]
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_a_small_wide_batch_is_built_point_by_point(monkeypatch, w):
+    # below WIDE_BATCH_MIN points the byte-spread chain beats the numpy batch
+    points = _edge_points(w, random.Random(w), gfamily.WIDE_BATCH_MIN)
+    whole = XProvider(w, 5)._build_many(points)
+    passes, rows = [], gf2.odd_power_rows
+
+    def counted(xs, m, w):
+        passes.append(len(xs))
+        return rows(xs, m, w)
+
+    monkeypatch.setattr(gf2, "odd_power_rows", counted)
+    small = points[:gfamily.WIDE_BATCH_MIN - 1]
+    assert XProvider(w, 5)._build_many(small) == whole[:len(small)]
+    assert passes == []
+    assert XProvider(w, 5)._build_many(points) == whole
+    assert passes == [len(points)]
 
 
 def test_chi2_sf_reference_points():

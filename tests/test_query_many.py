@@ -4,14 +4,20 @@ Two filters are built from one seed; one answers each stream point by point
 through `query`, the other in one `query_many`.  The streams run one after
 the other on the same pair, so cursors carry from batch to batch, and after
 each stream the answers, the counters, the cursors, the per-function loads
-and the serialized payloads must be equal.
+and the serialized payloads must be equal.  A batch with a stop predicate
+is held to the loop that breaks right after the first answer holding it.
 """
 
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import filterlab
 from filterlab import FilterParams, GameConfig, run_challenge, sample_set
 from filterlab.adversaries import MutatePositivesAttack
 from filterlab.core import QueryBudgetExceeded, QueryOracle
@@ -58,6 +64,28 @@ def _streams(cfg: GameConfig, S: frozenset, seed: int) -> dict[str, list[int]]:
     }
 
 
+def _first_true(S, xs):
+    return lambda i, y: y
+
+
+def _first_nonmember_true(S, xs):  # MutatePositivesAttack's stop
+    return lambda i, y: y and xs[i] not in S
+
+
+STOPS = {"none": None, "first True": _first_true,
+         "first non-member True": _first_nonmember_true}
+
+
+def _loop(query, xs, stop=None):
+    """The scalar loop a batch with `stop` replaces."""
+    ys = []
+    for i, x in enumerate(xs):
+        ys.append(query(x))
+        if stop is not None and stop(i, ys[-1]):
+            break
+    return ys
+
+
 def _answers_until_error(query, xs):
     answers = []
     try:
@@ -71,14 +99,19 @@ def _answers_until_error(query, xs):
 @pytest.mark.parametrize("kind,shielded", CASES)
 @pytest.mark.parametrize("u_bits,eps", [(13, 2 ** -6), (13, 2 ** -17), (32, 2 ** -6),
                                         (32, 2 ** -17)])
-def test_query_many_equals_the_scalar_loop(kind, shielded, u_bits, eps):
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_query_many_equals_the_scalar_loop(kind, shielded, u_bits, eps, stop):
     # eps 2^-6 gives ell = 24 on the resilient cuckoo filter, 2^-17 gives 68
     params = _params(u_bits, eps)
     for seed in (1, 2):
         cfg, S, loop_rep, batch_rep = _pair(kind, shielded, params, 100 * u_bits + seed)
         for name, xs in _streams(cfg, S, seed).items():
-            assert batch_rep.query_many(xs) == [loop_rep.query(x) for x in xs], name
+            at = STOPS[stop] and STOPS[stop](S, xs)
+            ys = batch_rep.query_many(xs, at)
+            assert ys == _loop(loop_rep.query, xs, at), name
             assert _state(batch_rep) == _state(loop_rep), name
+            if stop == "first True" and True in ys:
+                assert len(ys) == ys.index(True) + 1
         inner = loop_rep.unshielded
         if isinstance(inner, CuckooFilterRep):  # the streams moved what they compare
             assert max(inner.participation) > 0
@@ -103,6 +136,28 @@ def test_a_batch_in_several_passes_equals_the_scalar_loop(monkeypatch, kind):
     rest = xs[301:]
     assert batch_rep.query_many(rest) == [loop_rep.query(x) for x in rest]
     assert _state(batch_rep) == _state(loop_rep)
+
+
+@pytest.mark.parametrize("kind", ["cuckoo_random_query", "cuckoo_resilient"])
+@pytest.mark.parametrize("at", [0, 6, 7, 13, 14, 20])
+def test_a_stop_across_passes_equals_the_scalar_loop(monkeypatch, kind, at):
+    # passes of 7 points: a stop on the first, the last or a middle point of
+    # a pass ends the batch there, and the points after it are never
+    # queried, so a point outside the universe among them raises nothing
+    monkeypatch.setattr(cuckoo, "QUERY_CHUNK", 7)
+    params = _params(13, 2 ** -6)
+    cfg, S, loop_rep, batch_rep = _pair(kind, False, params, 14)
+    xs = _streams(cfg, S, 15)["repeats"][:40]
+    xs[at + 2] = params.universe
+
+    def stop(i, y):
+        return i == at
+
+    assert batch_rep.query_many(xs, stop) == _loop(loop_rep.query, xs, stop)
+    assert loop_rep.query_count == at + 1
+    assert _state(batch_rep) == _state(loop_rep)
+    with pytest.raises(ValueError):  # without the stop it is reached
+        batch_rep.query_many(xs)
 
 
 @pytest.mark.parametrize("kind,shielded", CASES)
@@ -147,6 +202,42 @@ def test_oracle_batch_crossing_the_budget_records_the_prefix(kind, shielded):
     assert len(batch.queries) == 130
 
 
+@pytest.mark.parametrize("kind,shielded", CASES)
+def test_oracle_batch_stopped_records_the_answered_prefix(kind, shielded):
+    params = _params(13, 2 ** -6)
+    cfg, S, loop_rep, batch_rep = _pair(kind, shielded, params, 16)
+    rng = random.Random(17)
+    members = sorted(S)
+    xs = [rng.randrange(params.universe) for _ in range(40)] + members[:1] + [-1]
+    xs += [rng.randrange(params.universe) for _ in range(200)]  # past the budget
+
+    def stop(i, y):
+        return y
+
+    loop, batch = QueryOracle(loop_rep, 130), QueryOracle(batch_rep, 130)
+    ys = batch.query_many(xs, stop)  # a stop before the budget is no overrun
+    assert ys == _loop(loop.query, xs, stop)
+    assert len(ys) <= 41 and ys[-1] and not any(ys[:-1])
+    answered = xs[:len(ys)]
+    assert batch.queries == loop.queries == list(zip(answered, ys))
+    assert batch.queried == loop.queried == set(answered)
+    assert _state(batch_rep) == _state(loop_rep)
+
+    # a stop on the last point inside the budget ends the batch before the
+    # point that would cross it; without the stop the same batch raises
+    left = 130 - len(batch.queries)
+    xs = [rng.randrange(params.universe) for _ in range(left - 1)] + members[1:5]
+
+    def last(i, y):
+        return i == left - 1
+
+    assert batch.query_many(xs, last) == _loop(loop.query, xs, last)
+    assert batch.queries == loop.queries and len(batch.queries) == 130
+    assert _state(batch_rep) == _state(loop_rep)
+    with pytest.raises(QueryBudgetExceeded):
+        batch.query_many(xs, last)
+
+
 @pytest.mark.parametrize("kind", ["cuckoo_random_query", "cuckoo_resilient"])
 def test_points_on_two_empty_cells_equal_the_scalar_loop(kind):
     # no probe compares anything: every answer is no, no cursor moves and
@@ -165,3 +256,21 @@ def test_points_on_two_empty_cells_equal_the_scalar_loop(kind):
     assert batch_rep.query_many(xs) == [loop_rep.query(x) for x in xs] == [False] * 350
     assert _state(batch_rep) == _state(loop_rep)
     assert _state(batch_rep)[:4] == (before[0], before[1] + 350, *before[2:4])
+
+
+def test_a_batched_game_leaves_numpy_ma_unimported():
+    # `np.unique` can import numpy.ma (with numpy 2.4 it does on an index
+    # array), some 2 MB of resident memory; the batch path dedups by a dict
+    code = (
+        "import sys\n"
+        "from filterlab import FilterParams, GameConfig\n"
+        "from filterlab.experiments import play_game\n"
+        "p = FilterParams(n=1024, eps=2 ** -6, t=64, u_bits=32)\n"
+        "cfg = GameConfig('cuckoo_resilient', 'mutate_positives', p, shielded=True)\n"
+        "assert len(play_game(cfg, 1).queries) == 64\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(filterlab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
