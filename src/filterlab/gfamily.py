@@ -156,6 +156,9 @@ class XProvider:
         costs per product, the byte-spread chain of `gf2.packed_odd_powers`."""
         if self._keep:
             return self._build_many([x])[0]
+        return self._build_wide(x)
+
+    def _build_wide(self, x: int) -> bytes:
         v = gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
         return v.to_bytes(self.nbytes, "little")
 
@@ -165,7 +168,7 @@ class XProvider:
         hold [len(xs), m] temporaries.  At w = 32/64 a batch below
         WIDE_BATCH_MIN points is built point by point, as `_build` does."""
         if not self._keep and len(xs) < WIDE_BATCH_MIN:
-            return [self._build(x) for x in xs]
+            return [self._build_wide(x) for x in xs]
         for x in xs:
             self._check(x)
         nbytes = FP_CHUNK_BYTES if self._keep else WIDE_CHUNK_BYTES
