@@ -15,6 +15,7 @@ import math
 import random
 
 from .core import AdversaryContext, Representation, minimal_error, stopped
+from .hashing import randbelow_many
 
 EXHAUSTIVE_LIMIT = 1 << 16  # universes up to this size are swept exactly
 CANDIDATE_CAP = 1_000_000  # most draws a consistency search makes for a model positive
@@ -29,9 +30,12 @@ class InconsistentOracleError(RuntimeError):
 
 
 def fresh_element(rng: random.Random, universe: int, *excluded: set[int] | frozenset[int]) -> int:
-    """Uniform element avoiding the excluded sets (rejection sampling)."""
-    total_excluded = sum(len(e) for e in excluded)
-    if universe <= total_excluded:
+    """Uniform element avoiding the excluded sets (rejection sampling).
+
+    Raises SamplingError, before any draw, when the union of the excluded
+    sets covers the universe."""
+    if (universe <= sum(len(e) for e in excluded)
+            and universe <= len(set().union(*excluded))):
         raise SamplingError("universe exhausted: no fresh element can exist")
     for _ in range(100_000):
         x = rng.randrange(universe)
@@ -54,7 +58,7 @@ class RandomProbeAttack:
         u = params.universe
         if u <= params.t + params.n:
             raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
-        oracle.query_many([rng.randrange(u) for _ in range(params.t)])
+        oracle.query_many(randbelow_many(rng, u, params.t))
         return fresh_element(rng, u, ctx.S, oracle.queried)
 
 
@@ -72,6 +76,9 @@ class MutatePositivesAttack:
     is restored and the answered prefix drawn again, so every draw and
     every query is the one the query-by-query loop makes.  The first block
     is the whole budget, the one batch a game without positives needs.
+    While there is no positive every draw is `randrange(u)`, so a block and
+    the redraw of an answered prefix come from `randbelow_many`; once a
+    positive exists the blocks draw point by point.
     After a stop the blocks restart at RESTART points and double, so the
     points drawn past the next stop, work thrown away, number at most
     RESTART plus the queries answered since this one.
@@ -86,10 +93,15 @@ class MutatePositivesAttack:
             raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
         positives: list[int] = []
 
-        def draw() -> int:
-            if positives and rng.random() < 0.5:
+        def draw() -> int:  # once a positive exists
+            if rng.random() < 0.5:
                 return rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
             return rng.randrange(u)
+
+        def draws(count: int) -> list[int]:
+            if positives:
+                return [draw() for _ in range(count)]
+            return randbelow_many(rng, u, count)
 
         def new_positive(i: int, y: bool) -> bool:  # on the block in flight
             return y and xs[i] not in S
@@ -97,15 +109,14 @@ class MutatePositivesAttack:
         left = block = params.t
         while left:
             state = rng.getstate()
-            xs = [draw() for _ in range(min(block, left))]
+            xs = draws(min(block, left))
             ys = oracle.query_many(xs, new_positive)
             left -= len(ys)
             block *= 2
             if stopped(ys, new_positive):  # the draws after it change
                 if len(ys) < len(xs):
                     rng.setstate(state)
-                    for _ in ys:
-                        draw()
+                    draws(len(ys))
                 positives.append(xs[len(ys) - 1])
                 block = self.RESTART
         if positives:
@@ -185,7 +196,7 @@ class ConsistencySearchAttack:
 
         budget = math.ceil(self.c * m / eps0)
         samples_wanted = min(oracle.budget, budget, 2 * u)
-        xs = [rng.randrange(u) for _ in range(samples_wanted)]
+        xs = randbelow_many(rng, u, samples_wanted)
         labels = list(zip(xs, oracle.query_many(xs)))
 
         chosen = enum.first_consistent(labels)
@@ -219,7 +230,7 @@ def _estimate_points(u: int, sample_count: int, rng: random.Random | None) -> li
         return list(range(u))
     if rng is None:
         rng = random.Random(0)
-    return [rng.randrange(u) for _ in range(sample_count)]
+    return randbelow_many(rng, u, sample_count)
 
 
 def err_estimate(rep_a: Representation, rep_b: Representation,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
 from .bitio import BitWriter
-from .hashing import split_seed
+from .hashing import randbelow_many, split_seed
 
 SEED_BITS = 64  # size at which per-representation hash seeds are accounted
 
@@ -148,10 +148,13 @@ def sample_set(params: FilterParams, rng: random.Random) -> frozenset[int]:
 
     Makes the draws of `random.sample`'s set branch, the one it takes for
     every universe above 12n + 21, and works where `range(u)` overflows.
+    The draws come in rounds of `randbelow_many`, one per point still
+    missing, added in order: a round can fill S only on its last draw, so
+    S and the RNG end as the draw-by-draw loop leaves them.
     """
     S: set[int] = set()
     while len(S) < params.n:
-        S.add(rng.randrange(params.universe))
+        S.update(randbelow_many(rng, params.universe, params.n - len(S)))
     return frozenset(S)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from functools import partial
 
@@ -6,6 +7,7 @@ import pytest
 
 from filterlab import FilterParams, build_bloom, build_exact_set, sample_set
 from filterlab.adversaries import (
+    CANDIDATE_CAP,
     ConsistencySearchAttack,
     InconsistentOracleError,
     MutatePositivesAttack,
@@ -59,6 +61,15 @@ def test_fresh_element_avoids_exclusions():
         fresh_element(rng, 4, {0, 1}, {2, 3})
 
 
+def test_fresh_element_counts_overlapping_exclusions_once():
+    # 4 + 12 excluded points cover only 0..11 of 16: 12..15 are fresh
+    rng = random.Random(1)
+    for _ in range(50):
+        assert fresh_element(rng, 16, frozenset(range(4)), set(range(12))) in range(12, 16)
+    with pytest.raises(SamplingError):
+        fresh_element(rng, 16, frozenset(range(8)), set(range(4, 16)))
+
+
 def test_mutate_positives_respects_contract():
     p = FilterParams(n=16, eps=2 ** -3, t=64, u_bits=12)
     for i in range(20):
@@ -98,6 +109,43 @@ class ScalarMutatePositives:
         return fresh_element(rng, u, ctx.S, oracle.queried)
 
 
+class ScalarRandomProbe:
+    """RandomProbeAttack drawing its t queries one `randrange` at a time."""
+
+    def run(self, ctx):
+        params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
+        u = params.universe
+        if u <= params.t + params.n:
+            raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
+        oracle.query_many([rng.randrange(u) for _ in range(params.t)])
+        return fresh_element(rng, u, ctx.S, oracle.queried)
+
+
+class ScalarConsistencySearch(ConsistencySearchAttack):
+    """ConsistencySearchAttack drawing its label sample one `randrange` at a
+    time."""
+
+    def run(self, ctx):
+        params, rng, oracle, enum = ctx.params, ctx.rng, ctx.oracle, ctx.enumerator
+        u = params.universe
+        eps0 = minimal_error(enum.memory_bits, params.n)
+        budget = math.ceil(self.c * enum.memory_bits / eps0)
+        xs = [rng.randrange(u) for _ in range(min(oracle.budget, budget, 2 * u))]
+        labels = list(zip(xs, oracle.query_many(xs)))
+        chosen = self.last_consistent_rep = enum.first_consistent(labels)
+        if chosen is None:
+            if self.strict:
+                raise InconsistentOracleError("no consistent representation")
+            return fresh_element(rng, u, ctx.S, oracle.queried)
+        for _ in range(min(math.ceil(100.0 / eps0), CANDIDATE_CAP)):
+            x = rng.randrange(u)
+            if x in ctx.S or x in oracle.queried:
+                continue
+            if enum.model_query(chosen, x):
+                return x
+        return fresh_element(rng, u, ctx.S, oracle.queried)
+
+
 def _played(cfg, strategy, seed):
     """The transcript of one game of cfg's filter against strategy, and the
     filter it left behind."""
@@ -107,7 +155,7 @@ def _played(cfg, strategy, seed):
         reps.append(build_filter(cfg, S, params, build_seed))
         return reps[-1]
 
-    tr = run_challenge(build, strategy, None, cfg.params, seed)
+    tr = run_challenge(build, strategy, None, cfg.params, seed, expose=cfg.expose)
     return tr, reps[0]
 
 
@@ -115,6 +163,7 @@ def _played(cfg, strategy, seed):
     ("cuckoo_resilient", False, FilterParams(n=1024, eps=2 ** -2, t=4096, u_bits=13)),
     ("cuckoo_resilient", True, FilterParams(n=1024, eps=2 ** -2, t=4096, u_bits=13)),
     ("baseline_bloom", False, FilterParams(n=64, eps=2 ** -2, t=1000, u_bits=12)),
+    ("cuckoo_resilient", False, FilterParams(n=1024, eps=2 ** -2, t=1024, u_bits=32)),
 ])
 def test_mutate_positives_equals_the_scalar_loop(kind, shielded, params):
     # shapes where non-member positives are frequent, so blocks stop, the
@@ -130,6 +179,37 @@ def test_mutate_positives_equals_the_scalar_loop(kind, shielded, params):
         S = sample_set(params, random.Random(tr.seed_record["set"]))
         positives += sum(y and x not in S for x, y in tr.queries)
     assert positives >= 15
+
+
+U13 = FilterParams(n=1024, eps=2 ** -6, t=4096, u_bits=13)
+U32 = FilterParams(n=1024, eps=2 ** -6, t=64, u_bits=32)
+
+
+@pytest.mark.parametrize("shielded", [False, True])
+@pytest.mark.parametrize("params", [U13, U32], ids=["u13", "u32"])
+def test_random_probe_equals_the_scalar_draws(params, shielded):
+    cfg = GameConfig("cuckoo_resilient", "random_probe", params, shielded=shielded)
+    for i in range(2):
+        seed = split_seed(23, i)
+        tr, rep = _played(cfg, RandomProbeAttack(), seed)
+        ref, ref_rep = _played(cfg, ScalarRandomProbe(), seed)
+        assert tr == ref
+        assert _state(rep) == _state(ref_rep)
+
+
+@pytest.mark.parametrize("shielded", [False, True])
+def test_consistency_search_equals_the_scalar_draws(shielded):
+    cfg = GameConfig("baseline_bloom", "consistency_search", TOY, shielded=shielded,
+                     bloom_bits=16, expose="structure")
+    for i in range(4):
+        seed = split_seed(24, i)
+        attack = ConsistencySearchAttack(strict=not shielded)
+        ref_attack = ScalarConsistencySearch(strict=not shielded)
+        tr, rep = _played(cfg, attack, seed)
+        ref, ref_rep = _played(cfg, ref_attack, seed)
+        assert tr == ref
+        assert attack.last_consistent_rep == ref_attack.last_consistent_rep
+        assert _state(rep) == _state(ref_rep)
 
 
 def test_seed_exposed_white_box_wins_without_oracle_queries():

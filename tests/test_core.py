@@ -16,6 +16,7 @@ from filterlab import (
 from filterlab.adversaries import RandomProbeAttack
 from filterlab.bitio import BitReader, BitWriter
 from filterlab.core import GameTranscript, ParamError
+from filterlab.hashing import DRAW_BATCH_MIN, randbelow_many
 
 
 def test_minimal_error_examples():
@@ -85,6 +86,31 @@ def test_sample_set_wide_universes(u_bits):
     assert S == sample_set(p, random.Random(4))
     if u_bits < 63:
         assert S == frozenset(random.Random(4).sample(range(2 ** u_bits), 50))
+
+
+@pytest.mark.parametrize("n", [2 ** b for b in (0, 1, 10, 13, 16, 31, 32, 33, 63, 64)]
+                         + [3, 1000, 2 ** 32 + 1, 2 ** 63 + 5])
+@pytest.mark.parametrize("count", [0, 1, DRAW_BATCH_MIN - 1, DRAW_BATCH_MIN, 4096])
+def test_randbelow_many_equals_randrange(n, count):
+    # values and generator state exactly as the randrange loop leaves them:
+    # one 32-bit word per draw up to n < 2^32, two up to n < 2^64, the loop
+    # itself above, and a rejection rate of up to a half at n = 2^b
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert randbelow_many(rng, n, count) == [ref.randrange(n) for _ in range(count)]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_sample_set_equals_the_draw_by_draw_loop():
+    # n = 400 of 1,024 points: duplicates force several top-up rounds
+    p = FilterParams(n=400, eps=0.1, t=10, u_bits=10)
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        S: set[int] = set()
+        while len(S) < p.n:
+            S.add(ref.randrange(p.universe))
+        assert sample_set(p, rng) == frozenset(S)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("key,kwargs", [
