@@ -4,6 +4,10 @@ The non-resilient baseline: k_h keyed index hashes into an m-bit array.
 Index seeds are secret by default; debug exposure policies hand out the
 space of arrays under the hash structure (for representation-space search
 attacks) or the full state (for white-box search attacks).
+
+The array is m bytes, byte p being 1 when position p is set: x sets
+mix64(seed, x) % m under each seed (`positions`).  Only the payload packs
+it, to m bits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ def index_count(m: int, n: int) -> int:
     return max(1, round(math.log(2) * m / n))
 
 
+def positions(seeds: tuple[int, ...], xs: list[int] | np.ndarray, m: int) -> np.ndarray:
+    """mix64(seed, x) % m for every seed and x: a uint64 [len(seeds), len(xs)]
+    array, row i for seeds[i]."""
+    return mix64_many(np.array(seeds, dtype=np.uint64)[:, None],
+                      np.asarray(xs, dtype=np.uint64)) % np.uint64(m)
+
+
 def position_masks(m: int, seeds: tuple[int, ...], u_bits: int) -> np.ndarray:
     """Per-element OR-mask of index bits over the whole universe (uint64).
 
@@ -41,10 +52,7 @@ def position_masks(m: int, seeds: tuple[int, ...], u_bits: int) -> np.ndarray:
     if m > 64:
         raise ValueError("position masks need m <= 64")
     xs = np.arange(1 << u_bits, dtype=np.uint64)
-    masks = np.zeros_like(xs)
-    for s in seeds:
-        masks |= np.uint64(1) << (mix64_many(s, xs) % np.uint64(m))
-    return masks
+    return np.bitwise_or.reduce(np.uint64(1) << positions(seeds, xs, m), axis=0)
 
 
 class BloomRepSpace:
@@ -100,10 +108,9 @@ class BloomRepSpace:
 class BloomFilterRep(Representation):
     kind = "steady"
 
-    def __init__(self, params: FilterParams, m: int, seeds: tuple[int, ...],
-                 array: bytearray):
+    def __init__(self, params: FilterParams, seeds: tuple[int, ...], array: bytearray):
         self.params = params
-        self.m = m
+        self.m = len(array)
         self.seeds = seeds
         self.k_h = len(seeds)
         self.array = array
@@ -113,33 +120,20 @@ class BloomFilterRep(Representation):
         # seeds are secret state, so they count
         return self.m + self.k_h * SEED_BITS
 
-    def _get(self, pos: int) -> int:
-        return (self.array[pos >> 3] >> (pos & 7)) & 1
-
-    def _set(self, pos: int) -> None:
-        self.array[pos >> 3] |= 1 << (pos & 7)
-
     def query(self, x: int) -> bool:
         self.params.check_element(x)
-        m = self.m
-        arr = self.array
+        m, arr = self.m, self.array
         for s in self.seeds:
-            p = mix64(s, x) % m
-            if not (arr[p >> 3] >> (p & 7)) & 1:
+            if not arr[mix64(s, x) % m]:
                 return False
         return True
 
     def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
-        """`query` for every x: each seed's positions by `mix64_many`, then
-        one gather from the array.  A query changes nothing here, so a stop
-        only cuts the answers."""
-        xs = np.array(xs, dtype=np.uint64)
+        """`query` for every x: every position by `positions`, then one
+        gather from the array.  A query changes nothing here, so a stop only
+        cuts the answers."""
         arr = np.frombuffer(self.array, dtype=np.uint8)
-        hit = np.ones(len(xs), dtype=bool)
-        for s in self.seeds:
-            p = mix64_many(s, xs) % np.uint64(self.m)
-            hit &= (arr[p >> 3] >> (p & 7)) & 1 == 1
-        ys = hit.tolist()
+        ys = arr[positions(self.seeds, xs, self.m)].all(axis=0).tolist()
         if stop is not None:
             end = next((i + 1 for i, y in enumerate(ys) if stop(i, y)), len(ys))
             del ys[end:]
@@ -153,20 +147,16 @@ class BloomFilterRep(Representation):
     def write(self, w: BitWriter) -> None:
         for s in self.seeds:
             w.write(s, SEED_BITS)
-        for pos in range(self.m):
-            w.write(self._get(pos), 1)
+        for b in self.array:  # BitWriter refuses a byte above 1
+            w.write(b, 1)
 
     @classmethod
-    def deserialize(cls, params: FilterParams, m: int, k_h: int,
-                    data: bytes, bit_length: int) -> "BloomFilterRep":
+    def deserialize(cls, params: FilterParams, m: int, data: bytes,
+                    bit_length: int) -> "BloomFilterRep":
+        """The filter `write` wrote, with the k_h of `build_bloom` at m."""
         r = BitReader(data, bit_length)
-        seeds = tuple(r.read(SEED_BITS) for _ in range(k_h))
-        array = bytearray((m + 7) // 8)
-        rep = cls(params, m, seeds, array)
-        for pos in range(m):
-            if r.read(1):
-                rep._set(pos)
-        return rep
+        seeds = tuple(r.read(SEED_BITS) for _ in range(index_count(m, params.n)))
+        return cls(params, seeds, bytearray(r.read(1) for _ in range(m)))
 
 
 def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
@@ -180,10 +170,6 @@ def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
     rng = random.Random(rng_seed)
     k_h = index_count(m, params.n)
     seeds = tuple(rng.getrandbits(SEED_BITS) for _ in range(k_h))
-    # every member under every seed in one pass: row i is seed i's positions
-    positions = mix64_many(np.array(seeds, dtype=np.uint64)[:, None],
-                           np.array(xs, dtype=np.uint64))
-    hit = np.zeros(m, dtype=bool)
-    hit[positions % np.uint64(m)] = True
-    array = bytearray(np.packbits(hit, bitorder="little").tobytes())
-    return BloomFilterRep(params, m, seeds, array)
+    array = bytearray(m)
+    np.frombuffer(array, dtype=np.uint8)[positions(seeds, xs, m)] = 1
+    return BloomFilterRep(params, seeds, array)

@@ -5,7 +5,7 @@ Subcommands:
   selftest      run the acceptance criteria, write a report
   audit-memory  build one filter and print its exact bit accounting
 
-Exit codes: 0 success, 1 criterion/experiment failure, 2 config error.
+Exit codes: 0 success, 1 criterion/experiment failure, 2 bad input.
 The FILTERLAB_SEED environment variable overrides the default master seed.
 """
 
@@ -266,6 +266,19 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _out_path(raw: str) -> str:
+    """raw, once an open for append shows that it can be written before
+    anything runs: that truncates nothing, and a file it creates is removed."""
+    existed = os.path.lexists(raw)
+    try:
+        open(raw, "a").close()
+    except OSError as e:
+        raise argparse.ArgumentTypeError(f"cannot write {raw}: {e.strerror}") from None
+    if not existed:
+        os.remove(raw)
+    return raw
+
+
 def _criteria(raw: str) -> list[int]:
     try:
         numbers = sorted(int(x) for x in raw.split(","))
@@ -289,14 +302,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_exp = sub.add_parser("experiment", help="run a configured campaign")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--out", required=True)
+    p_exp.add_argument("--out", required=True, type=_out_path)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_exp.add_argument("--seed", type=_seed, default=None)
     p_exp.add_argument("--parallel", type=_positive_int, default=1)
     p_exp.set_defaults(fn=cmd_experiment)
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
-    p_self.add_argument("--out", default=None)
+    p_self.add_argument("--out", type=_out_path, default=None)
     p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated criterion numbers (default all)")
     p_self.add_argument("--seed", type=_seed, default=None)

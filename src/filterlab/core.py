@@ -71,7 +71,7 @@ class FilterParams:
         if self.t < 0:
             raise ParamError("t", "t must be >= 0")
         if self.u_bits < math.ceil(math.log2(self.n)) + 1:
-            raise ParamError("u_bits", "u_bits too small: universe must exceed 2n")
+            raise ParamError("u_bits", "u_bits too small: universe must hold at least 2n points")
         if self.u_bits > 64:
             raise ParamError("u_bits", "u_bits must be <= 64, the widest supported field")
         if self.lambda_bits < 1:

@@ -15,9 +15,10 @@ comparisons, so each lookup touches only a constant number of the g_j and
 the per-function query load stays below the independence budget k even
 against adaptive adversaries.  Cursor state never changes an answer, only
 where comparison work lands; answers depend on fingerprint equality alone.
-The load of every g_j, the number of queries it was compared in, is always
-counted in `participation`: a bit is evaluated once per query, the first
-time either probe compares it, and that is where its function's count rises.
+`participation[j]`, the load of g_j, counts the queries in which either
+probe compared bit j: once per query, members and repeated points included.
+The bound of at most k per g_j is the resilient variant's alone; the
+random-query variant has k = n and no cursors.
 
 The random-query variant uses ell = 2*ceil(log2(1/eps)), k = n, and
 compares always from bit 0 (cursors disabled and excluded from the memory
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -60,8 +62,8 @@ from .hashing import mix64, mix64_many
 
 REBUILD_LIMIT = 20
 
-# Queries per pass of a batch: a pass holds a byte per fingerprint bit
-# and per load bit of each of its queries, so a larger batch goes in passes.
+# Queries per pass of a batch: a pass holds a byte per fingerprint bit of
+# each of its queries, so a larger batch goes in passes.
 QUERY_CHUNK = 1 << 14
 
 
@@ -75,14 +77,6 @@ def max_kicks(n: int) -> int:
 
 def cursor_bits(ell: int) -> int:
     return max(1, (ell - 1).bit_length())
-
-
-def _bit_rows(values: list[int], ell: int) -> np.ndarray:
-    """Bit j of values[i] at [i, j]: a uint8 [len(values), ell] array."""
-    nb = (ell + 7) // 8
-    data = b"".join(v.to_bytes(nb, "little") for v in values)
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(values), nb)
-    return np.unpackbits(rows, axis=1, count=ell, bitorder="little")
 
 
 class CuckooFilterRep(Representation):
@@ -195,8 +189,10 @@ class CuckooFilterRep(Representation):
             answers.append(hit)
             if stop is not None and stop(start + len(answers) - 1, hit):
                 break
-        for g, load in enumerate(_bit_rows(loads, ell).sum(axis=0).tolist()):
-            self.participation[g] += load
+        for load, times in Counter(loads).items():  # few distinct masks
+            while load:  # each set bit, lowest first
+                self.participation[(load & -load).bit_length() - 1] += times
+                load &= load - 1
         self.bit_comparisons += count
         self.query_count += len(answers)
         return answers

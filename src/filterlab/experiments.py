@@ -141,11 +141,10 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
     rep = build_filter(cfg, S, cfg.params, split_seed(master_seed, 0, 2))
     u = cfg.params.universe
     inner = rep.unshielded  # a shield counts nothing itself
-    before = getattr(inner, "bit_comparisons", 0)
     hits = sum(rep.query_many([adversaries.fresh_element(rng, u, S) for _ in range(samples)]))
     mean_cmp = None
-    if isinstance(inner, cuckoo.CuckooFilterRep):
-        mean_cmp = (inner.bit_comparisons - before) / samples
+    if isinstance(inner, cuckoo.CuckooFilterRep):  # fresh: these are its only queries
+        mean_cmp = inner.bit_comparisons / samples
     return hits / samples, rep.bits, mean_cmp
 
 

@@ -58,6 +58,20 @@ def test_selftest_detects_corrupted_build(monkeypatch):
     assert not res.passed
 
 
+def test_selftest_detects_a_degenerate_family_on_the_batch_path(monkeypatch):
+    # fault injection through the path criterion 7 really runs: a family
+    # whose every fingerprint is 0 makes every probe of a full cell a full
+    # match, about 2 * (n / 2r) * ell = 21.8 comparisons per query
+    from filterlab.cuckoo import CuckooFilterRep
+
+    monkeypatch.setattr(gfamily.GFamily, "fingerprints", lambda self, xs: [0] * len(xs))
+    monkeypatch.setattr(CuckooFilterRep, "query", None)  # no scalar fallback
+    monkeypatch.setattr(acceptance, "C7_SAMPLES", 3000)
+    res = acceptance.criterion_7(seed=123)
+    assert res.measured == "mean=21.4480"
+    assert not res.passed
+
+
 def test_independence_criterion_detects_even_powers(monkeypatch):
     # fault injection: point vectors of even powers (x^2, x^4, ...) are
     # GF(2)-linear in x, so four points a, b, c, a^b^c give dependent bits

@@ -444,7 +444,7 @@ def test_err_estimate_identity_and_extremes():
 
     zero = build_bloom([], p, 22, m=64)
     ones = build_bloom([], p, 22, m=64)
-    ones.array[:] = bytes([0xFF]) * len(ones.array)
+    ones.array[:] = bytes([1]) * len(ones.array)
     assert err_estimate(zero, ones) == 1.0
 
 
@@ -455,7 +455,7 @@ def test_mu_estimate_extremes_and_exact_set():
     assert mu_estimate(exact) == 16 / 1024
 
     ones = build_bloom([], p, 24, m=64)
-    ones.array[:] = bytes([0xFF]) * len(ones.array)
+    ones.array[:] = bytes([1]) * len(ones.array)
     assert mu_estimate(ones) == 1.0
 
 

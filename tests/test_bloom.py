@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from filterlab import FilterParams, build_bloom, sample_set
+from filterlab import FilterParams, build_bloom, build_shield, sample_set
 from filterlab.bloom import (
     BloomFilterRep,
     BloomRepSpace,
@@ -37,16 +38,16 @@ def test_elements_outside_the_universe_rejected():
 
 @pytest.mark.parametrize("n, u_bits", [(4, 10), (300, 32), (50, 64)])
 def test_build_sets_exactly_the_scalar_positions(n, u_bits):
-    # the batch hash of every member under every seed against `mix64` and
-    # `_set`, member by member
+    # the batch hash of every member under every seed against `mix64`,
+    # member by member
     p = FilterParams(n=n, eps=2 ** -5, t=0, u_bits=u_bits)
     S = sample_set(p, random.Random(n))
     rep = build_bloom(S, p, rng_seed=u_bits)
-    ref = BloomFilterRep(p, rep.m, rep.seeds, bytearray((rep.m + 7) // 8))
+    ref = bytearray(rep.m)
     for x in S:
         for s in rep.seeds:
-            ref._set(mix64(s, x) % rep.m)
-    assert rep.array == ref.array
+            ref[mix64(s, x) % rep.m] = 1
+    assert rep.array == ref
 
 
 def test_members_always_positive():
@@ -85,7 +86,7 @@ def test_fp_rate_standard_sizing_example():
 def test_fp_rate_tracks_occupancy_expectation():
     S = sample_set(PARAMS, random.Random(8))
     rep = build_bloom(S, PARAMS, rng_seed=9)
-    ones = sum(rep._get(i) for i in range(rep.m))
+    ones = sum(rep.array)
     expected = (ones / rep.m) ** rep.k_h
     rng = random.Random(10)
     samples = 30_000
@@ -100,7 +101,7 @@ def test_fp_rate_tracks_occupancy_expectation():
 
 def test_saturated_array_answers_true_everywhere():
     rep = build_bloom([1, 2, 3], PARAMS, rng_seed=11, m=64)
-    rep.array[:] = bytes([0xFF]) * len(rep.array)
+    rep.array[:] = bytes([1]) * len(rep.array)
     assert all(rep.query(x) for x in (0, 5, 17, 2 ** 31, PARAMS.universe - 1))
 
 
@@ -133,11 +134,41 @@ def test_bits_accounting_and_roundtrip():
     assert rep.bits == rep.m + rep.k_h * 64
     data, bits = rep.serialize()
     assert bits == rep.bits
-    back = BloomFilterRep.deserialize(PARAMS, rep.m, rep.k_h, data, bits)
+    back = BloomFilterRep.deserialize(PARAMS, rep.m, data, bits)
+    assert (back.seeds, back.array) == (rep.seeds, rep.array)
     rng = random.Random(19)
     for _ in range(2000):
         x = rng.randrange(PARAMS.universe)
         assert back.query(x) == rep.query(x)
+
+
+# SHA-256 over (bit length, payload) of the builds below: how the array is
+# held in memory must not change a payload bit
+PAYLOAD_SHA = "b4798c07b1207f1017faafa36051687699ee9174703d7a224f3b685853a59074"
+
+
+def test_payloads_are_pinned():
+    toy = FilterParams(n=4, eps=2 ** -4, t=51200, u_bits=10)
+    calibration = FilterParams(n=1000, eps=2 ** -6, t=0, u_bits=32)
+    shielded = FilterParams(n=100, eps=2 ** -5, t=50, u_bits=16)
+    reps = [
+        build_bloom(sample_set(toy, random.Random(1)), toy, 2, m=16),
+        build_bloom(sample_set(calibration, random.Random(3)), calibration, 4),
+        build_shield(build_bloom, sample_set(shielded, random.Random(5)), shielded, 6),
+    ]
+    h = hashlib.sha256()
+    for rep in reps:
+        data, bits = rep.serialize()
+        assert bits == rep.bits
+        h.update(bits.to_bytes(8, "big") + data)
+    assert h.hexdigest() == PAYLOAD_SHA
+
+
+def test_a_corrupt_array_does_not_serialize():
+    rep = build_bloom([1, 2, 3], PARAMS, rng_seed=11, m=64)
+    rep.array[5] = 2
+    with pytest.raises(ValueError, match="does not fit in 1 bits"):
+        rep.serialize()
 
 
 def test_enumerator_only_at_toy_scale():
@@ -146,7 +177,7 @@ def test_enumerator_only_at_toy_scale():
     space = rep.rep_space_enumerator()
     assert space is not None and space.memory_bits == 16
     # the true array appears in the space and models the filter exactly
-    rep_id = int.from_bytes(rep.array, "little") & 0xFFFF
+    rep_id = sum(b << p for p, b in enumerate(rep.array))
     assert all(space.model_query(rep_id, x) == rep.query(x) for x in range(1024))
     big = build_bloom([1, 2], PARAMS, rng_seed=22)
     assert big.rep_space_enumerator() is None

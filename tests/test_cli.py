@@ -1,10 +1,11 @@
+import argparse
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from filterlab.cli import ConfigError, config_to_campaign, main, parse_config
+from filterlab.cli import ConfigError, _out_path, config_to_campaign, main, parse_config
 from filterlab.experiments import FILTERS, RESULT_COLUMNS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -251,6 +252,30 @@ def test_duplicate_key_reported_with_both_lines(tmp_path, capsys):
 def test_shipped_configs_parse(config):
     cfg, trials, seed, _ = config_to_campaign(str(CONFIGS / config))
     assert trials >= 1 and seed == 7
+
+
+@pytest.mark.parametrize("command", ["experiment", "selftest"])
+def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, command):
+    out = str(tmp_path / "absent_dir" / "out.txt")
+    argv = (["selftest", "--criteria", "9"] if command == "selftest" else
+            ["experiment", "--config", _write(tmp_path, BASIC_CONFIG)])
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", out])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--out: cannot write {out}: No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert "criterion" not in captured.out and "record" not in captured.out
+
+
+def test_out_check_truncates_nothing_and_leaves_nothing(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("kept\n")
+    assert _out_path(str(kept)) == str(kept) and kept.read_text() == "kept\n"
+    assert _out_path(str(tmp_path / "new.csv")) == str(tmp_path / "new.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+    with pytest.raises(argparse.ArgumentTypeError, match="Is a directory"):
+        _out_path(str(tmp_path))
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -124,6 +124,14 @@ def test_param_errors_name_their_key(key, kwargs):
     assert err.value.key == key
 
 
+def test_universe_rule_at_its_boundary():
+    # 2^u_bits >= 2n: n=4 fits 8 points exactly, n=5 does not
+    assert FilterParams(n=4, eps=0.5, t=1, u_bits=3).universe == 8
+    with pytest.raises(ParamError, match="must hold at least 2n points") as err:
+        FilterParams(n=5, eps=0.5, t=1, u_bits=3)
+    assert err.value.key == "u_bits"
+
+
 class _EchoMember:
     """Degenerate adversary: outputs a member (must always lose)."""
 

@@ -277,9 +277,10 @@ def test_golden_streams_are_unchanged():
     assert h.hexdigest() == GOLDEN_DIGEST
 
 
-def test_serialize_roundtrip_preserves_answers_and_cursors():
+@pytest.mark.parametrize("build", [build_cuckoo, build_cuckoo_random_query])
+def test_serialize_roundtrip_preserves_answers_and_cursors(build):
     S = sample_set(SMALL, random.Random(24))
-    rep = build_cuckoo(S, SMALL, rng_seed=25)
+    rep = build(S, SMALL, rng_seed=25)
     rng = random.Random(26)
     for _ in range(200):
         rep.query(rng.randrange(SMALL.universe))

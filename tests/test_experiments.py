@@ -1,6 +1,10 @@
+import importlib
 import random
 import re
+import runpy
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -218,3 +222,21 @@ def test_measure_fp_rate_exact_set_is_zero():
     assert rate == 0.0
     assert bits == P_SMALL.n * P_SMALL.u_bits
     assert mean_cmp is None
+
+
+# hooks the benchmark tracer names but the program no longer has
+STALE_HOOKS = {"shield.ShieldedRep.rep_space_enumerator", "gfamily.GFamily.fingerprint"}
+
+
+def test_every_benchmark_hook_resolves():
+    # the tracer silently skips a hook it cannot find, so a refactor that
+    # drops a traced name would only show as a layer reading 0; run_path
+    # reads the tracer's source and writes nothing beside it
+    tracing = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                                 / "benchmarks" / "tracing.py"))
+    hooks = tracing["HOOKS"]
+    lab = SimpleNamespace(**{m: importlib.import_module(f"filterlab.{m}")
+                             for _, m, _ in hooks})
+    missing = {f"{m}.{path}" for _, m, path in hooks
+               if tracing["_resolve"](lab, m, path) is None}
+    assert missing <= STALE_HOOKS
