@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from .core import AdversaryContext, Representation, minimal_error, stopped
+from .core import AdversaryContext, FilterParams, Representation, minimal_error, stopped
 from .hashing import randbelow_many
 
 EXHAUSTIVE_LIMIT = 1 << 16  # universes up to this size are swept exactly
@@ -50,14 +50,19 @@ def fresh_element(rng: random.Random, universe: int, *excluded: set[int] | froze
     raise SamplingError("universe exhausted during sweep")
 
 
+def _check_room(params: FilterParams) -> None:
+    """2^u_bits > t + n: room for t queries, the n members and a fresh guess."""
+    if params.universe <= params.t + params.n:
+        raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
+
+
 class RandomProbeAttack:
     """Non-adaptive baseline: t uniform queries, then a fresh uniform guess."""
 
     def run(self, ctx: AdversaryContext) -> int:
         params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
         u = params.universe
-        if u <= params.t + params.n:
-            raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
+        _check_room(params)
         oracle.query_many(randbelow_many(rng, u, params.t))
         return fresh_element(rng, u, ctx.S, oracle.queried)
 
@@ -89,8 +94,7 @@ class MutatePositivesAttack:
     def run(self, ctx: AdversaryContext) -> int:
         params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
         u, S = params.universe, ctx.S
-        if u <= params.t + params.n:
-            raise SamplingError(f"universe 2^{params.u_bits} <= t + n")
+        _check_room(params)
         positives: list[int] = []
 
         def draw() -> int:  # once a positive exists

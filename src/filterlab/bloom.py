@@ -6,8 +6,8 @@ space of arrays under the hash structure (for representation-space search
 attacks) or the full state (for white-box search attacks).
 
 The array is m bytes, byte p being 1 when position p is set: x sets
-mix64(seed, x) % m under each seed (`positions`).  Only the payload packs
-it, to m bits.
+mix64(seed, x) % m under each seed (`hashing.positions`).  Only the
+payload packs it, to m bits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .bitio import BitReader, BitWriter
 from .core import SEED_BITS, FilterParams, Representation, Stop
-from .hashing import mix64, mix64_many
+from .hashing import mix64, positions
 
 
 def standard_bloom_bits(n: int, eps: float) -> int:
@@ -31,13 +31,6 @@ def standard_bloom_bits(n: int, eps: float) -> int:
 def index_count(m: int, n: int) -> int:
     """k_h = max(1, round(ln 2 * m / n))."""
     return max(1, round(math.log(2) * m / n))
-
-
-def positions(seeds: tuple[int, ...], xs: list[int] | np.ndarray, m: int) -> np.ndarray:
-    """mix64(seed, x) % m for every seed and x: a uint64 [len(seeds), len(xs)]
-    array, row i for seeds[i]."""
-    return mix64_many(np.array(seeds, dtype=np.uint64)[:, None],
-                      np.asarray(xs, dtype=np.uint64)) % np.uint64(m)
 
 
 def position_masks(m: int, seeds: tuple[int, ...], u_bits: int) -> np.ndarray:

@@ -146,7 +146,7 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
     eps_val, eps_line = _require(flt, "filter", "eps", path)
     if not isinstance(eps_val, (int, float)):
         raise ConfigError(f"{path}:{eps_line}: eps must be a probability in (0,1)")
-    t, _ = _require(flt, "filter", "t", path, int)
+    t, t_line = _require(flt, "filter", "t", path, int)
     u_bits, _ = _require(flt, "filter", "u_bits", path, int)
     lambda_bits, _ = _optional(flt, "filter", "lambda_bits", path, int, 128)
     try:
@@ -172,7 +172,7 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
         )
     except ParamError as e:
         fields = {"filter_kind": kind_line, "adversary_kind": adv_line,
-                  "expose": expose_line}
+                  "expose": expose_line, "t": t_line}
         line = adv[e.key][1] if e.key in adv_opts else fields[e.key]
         raise ConfigError(f"{path}:{line}: {e}") from None
     return cfg, trials, seed, fp_samples
@@ -237,7 +237,8 @@ def cmd_audit_memory(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"audit-memory: {e}", file=sys.stderr)
         return 2
-    cfg = GameConfig(filter_kind=args.filter, adversary_kind="random_probe",
+    # the audit plays no game; seed_exposed needs no room in the universe
+    cfg = GameConfig(filter_kind=args.filter, adversary_kind="seed_exposed",
                      params=params, shielded=args.shield)
     rng = random.Random(args.seed)
     S = sample_set(params, rng)
@@ -327,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     p_audit.add_argument("--t", type=int, required=True)
     p_audit.add_argument("--u-bits", dest="u_bits", type=int, required=True)
     p_audit.add_argument("--lambda-bits", dest="lambda_bits", type=int, default=128)
-    p_audit.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_audit.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_audit.set_defaults(fn=cmd_audit_memory)
 
     args = parser.parse_args(argv)

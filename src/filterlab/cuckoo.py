@@ -1,7 +1,7 @@
 """Query-resilient filter: cuckoo-placed fingerprints compared bit-serially.
 
 Elements are placed by standard cuckoo hashing on the raw element (two
-tables of r = ceil(1.1 n) cells, h1/h2 keyed placement hashes), then every
+tables of r = ceil(1.1 n) cells, keyed by `hashing.positions`), then every
 stored element is replaced by its ell-bit fingerprint g(x) from the k-wise
 independent family G.  A lookup compares g(x) against at most two cells.
 The cells are one flat list of 2r slots, table 1 then table 2, each holding
@@ -58,7 +58,7 @@ from . import gf2
 from .bitio import BitReader, BitWriter
 from .core import SEED_BITS, BuildError, FilterParams, Representation, Stop, stopped
 from .gfamily import GFamily, g_sample
-from .hashing import mix64, mix64_many
+from .hashing import mix64, positions
 
 REBUILD_LIMIT = 20
 
@@ -82,24 +82,25 @@ def cursor_bits(ell: int) -> int:
 class CuckooFilterRep(Representation):
     kind = "unsteady"  # queries advance cursors; answers never change
 
-    def __init__(self, params: FilterParams, ell: int, gfam: GFamily,
-                 seeds: tuple[int, int], slots: list[int | None], cursors_enabled: bool):
+    def __init__(self, params: FilterParams, gfam: GFamily, seeds: tuple[int, int],
+                 slots: list[int | None], cursors: list[int], cursors_enabled: bool):
         self.params = params
-        self.ell = ell
+        self.ell = gfam.ell
         self.gfam = gfam
         self.seeds = seeds
         self.r = len(slots) // 2
         self.slots = slots  # table 1 then table 2; a fingerprint, or None when empty
         self._full = np.array([fp is not None for fp in slots])  # slots never change
+        self.cursors = cursors  # one per slot
         self.cursors_enabled = cursors_enabled
-        self.cursors = [0] * len(slots)
+        self.cursor_width = cursor_bits(self.ell) if cursors_enabled else 0
         self.bit_comparisons = 0
         self.query_count = 0
-        self.participation = [0] * ell  # per g_j, the queries it was compared in
+        self.participation = [0] * self.ell  # per g_j, the queries it was compared in
 
     @property
     def bits(self) -> int:
-        cell = 1 + self.ell + (cursor_bits(self.ell) if self.cursors_enabled else 0)
+        cell = 1 + self.ell + self.cursor_width
         return 2 * self.r * cell + 2 * SEED_BITS + self.gfam.rep_bits
 
     def _probe(self, i: int, X: int, bits: list[int]) -> tuple[bool, int]:
@@ -159,10 +160,8 @@ class CuckooFilterRep(Representation):
         index: dict[int, int] = {}  # each distinct point's row, in first-seen order
         rows = [index.setdefault(x, len(index)) for x in xs]
         pts = np.array(list(index), dtype=np.uint64)
-        s1, s2 = self.seeds
-        size = np.uint64(r)
-        c1 = mix64_many(s1, pts) % size
-        c2 = mix64_many(s2, pts) % size + size
+        c1, c2 = positions(self.seeds, pts, r)
+        c2 += np.uint64(r)  # table 2 follows table 1
         need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare
         fps = dict(zip(need.tolist(), self.gfam.fingerprints(pts[need].tolist())))
         c1, c2 = c1.tolist(), c2.tolist()
@@ -204,7 +203,7 @@ class CuckooFilterRep(Representation):
     def write(self, w: BitWriter) -> None:
         for s in self.seeds:
             w.write(s, SEED_BITS)
-        cb = cursor_bits(self.ell) if self.cursors_enabled else 0
+        cb = self.cursor_width
         for fp, cursor in zip(self.slots, self.cursors):
             w.write(fp is not None, 1)
             w.write(fp or 0, self.ell)
@@ -227,20 +226,21 @@ class CuckooFilterRep(Representation):
             slots.append(fp if full else None)
             cursors.append(rd.read(cb) if cb else 0)
         gfam = GFamily.read(rd, ell, k, field_width)
-        rep = cls(params, ell, gfam, seeds, slots, cursors_enabled)
-        rep.cursors = cursors
-        return rep
+        return cls(params, gfam, seeds, slots, cursors, cursors_enabled)
 
 
 def _place_all(members: Iterable[int], seeds: tuple[int, int], r: int,
                kicks: int) -> list[int | None] | None:
     """Cuckoo placement of the raw elements into 2r flat cells, table 1 then
     table 2; None when some element is still homeless after `kicks` moves."""
+    members = list(members)
+    c1, c2 = positions(seeds, members, r).tolist()
+    home = {x: (i, r + j) for x, i, j in zip(members, c1, c2)}  # its cells in tables 1, 2
     cells: list[int | None] = [None] * (2 * r)
     for x in members:
         cur, tbl = x, 0
         for _ in range(kicks):
-            i = tbl * r + mix64(seeds[tbl], cur) % r
+            i = home[cur][tbl]  # an evicted element is a member too
             cur, cells[i] = cells[i], cur
             if cur is None:
                 break
@@ -273,7 +273,7 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
 
     fps = iter(gfam.fingerprints([x for x in cells if x is not None]))
     slots = [None if x is None else next(fps) for x in cells]
-    return CuckooFilterRep(params, ell, gfam, seeds, slots, cursors_enabled)
+    return CuckooFilterRep(params, gfam, seeds, slots, [0] * len(slots), cursors_enabled)
 
 
 def build_cuckoo(S: Iterable[int], params: FilterParams, rng_seed: int) -> CuckooFilterRep:

@@ -72,6 +72,13 @@ class GameConfig:
                 raise ParamError(key, bad + f"{key!r} must be {kind.__name__}, got {value!r}")
             if kind is int and value < 1:  # every int option is a count
                 raise ParamError(key, bad + f"{key!r} must be >= 1, got {value!r}")
+        if self.adversary_kind in ("random_probe", "mutate_positives"):  # not in the first game
+            try:
+                adversaries._check_room(self.params)
+            except adversaries.SamplingError as e:
+                raise ParamError("t", f"{self.adversary_kind} cannot play: {e}") from None
+        if self.adversary_kind == "consistency_search" and self.expose == "none":
+            raise ParamError("expose", "consistency_search needs expose = structure or full")
 
 
 def build_filter(cfg: GameConfig, S: Iterable[int], params: FilterParams,

@@ -31,19 +31,19 @@ The cache holds each X-vector as bytes, its little-endian uint64 limbs:
 the rows the batch path reads, joined and viewed as one numpy matrix with
 no per-vector conversion.  A scalar query reads its one vector as an int.
 A filter build asks for every member at once (`fingerprints`), and so does
-a batch of queries (`fingerprint_bits`): the missing X-vectors come from
-one batch (`gf2.odd_power_rows`, a table gather at w <= 16 and a numpy
-carry-less multiply at w = 32/64), and the ell bits of every point from a
-packed uint64 AND, an XOR over each row's limbs and a popcount.  A single
-query's miss is a batch of one at w <= 16; at w = 32/64 it is the chain of m
-products by x^2 that `gf2.packed_odd_powers` runs on byte-spread Python
-ints (each bit of an element in a byte of its own, so one plain integer
-product carries a whole carry-less product), packed into the X-vector by
-reading those bytes as binary digits.  A wide batch of fewer than
-WIDE_BATCH_MIN points takes that route point by point too.  A slow direct
-evaluation with field powers (`GFamily.evaluate`, one `gf2.gf_pow` per
-term) is kept as the reference oracle; every route is cross-checked
-against it in tests.
+a batch of queries: the missing X-vectors come from one batch, and the ell
+bits of every point from a packed uint64 AND, an XOR over each row's limbs
+and a popcount.  `XProvider._build_many` alone picks how a batch of
+X-vectors is built: a table gather at w <= 16 (`gf2.odd_power_rows`); at
+w = 32/64, below WIDE_BATCH_MIN points, the chain of m products by x^2
+that `gf2.packed_odd_powers` runs point by point on byte-spread Python ints
+(each bit of an element in a byte of its own, so one plain integer product
+carries a whole carry-less product), packed into the X-vector by reading
+those bytes as binary digits; and from WIDE_BATCH_MIN points on, a numpy
+carry-less multiply (`gf2.odd_power_rows` again).  A single query's miss
+is a batch of one.  A slow direct evaluation with field powers
+(`GFamily.evaluate`, one `gf2.gf_pow` per term) is kept as the reference
+oracle; every route is cross-checked against it in tests.
 """
 
 from __future__ import annotations
@@ -111,13 +111,13 @@ class XProvider:
     """Cache of packed point vectors X(x) = (x, x^3, ..., x^(2m-1), 1).
 
     A vector is kept as its little-endian uint64 limbs, `nbytes` bytes, the
-    rows `fingerprint_bits` reads; `get` turns the one vector a scalar query
-    needs into an int.  `get_many` builds every missing vector of a batch at
-    once (a cuckoo build); `get` builds one (a query miss).  Both leave the
-    same entries.  Vectors are kept only at the table widths, where the
-    field caps each shape at 2^w points; at w = 32/64 nearly every point is
-    new, so a kept vector would only grow the cache, and each one is built
-    and dropped.
+    rows `GFamily.fingerprints` reads; `get` turns the one vector a scalar
+    query needs into an int.  `get_many` builds every missing vector of a
+    batch at once (a cuckoo build); `get` builds one (a query miss) as a
+    batch of one.  Both leave the same entries.  Vectors are kept only at
+    the table widths, where the field caps each shape at 2^w points; at
+    w = 32/64 nearly every point is new, so a kept vector would only grow
+    the cache, and each one is built and dropped.
     """
 
     def __init__(self, w: int, m: int):
@@ -146,31 +146,22 @@ class XProvider:
             found.update(zip(missing, self._build_many(missing)))
         return [found[x] for x in xs]
 
-    def _check(self, x: int) -> None:
-        if x >> self.w:
-            raise ValueError(f"point {x} does not embed in GF(2^{self.w})")
-
     def _build(self, x: int) -> bytes:
-        """One point: a batch of one (one table gather) at the table widths; at
-        w = 32/64, where a numpy batch of one would pay dozens of per-call
-        costs per product, the byte-spread chain of `gf2.packed_odd_powers`."""
-        if self._keep:
-            return self._build_many([x])[0]
-        return self._build_wide(x)
-
-    def _build_wide(self, x: int) -> bytes:
-        v = gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
-        return v.to_bytes(self.nbytes, "little")
+        """One point, the miss of a scalar query: a batch of one."""
+        return self._build_many([x])[0]
 
     def _build_many(self, xs: list[int]) -> list[bytes]:
-        """Built about FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power
-        rows, at 8 bytes a power, at a time: the whole batch at once would
-        hold [len(xs), m] temporaries.  At w = 32/64 a batch below
-        WIDE_BATCH_MIN points is built point by point, as `_build` does."""
+        """The one place that picks a route: at w = 32/64 a batch below
+        WIDE_BATCH_MIN points takes the byte-spread chain point by point;
+        any other takes `gf2.odd_power_rows` (a table gather at w <= 16) on
+        about FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power rows,
+        8 bytes a power, at a time, not [len(xs), m] temporaries at once."""
         if not self._keep and len(xs) < WIDE_BATCH_MIN:
-            return [self._build_wide(x) for x in xs]
+            return [(gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit)
+                    .to_bytes(self.nbytes, "little") for x in xs]
         for x in xs:
-            self._check(x)
+            if x >> self.w:
+                raise ValueError(f"point {x} does not embed in GF(2^{self.w})")
         nbytes = FP_CHUNK_BYTES if self._keep else WIDE_CHUNK_BYTES
         step = max(1, nbytes // (8 * max(1, self.m)))
         nb = self.nbytes
@@ -244,14 +235,13 @@ class GFamily:
             raise IndexError(f"function index {i} out of range")
         return (self.packed[i] & self.provider.get(x)).bit_count() & 1
 
-    def fingerprint_bits(self, xs: list[int]) -> np.ndarray:
-        """All ell output bits at every x in xs: a uint8 [len(xs), ell] array
-        whose entry [i, j] is g_j(xs[i]).
+    def fingerprints(self, xs: list[int]) -> list[int]:
+        """All ell output bits at every x in xs, each packed with g_0 in the low bit.
 
         The X-vectors come from one `get_many`, as limb bytes; the AND matrix
         is then taken FP_CHUNK_BYTES of X-vectors at a time, each chunk one
-        `b"".join` viewed as uint64 rows, and each function's bit is the
-        popcount parity of its row's limbs XORed together.
+        `b"".join` viewed as uint64 rows, and g_j(xs[i]) is the popcount
+        parity of row i's limbs ANDed with g_j's and XORed together.
         """
         Xs = self.provider.get_many(xs)
         P = self._limbs
@@ -262,11 +252,7 @@ class GFamily:
             X = np.frombuffer(b"".join(Xs[i:i + step]), dtype="<u8").reshape(-1, limbs)
             for j in range(self.ell):
                 bits[i:i + step, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
-        return bits
-
-    def fingerprints(self, xs: list[int]) -> list[int]:
-        """All ell output bits at every x in xs, each packed with g_0 in the low bit."""
-        return _ints(np.packbits(self.fingerprint_bits(xs), axis=1, bitorder="little"))
+        return _ints(np.packbits(bits, axis=1, bitorder="little"))
 
     def write(self, w: BitWriter) -> None:
         """Per function in index order: s0, then s_1..s_m as fixed-width

@@ -1,9 +1,9 @@
 """Keyed integer mixing and deterministic seed derivation.
 
-`mix64` is the one keyed primitive the whole artifact builds on: Bloom index
-hashes, cuckoo placement hashes and Feistel round functions are all seeded
-instances of it.  It is a splitmix64-style finalizer; no cryptographic
-strength is claimed, only good statistical diffusion.
+`mix64` is the one keyed primitive the whole artifact builds on: the Bloom
+and cuckoo positions (`positions`) and the Feistel round functions are
+seeded instances of it.  It is a splitmix64-style finalizer; no
+cryptographic strength is claimed, only good statistical diffusion.
 
 Seed derivation is counter-based and documented so experiment results are
 bit-reproducible: `split_seed(master, i, j, ...)` hashes the master seed and
@@ -49,6 +49,13 @@ def mix64_many(seed: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z
+
+
+def positions(seeds: tuple[int, ...], xs: list[int] | np.ndarray, size: int) -> np.ndarray:
+    """mix64(seed, x) % size for every seed and x: a uint64 [len(seeds), len(xs)]
+    array, row i for seeds[i]."""
+    return mix64_many(np.array(seeds, dtype=np.uint64)[:, None],
+                      np.asarray(xs, dtype=np.uint64)) % np.uint64(size)
 
 
 def split_seed(master: int, *path: int) -> int:

@@ -180,6 +180,27 @@ def test_too_wide_universe_reported_at_its_line(tmp_path, capsys, u_bits):
     assert f"bad.ini:{_line_of(text, 'u_bits')}:" in err and "u_bits must be <= 64" in err
 
 
+UNPLAYABLE = [
+    # 2^4 points cannot hold the 20 queries, the 4 members and a fresh guess
+    ("t = ", BASIC_CONFIG.replace("n = 1000", "n = 4").replace("t = 0", "t = 20")
+     .replace("u_bits = 32", "u_bits = 4"), "random_probe cannot play: universe 2^4 <= t + n"),
+    # no expose line: the error sits at the adversary's kind line
+    ("kind = consistency_search", BASIC_CONFIG.replace("kind = random_probe",
+                                                       "kind = consistency_search"),
+     "consistency_search needs expose = structure or full"),
+]
+
+
+@pytest.mark.parametrize("prefix,text,message", UNPLAYABLE,
+                         ids=["random_probe", "consistency_search"])
+def test_unplayable_config_reported_at_its_line(tmp_path, capsys, prefix, text, message):
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, prefix)}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # adversary option -> an adversary that takes it
 OPTION_OWNERS = {"c": "consistency_search", "strict": "consistency_search",
                  "candidate_budget": "seed_exposed"}
@@ -311,6 +332,15 @@ def test_audit_memory_rejects_bad_params(capsys):
                "--t", "1", "--u-bits", "70"])
     assert rc == 2
     assert "u_bits must be <= 64" in capsys.readouterr().err
+
+
+def test_audit_memory_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["audit-memory", "--filter", "exact_set", "--n", "4", "--eps", "0.1",
+              "--t", "1", "--u-bits", "8", "--seed", "-5"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: seed must be in [0, 2^128), got -5" in err and "Traceback" not in err
 
 
 def test_audit_memory_filter_choices_are_the_registry(capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from filterlab import FilterParams, build_cuckoo, build_cuckoo_random_query, sample_set
 from filterlab.adversaries import MutatePositivesAttack, RandomProbeAttack
-from filterlab.core import BuildError, run_challenge
-from filterlab.cuckoo import CuckooFilterRep, cursor_bits, table_size
+from filterlab.core import SEED_BITS, BuildError, run_challenge
+from filterlab.cuckoo import CuckooFilterRep, _place_all, cursor_bits, max_kicks, table_size
 from filterlab.hashing import mix64
 
 SMALL = FilterParams(n=64, eps=2 ** -3, t=256, u_bits=12)
@@ -96,6 +96,38 @@ def test_build_failure_after_rebuild_limit(monkeypatch):
     monkeypatch.setattr(cuckoo_mod, "_place_all", lambda *a, **k: None)
     with pytest.raises(BuildError, match="rebuild"):
         build_cuckoo(sample_set(SMALL, random.Random(1)), SMALL, 12)
+
+
+def _reference_place_all(members, seeds, r, kicks):
+    """Cuckoo placement with one scalar mix64 per kick."""
+    cells = [None] * (2 * r)
+    for x in members:
+        cur, tbl = x, 0
+        for _ in range(kicks):
+            i = tbl * r + mix64(seeds[tbl], cur) % r
+            cur, cells[i] = cells[i], cur
+            if cur is None:
+                break
+            tbl = 1 - tbl
+        else:
+            return None
+    return cells
+
+
+@pytest.mark.parametrize("r", [table_size(64), 40])
+def test_placement_matches_the_scalar_kick_loop(r):
+    # the same cells on every seed pair, and None on the same pairs; some
+    # placements fail at both sizes (9 and 197 of the 200 at r = 71 and 40)
+    kicks = max_kicks(64)
+    failed = 0
+    for i in range(200):
+        rng = random.Random(i)
+        members = sample_set(SMALL, rng)
+        seeds = (rng.getrandbits(SEED_BITS), rng.getrandbits(SEED_BITS))
+        cells = _place_all(members, seeds, r, kicks)
+        assert cells == _reference_place_all(members, seeds, r, kicks)
+        failed += cells is None
+    assert 0 < failed < 200
 
 
 def test_cursor_state_never_changes_answers():

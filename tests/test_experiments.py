@@ -59,6 +59,11 @@ def test_unknown_names_rejected():
     ("c", dict(adversary_kind="consistency_search", adversary_opts={"c": 0})),
     ("candidate_budget", dict(adversary_kind="seed_exposed",
                               adversary_opts={"candidate_budget": 0})),
+    # configs the adversary cannot play: no room for t + n points, no space
+    ("t", dict(params=FilterParams(n=4, eps=0.25, t=4, u_bits=3))),
+    ("t", dict(adversary_kind="mutate_positives",
+               params=FilterParams(n=4, eps=0.25, t=4, u_bits=3))),
+    ("expose", dict(adversary_kind="consistency_search")),
 ])
 def test_config_errors_name_their_field(key, kwargs):
     with pytest.raises(ParamError) as err:
@@ -70,7 +75,9 @@ def test_config_errors_name_their_field(key, kwargs):
 @pytest.mark.parametrize("kind", sorted(ADVERSARIES))
 def test_every_adversary_constructs_without_options(kind):
     assert ADVERSARIES[kind]() is not None
-    assert GameConfig("exact_set", kind, P_SMALL).adversary_opts == {}
+    # consistency search cannot play without the representation space
+    expose = "structure" if kind == "consistency_search" else "none"
+    assert GameConfig("exact_set", kind, P_SMALL, expose=expose).adversary_opts == {}
 
 
 def test_count_wins_plays_the_stream_trials():
