@@ -162,11 +162,12 @@ class ConsistencySearchAttack:
     """Label every sampled point via the oracle, invert by exhaustion, then
     predict a false positive from the recovered model.
 
-    The inverter is the enumerator's `first_consistent(labels)`: the least
-    representation id consistent with every recorded label is taken as the
-    model M' (an exhaustive search, feasible only for toy filters with
-    ~2^20 candidate states; the Bloom space answers it with a few
-    vectorised passes over all ids).  The chosen model is re-checked
+    The inverter is the enumerator's `first_consistent(xs, ys)`, fed the
+    sampled points and the oracle's answers as they come: the least
+    representation id consistent with every label is taken as the model M'
+    (an exhaustive search, feasible only for toy filters with ~2^20
+    candidate states; the Bloom space enumerates only the arrays holding
+    every positive label's positions).  The chosen model is re-checked
     against every label through `model_query`.  Sampling then looks for a
     fresh element the model marks positive; since the model approximates
     the oracle on all of U, such an element is a true false positive with
@@ -179,7 +180,9 @@ class ConsistencySearchAttack:
     When no candidate is consistent the attack either raises (strict mode:
     a matched enumerator guarantees existence, so absence is a bug) or
     falls back to an arbitrary fresh guess (black-box mode, e.g. attacking
-    through a shield whose inner space the enumerator models).
+    through a shield whose inner space the enumerator models).  When the
+    sample and the set cover a tiny universe, no fresh guess exists and the
+    attack concedes: it names a point it queried, which scores as a loss.
     """
 
     def __init__(self, c: int = 200, strict: bool = True):
@@ -201,19 +204,19 @@ class ConsistencySearchAttack:
         budget = math.ceil(self.c * m / eps0)
         samples_wanted = min(oracle.budget, budget, 2 * u)
         xs = randbelow_many(rng, u, samples_wanted)
-        labels = list(zip(xs, oracle.query_many(xs)))
+        ys = oracle.query_many(xs)
 
-        chosen = enum.first_consistent(labels)
+        chosen = enum.first_consistent(xs, ys)
         self.last_consistent_rep = chosen
 
         if chosen is None:
             if self.strict:
                 raise InconsistentOracleError(
                     "no representation consistent with the oracle labels")
-            return fresh_element(rng, u, ctx.S, oracle.queried)
+            return self._guess(ctx, xs)
 
         model_query = enum.model_query
-        if any(model_query(chosen, x) != y for x, y in labels):
+        if any(model_query(chosen, x) != y for x, y in zip(xs, ys)):
             raise InconsistentOracleError(
                 f"enumerator chose representation {chosen}, which contradicts "
                 "the oracle labels")
@@ -224,7 +227,16 @@ class ConsistencySearchAttack:
                 continue
             if model_query(chosen, x):
                 return x
-        return fresh_element(rng, u, ctx.S, oracle.queried)
+        return self._guess(ctx, xs)
+
+    @staticmethod
+    def _guess(ctx: AdversaryContext, xs: list[int]) -> int:
+        """A fresh uniform guess, or, when S and the queried points cover the
+        universe, the first queried point: a guess that cannot win."""
+        try:
+            return fresh_element(ctx.rng, ctx.params.universe, ctx.S, ctx.oracle.queried)
+        except SamplingError:
+            return xs[0]  # S alone never covers the universe, so xs is not empty
 
 
 def _estimate_points(u: int, sample_count: int, rng: random.Random | None) -> list[int]:

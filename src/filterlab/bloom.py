@@ -48,6 +48,30 @@ def position_masks(m: int, seeds: tuple[int, ...], u_bits: int) -> np.ndarray:
     return np.bitwise_or.reduce(np.uint64(1) << positions(seeds, xs, m), axis=0)
 
 
+def enumerable(m: int, u_bits: int) -> bool:
+    """Whether the m-bit arrays over a u_bits universe can be searched
+    exhaustively: at most 2^20 arrays, and position masks for at most 2^16
+    elements."""
+    return m <= 20 and u_bits <= 16
+
+
+def supersets(need: int, m: int) -> np.ndarray:
+    """Every m-bit id holding the bits of `need`, ascending (uint32).
+
+    The free bits are added lowest first, each doubling the list with a
+    copy that has the bit set: every id of the copy exceeds every id before
+    it, so the list stays ascending.
+    """
+    ids = np.empty(1 << (m - need.bit_count()), dtype=np.uint32)
+    ids[0] = need
+    size = 1
+    for b in range(m):
+        if not need >> b & 1:
+            ids[size:2 * size] = ids[:size] | np.uint32(1 << b)
+            size *= 2
+    return ids
+
+
 class BloomRepSpace:
     """Exhaustive space of m-bit arrays under a published hash structure
     (the index seeds over a u_bits universe).
@@ -57,7 +81,7 @@ class BloomRepSpace:
     """
 
     def __init__(self, m: int, seeds: tuple[int, ...], u_bits: int):
-        if m > 20:
+        if not enumerable(m, u_bits):
             raise ValueError("representation space too large to enumerate")
         self.m = m
         # m <= 20, so the masks and ids fit 32 bits: half the scan's memory
@@ -69,29 +93,29 @@ class BloomRepSpace:
         # the searched secret state is the array; the seeds are published
         return self.m
 
-    def first_consistent(self, labels: list[tuple[int, bool]]) -> int | None:
-        """Least id answering y on every labelled x, or None.
+    def first_consistent(self, xs: list[int], ys: list[bool]) -> int | None:
+        """Least id answering ys[i] on every xs[i], or None.
 
-        An array answers every label exactly when it holds the OR of the
-        positive labels' masks and none of the negative labels' masks, so
-        the candidates are filtered once by that OR and then once per
-        distinct negative mask, in ascending order throughout.  Every
-        survivor of the first filter holds the OR, so a negative mask is
-        tested on its bits outside the OR only, which leaves few distinct
-        masks.
+        An array answers every label exactly when it holds `need`, the OR
+        of the positive labels' masks, and none of the negative labels'
+        masks.  So only the supersets of `need` are enumerated, in ascending
+        order: `need` plus every subset of the other bits, 2^(m - |need|)
+        ids.  A negative mask is tested on its bits outside `need` only,
+        which leaves few distinct masks; one that is empty there rules out
+        every superset, and the survivors are filtered once per other mask.
         """
-        ids = np.arange(1 << self.m, dtype=np.uint32)
-        if labels:
-            xs, ys = zip(*labels)
-            masks = self._mask_array[np.array(xs)]
-            positive = np.array(ys, dtype=bool)
-            need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
-            ids = ids[(ids & need) == need]
-            for mk in set((masks[~positive] & ~need).tolist()):
-                if not ids.size:
-                    break
-                ids = ids[(ids & mk) != mk]
-        return int(ids[0]) if ids.size else None
+        masks = self._mask_array[xs]
+        positive = np.array(ys, dtype=bool)
+        need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
+        negatives = set((masks[~positive] & ~need).tolist())
+        if 0 in negatives:
+            return None
+        ids = supersets(int(need), self.m)
+        for mk in negatives:
+            ids = ids[(ids & mk) != mk]
+            if not ids.size:
+                return None
+        return int(ids[0])
 
     def model_query(self, rep_id: int, x: int) -> bool:
         mk = self.masks[x]
@@ -133,7 +157,7 @@ class BloomFilterRep(Representation):
         return ys
 
     def rep_space_enumerator(self):
-        if self.m <= 20 and self.params.u_bits <= 16:
+        if enumerable(self.m, self.params.u_bits):
             return BloomRepSpace(self.m, self.seeds, self.params.u_bits)
         return None
 

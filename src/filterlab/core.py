@@ -93,8 +93,12 @@ class FilterParams:
 
     @property
     def k_independence(self) -> int:
-        """Per-function independence: ceil(2t / ceil(log2(1/eps))), >= 1."""
-        return max(1, math.ceil(2 * self.t / self.log_inv_eps))
+        """Per-function independence: ceil(2t / ceil(log2(1/eps))), >= 2.
+
+        The floor of 2 keeps the fingerprints of distinct points pairwise
+        independent, which the non-adaptive error needs: a 1-wise g_j is a
+        constant, and every fingerprint the same word."""
+        return max(2, math.ceil(2 * self.t / self.log_inv_eps))
 
     def check_element(self, x: int) -> None:
         if not (0 <= x < self.universe):
@@ -421,10 +425,11 @@ class ExactSetRepSpace:
     def memory_bits(self) -> int:
         return self._rep.bits
 
-    def first_consistent(self, labels: list[tuple[int, bool]]) -> int | None:
-        """0, the one representation, if it answers every label; else None."""
+    def first_consistent(self, xs: list[int], ys: list[bool]) -> int | None:
+        """0, the one representation, if it answers ys[i] on every xs[i];
+        else None."""
         query = self._rep.query
-        return 0 if all(query(x) == y for x, y in labels) else None
+        return 0 if all(query(x) == y for x, y in zip(xs, ys)) else None
 
     def model_query(self, rep_id: int, x: int) -> bool:
         return self._rep.query(x)

@@ -18,7 +18,8 @@ where comparison work lands; answers depend on fingerprint equality alone.
 `participation[j]`, the load of g_j, counts the queries in which either
 probe compared bit j: once per query, members and repeated points included.
 The bound of at most k per g_j is the resilient variant's alone; the
-random-query variant has k = n and no cursors.
+random-query variant has k = n and no cursors.  Both floor k at 2: a
+1-wise g_j is a constant bit, which makes every fingerprint equal.
 
 The random-query variant uses ell = 2*ceil(log2(1/eps)), k = n, and
 compares always from bit 0 (cursors disabled and excluded from the memory
@@ -277,13 +278,13 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
 
 
 def build_cuckoo(S: Iterable[int], params: FilterParams, rng_seed: int) -> CuckooFilterRep:
-    """The adaptive-resilient construction: ell = 4L, k = ceil(2t/L)."""
+    """The adaptive-resilient construction: ell = 4L, k = max(2, ceil(2t/L))."""
     return _build(S, params, rng_seed, params.ell, params.k_independence,
                   cursors_enabled=True)
 
 
 def build_cuckoo_random_query(S: Iterable[int], params: FilterParams,
                               rng_seed: int) -> CuckooFilterRep:
-    """Random-query-model variant: ell = 2L, k = n, comparisons from bit 0."""
-    return _build(S, params, rng_seed, 2 * params.log_inv_eps, params.n,
+    """Random-query-model variant: ell = 2L, k = max(2, n), comparisons from bit 0."""
+    return _build(S, params, rng_seed, 2 * params.log_inv_eps, max(2, params.n),
                   cursors_enabled=False)

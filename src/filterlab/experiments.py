@@ -77,8 +77,23 @@ class GameConfig:
                 adversaries._check_room(self.params)
             except adversaries.SamplingError as e:
                 raise ParamError("t", f"{self.adversary_kind} cannot play: {e}") from None
-        if self.adversary_kind == "consistency_search" and self.expose == "none":
-            raise ParamError("expose", "consistency_search needs expose = structure or full")
+        if self.adversary_kind == "consistency_search":
+            if self.expose == "none":
+                raise ParamError("expose", "consistency_search needs expose = structure or full")
+            if not self._enumerable():
+                raise ParamError("filter_kind", f"consistency_search cannot enumerate "
+                                 f"{self.filter_kind}: only exact_set and baseline_bloom "
+                                 "with m <= 20 and u_bits <= 16 have an enumerator")
+
+    def _enumerable(self) -> bool:
+        """Whether the filter has a representation-space enumerator (see
+        `Representation.rep_space_enumerator`); a shield exposes its inner
+        filter's."""
+        if self.filter_kind == "baseline_bloom":
+            p, m = self.params, self.bloom_bits
+            return bloom.enumerable(bloom.standard_bloom_bits(p.n, p.eps) if m is None else m,
+                                    p.u_bits)
+        return self.filter_kind == "exact_set"
 
 
 def build_filter(cfg: GameConfig, S: Iterable[int], params: FilterParams,

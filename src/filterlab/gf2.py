@@ -85,44 +85,6 @@ def gf_pow(a: int, e: int, w: int) -> int:
     return r
 
 
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
-        a, b = b, a
-    return a
-
-
-def is_irreducible(p: int) -> bool:
-    """Rabin irreducibility test for a degree-w polynomial over GF(2)."""
-    w = p.bit_length() - 1
-    if w < 1:
-        return False
-
-    def x_pow_2exp(j: int) -> int:
-        v = 2
-        for _ in range(j):
-            v = gf_mod(clmul(v, v), p)
-        return v
-
-    if x_pow_2exp(w) != 2:
-        return False
-    n, q, primes = w, 2, []
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        primes.append(n)
-    for q in primes:
-        if _poly_gcd(x_pow_2exp(w // q) ^ 2, p) != 1:
-            return False
-    return True
-
-
 @dataclass
 class FieldTables:
     """Log/antilog tables for GF(2^w), w <= 16, with generator x.

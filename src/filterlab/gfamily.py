@@ -229,12 +229,6 @@ class GFamily:
             acc ^= (int(c) & gf2.gf_pow(x, 2 * d + 1, self.field_width)).bit_count() & 1
         return acc
 
-    def eval_bit(self, i: int, x: int) -> int:
-        """Output bit of g_i at x (fast path)."""
-        if not (0 <= i < self.ell):
-            raise IndexError(f"function index {i} out of range")
-        return (self.packed[i] & self.provider.get(x)).bit_count() & 1
-
     def fingerprints(self, xs: list[int]) -> list[int]:
         """All ell output bits at every x in xs, each packed with g_0 in the low bit.
 

@@ -3,6 +3,7 @@ import math
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 
 from filterlab import FilterParams, build_bloom, build_exact_set, sample_set
@@ -18,7 +19,7 @@ from filterlab.adversaries import (
     fresh_element,
     mu_estimate,
 )
-from filterlab.bloom import BloomRepSpace
+from filterlab.bloom import BloomRepSpace, supersets
 from filterlab.core import (
     AdversaryContext,
     ExactSetRepSpace,
@@ -131,8 +132,8 @@ class ScalarConsistencySearch(ConsistencySearchAttack):
         eps0 = minimal_error(enum.memory_bits, params.n)
         budget = math.ceil(self.c * enum.memory_bits / eps0)
         xs = [rng.randrange(u) for _ in range(min(oracle.budget, budget, 2 * u))]
-        labels = list(zip(xs, oracle.query_many(xs)))
-        chosen = self.last_consistent_rep = enum.first_consistent(labels)
+        ys = oracle.query_many(xs)
+        chosen = self.last_consistent_rep = enum.first_consistent(xs, ys)
         if chosen is None:
             if self.strict:
                 raise InconsistentOracleError("no consistent representation")
@@ -270,6 +271,22 @@ def test_consistency_search_nonstrict_degrades_gracefully():
     assert tr.valid and tr.challenge is not None
 
 
+def test_consistency_search_concedes_a_covered_universe():
+    # 2 members among 4 points and 8 labels: when S and the labels cover the
+    # universe no fresh guess exists, and the attack names its first label
+    p = FilterParams(n=2, eps=0.25, t=64, u_bits=2)
+    cfg = GameConfig("baseline_bloom", "consistency_search", p, bloom_bits=4,
+                     expose="structure")
+    conceded = 0
+    for i in range(40):
+        tr = play_game(cfg, split_seed(43, i))
+        S = sample_set(p, random.Random(tr.seed_record["set"]))
+        if S | {x for x, _ in tr.queries} == set(range(p.universe)):
+            assert tr.valid and tr.challenge == tr.queries[0][0] and not tr.success
+            conceded += 1
+    assert conceded > 0
+
+
 def test_consistency_search_on_exact_set_finds_truth_but_no_positive():
     p = FilterParams(n=4, eps=2 ** -4, t=512, u_bits=10)
     for i in range(5):
@@ -324,7 +341,7 @@ def _bloom_space(m, seed, k_h=3, u_bits=10):
 
 
 def _check_against_scan(enum, labels):
-    chosen = enum.first_consistent(labels)
+    chosen = enum.first_consistent([x for x, _ in labels], [y for _, y in labels])
     assert chosen == _scan(enum, range(1 << enum.m), labels)
     return chosen
 
@@ -378,6 +395,52 @@ def test_first_consistent_at_twenty_bits():
     assert _check_against_scan(enum, labels + [(xs[0], True)]) is None
 
 
+@pytest.mark.parametrize("m", [1, 5, 12])
+def test_supersets_ascend_through_every_superset(m):
+    rng = random.Random(m)
+    for need in (0, 1, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m)):
+        assert supersets(need, m).tolist() == [i for i in range(1 << m) if i & need == need]
+
+
+@pytest.mark.parametrize("m", [2, 7, 12])
+def test_first_consistent_matches_scan_on_superset_edges(m):
+    for case in range(8):
+        enum = _bloom_space(m, split_seed(39, m, case), k_h=1 + case % 3)
+        rng = random.Random(split_seed(40, m, case))
+        xs = [rng.randrange(1 << 10) for _ in range(rng.choice((3, 30, 300)))]
+        truth = rng.getrandbits(m)
+        labels = [(x, enum.model_query(truth, x)) for x in xs]
+        assert _check_against_scan(enum, []) == 0
+        assert _check_against_scan(enum, labels + labels[::2]) <= truth  # duplicates
+        need = 0
+        for x in xs:
+            need |= enum.masks[x]
+        assert _check_against_scan(enum, [(x, True) for x in xs]) == need
+        # positives until `need` covers all m bits: the one superset is all ones
+        full, covered, covering = (1 << m) - 1, 0, []
+        for x in range(1 << 10):
+            covering.append((x, True))
+            covered |= enum.masks[x]
+            if covered == full:
+                break
+        assert _check_against_scan(enum, covering) == full
+        assert _check_against_scan(enum, covering + [(xs[0], False)]) is None
+        # a negative whose mask lies inside `need` leaves no superset
+        inside = next(x for x in range(1 << 10) if enum.masks[x] & ~need == 0)
+        assert _check_against_scan(enum, [(x, True) for x in xs] + [(inside, False)]) is None
+        noisy = [(x, rng.random() < 0.3) for x in xs]
+        _check_against_scan(enum, noisy + noisy[:5])
+
+
+def test_first_consistent_at_twenty_bits_without_positives():
+    # no positive label: all 2^20 ids are candidates, and 0 holds no mask
+    enum = _bloom_space(20, 41, k_h=2)
+    xs = random.Random(42).sample(range(1 << 10), 200)
+    assert _check_against_scan(enum, []) == 0
+    assert _check_against_scan(enum, [(x, False) for x in xs]) == 0
+    assert np.array_equal(supersets(0, 20), np.arange(1 << 20, dtype=np.uint32))
+
+
 def test_first_consistent_on_exact_set():
     p = FilterParams(n=4, eps=2 ** -4, t=512, u_bits=10)
     rep = build_exact_set(sample_set(p, random.Random(36)), p, 0)
@@ -385,10 +448,12 @@ def test_first_consistent_on_exact_set():
     assert isinstance(enum, ExactSetRepSpace)
     labels = [(x, rep.query(x)) for x in range(p.universe)]
     for subset in ([], labels, labels[:10]):
-        assert enum.first_consistent(subset) == _scan(enum, range(1), subset) == 0
+        xs, ys = [x for x, _ in subset], [y for _, y in subset]
+        assert enum.first_consistent(xs, ys) == _scan(enum, range(1), subset) == 0
     x, y = labels[3]
     bad = labels[:10] + [(x, not y)]
-    assert enum.first_consistent(bad) is None and _scan(enum, range(1), bad) is None
+    xs, ys = [x for x, _ in bad], [y for _, y in bad]
+    assert enum.first_consistent(xs, ys) is None and _scan(enum, range(1), bad) is None
 
 
 @pytest.mark.parametrize("shielded", [False, True])
@@ -430,7 +495,7 @@ def test_consistency_search_rejects_a_contradicted_model(monkeypatch):
     # an enumerator answering an id that contradicts the labels must raise,
     # also under `python -O`, which strips asserts
     monkeypatch.setattr(BloomRepSpace, "first_consistent",
-                        lambda self, labels: (1 << self.m) - 1)
+                        lambda self, xs, ys: (1 << self.m) - 1)
     with pytest.raises(InconsistentOracleError, match="contradicts"):
         run_challenge(_toy_bloom, ConsistencySearchAttack(), None, TOY, 38,
                       expose="structure")

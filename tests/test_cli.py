@@ -188,17 +188,62 @@ UNPLAYABLE = [
     ("kind = consistency_search", BASIC_CONFIG.replace("kind = random_probe",
                                                        "kind = consistency_search"),
      "consistency_search needs expose = structure or full"),
+    # no enumerator: the error sits at the filter's kind line
+    ("kind = cuckoo_resilient", BASIC_CONFIG.replace("kind = baseline_bloom",
+                                                     "kind = cuckoo_resilient")
+     .replace("kind = random_probe", "kind = consistency_search\nexpose = structure"),
+     "consistency_search cannot enumerate cuckoo_resilient"),
+    # the standard sizing at n = 1000 is m = 8,657 bits
+    ("kind = baseline_bloom", BASIC_CONFIG.replace(
+        "kind = random_probe", "kind = consistency_search\nexpose = full"),
+     "consistency_search cannot enumerate baseline_bloom"),
 ]
 
 
 @pytest.mark.parametrize("prefix,text,message", UNPLAYABLE,
-                         ids=["random_probe", "consistency_search"])
+                         ids=["random_probe", "consistency_search", "cuckoo_space",
+                              "wide_bloom_space"])
 def test_unplayable_config_reported_at_its_line(tmp_path, capsys, prefix, text, message):
     rc, err = _config_error(tmp_path, capsys, text)
     assert rc == 2
     assert f"bad.ini:{_line_of(text, prefix)}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+TINY_UNIVERSE = """\
+[experiment]
+trials = 40
+seed = 7
+fp_samples = 100
+
+[filter]
+kind = {kind}
+n = 2
+eps = 0.25
+t = 64
+u_bits = 2
+m = 4
+
+[adversary]
+kind = consistency_search
+expose = structure
+"""
+
+
+@pytest.mark.parametrize("kind", ["baseline_bloom", "exact_set"])
+def test_consistency_search_concedes_a_covered_universe(tmp_path, capsys, kind):
+    # the 8-point label sample usually covers the 2 non-members of the
+    # 4-point universe; such a game ends in a loss, not a SamplingError
+    out = tmp_path / "o.csv"
+    rc = main(["experiment", "--config", _write(tmp_path, TINY_UNIVERSE.format(kind=kind)),
+               "--out", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    row = dict(zip(RESULT_COLUMNS, out.read_text().splitlines()[1].split(",")))
+    assert row["trials"] == "40"
+    if kind == "exact_set":
+        assert float(row["success_rate"]) == 0.0
 
 
 # adversary option -> an adversary that takes it

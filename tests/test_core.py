@@ -41,6 +41,12 @@ def test_minimal_error_domain():
         minimal_error(-1, 5)
 
 
+def test_k_independence_is_at_least_pairwise():
+    # ceil(2t/L) with a floor of 2: a 1-wise g_j would be a constant bit
+    ks = [FilterParams(n=4, eps=2 ** -6, t=t, u_bits=13).k_independence for t in range(8)]
+    assert ks == [2, 2, 2, 2, 2, 2, 2, 3]
+
+
 def test_params_derivations_and_validation():
     p = FilterParams(n=1024, eps=2 ** -6, t=4096, u_bits=13)
     assert p.log_inv_eps == 6

@@ -64,12 +64,59 @@ def test_unknown_names_rejected():
     ("t", dict(adversary_kind="mutate_positives",
                params=FilterParams(n=4, eps=0.25, t=4, u_bits=3))),
     ("expose", dict(adversary_kind="consistency_search")),
+    # configs whose filter has no representation space to search
+    ("filter_kind", dict(filter_kind="cuckoo_resilient", adversary_kind="consistency_search",
+                         expose="structure")),
+    ("filter_kind", dict(filter_kind="cuckoo_random_query", shielded=True,
+                         adversary_kind="consistency_search", expose="full")),
+    ("filter_kind", dict(filter_kind="baseline_bloom", adversary_kind="consistency_search",
+                         expose="structure")),  # the standard m = 139 at n = 32
+    ("filter_kind", dict(filter_kind="baseline_bloom", bloom_bits=21,
+                         adversary_kind="consistency_search", expose="structure")),
+    ("filter_kind", dict(filter_kind="baseline_bloom", bloom_bits=16,
+                         params=FilterParams(n=4, eps=2 ** -4, t=64, u_bits=17),
+                         adversary_kind="consistency_search", expose="structure")),
 ])
 def test_config_errors_name_their_field(key, kwargs):
     with pytest.raises(ParamError) as err:
         GameConfig(**{**dict(filter_kind="exact_set", adversary_kind="random_probe",
                              params=P_SMALL), **kwargs})
     assert err.value.key == key
+
+
+def test_consistency_search_configs_follow_the_enumerators():
+    # a config is refused exactly where the built filter has no enumerator
+    for kind in sorted(FILTERS):
+        for params, m in ((FilterParams(n=4, eps=2 ** -4, t=64, u_bits=10), 20),
+                          (FilterParams(n=4, eps=2 ** -4, t=64, u_bits=10), 21),
+                          (FilterParams(n=2, eps=2 ** -4, t=64, u_bits=16), None),
+                          (FilterParams(n=4, eps=2 ** -4, t=64, u_bits=17), 16)):
+            try:
+                GameConfig(kind, "consistency_search", params, bloom_bits=m,
+                           expose="structure")
+                playable = True
+            except ParamError:
+                playable = False
+            cfg = GameConfig(kind, "random_probe", params, bloom_bits=m)
+            rep = build_filter(cfg, sample_set(params, random.Random(1)), params, 2)
+            assert playable == (rep.rep_space_enumerator() is not None), (kind, params, m)
+
+
+@pytest.mark.parametrize("kind", sorted(FILTERS))
+def test_non_adaptive_fp_rate_at_small_budgets(kind):
+    # at t <= L/2 the budget ceil(2t/L) is 1, and a 1-wise g_j is a constant
+    # bit: every fingerprint matched every full cell.  Averaged over builds,
+    # every kind stays within 2 eps (criterion 2's upper edge).
+    eps, L = 2 ** -4, 4
+    builds = 100
+    for shielded in (False, True):
+        for n in (1, 2, 16):
+            for t in (0, 1, L // 2, L // 2 + 1):
+                p = FilterParams(n=n, eps=eps, t=t, u_bits=16)
+                cfg = GameConfig(kind, "random_probe", p, shielded=shielded)
+                rate = sum(measure_fp_rate(cfg, split_seed(40, n, t, b), 100)[0]
+                           for b in range(builds)) / builds
+                assert rate <= 2 * eps, (shielded, n, t, rate)
 
 
 @pytest.mark.parametrize("kind", sorted(ADVERSARIES))
@@ -175,8 +222,8 @@ def test_only_the_game_applies_an_exposure_policy(kind, shielded, expose):
     else:
         assert type(ctx.enumerator) is spaces[kind]
         # it models the inner filter, so the inner filter's labels fit it
-        labels = [(x, inner.query(x)) for x in range(toy.universe)]
-        assert ctx.enumerator.first_consistent(labels) is not None
+        xs = list(range(toy.universe))
+        assert ctx.enumerator.first_consistent(xs, [inner.query(x) for x in xs]) is not None
     if shielded:
         assert rep.rep_space_enumerator() is None  # keyed: not enumerable
 
