@@ -5,7 +5,12 @@ Subcommands:
   selftest      run the acceptance criteria, write a report
   audit-memory  build one filter and print its exact bit accounting
 
-Exit codes: 0 success, 1 criterion/experiment failure, 2 bad input.
+The experiment config's keys are the rows of `CONFIG_KEYS`: an unknown
+[experiment] or [filter] key is refused at its line, and any other
+[adversary] key is an option of the strategy.
+
+Exit codes: 0 success, 1 criterion/experiment failure (a game's
+InconsistentOracleError or BuildError, in one stderr line), 2 bad input.
 The FILTERLAB_SEED environment variable overrides the default master seed.
 """
 
@@ -16,10 +21,11 @@ import json
 import os
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from . import acceptance, experiments
-from .core import FilterParams, ParamError, sample_set
+from . import acceptance, adversaries, experiments
+from .core import BuildError, FilterParams, ParamError, sample_set
 from .experiments import GameConfig, RESULT_COLUMNS
 
 DEFAULT_SEED = acceptance.DEFAULT_SEED
@@ -85,17 +91,33 @@ def parse_config(path: str) -> dict[str, dict[str, tuple[object, int]]]:
     return sections
 
 
-_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
+# section -> key -> (type, default, least value, the field it sets), where a
+# default of `...` marks a required key; the fields are the campaign's own,
+# FilterParams' and GameConfig's.  Any other [adversary] key is an option of
+# the strategy, and any other [experiment] or [filter] key is refused.
+CONFIG_KEYS = {
+    "experiment": {
+        "trials": (int, ..., 1, "trials"),
+        "seed": (int, None, None, "seed"),  # None: FILTERLAB_SEED, else DEFAULT_SEED
+        "fp_samples": (int, 10_000, 1, "fp_samples"),
+    },
+    "filter": {
+        "kind": (str, ..., None, "filter_kind"),
+        "n": (int, ..., None, "n"),
+        "eps": (float, ..., None, "eps"),
+        "t": (int, ..., None, "t"),
+        "u_bits": (int, ..., None, "u_bits"),
+        "lambda_bits": (int, 128, None, "lambda_bits"),
+        "shield": (bool, False, None, "shielded"),
+        "m": (int, None, 1, "bloom_bits"),  # None: sized from n and eps
+    },
+    "adversary": {
+        "kind": (str, ..., None, "adversary_kind"),
+        "expose": (str, "none", None, "expose"),
+    },
+}
 
-
-def _require(section: dict, name: str, key: str, path: str, kind=None):
-    if key not in section:
-        raise ConfigError(f"{path}: missing required key '{key}' in [{name}]")
-    value, lineno = section[key]
-    if kind is not None and (not isinstance(value, kind)
-                             or (kind is int and isinstance(value, bool))):
-        raise ConfigError(f"{path}:{lineno}: '{key}' must be {_KIND_NAMES[kind]}")
-    return value, lineno
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def _check_seed(value: int, name: str) -> int:
@@ -117,65 +139,44 @@ def _env_seed() -> int:
     return _check_seed(value, "FILTERLAB_SEED")
 
 
-def _optional(section: dict, name: str, key: str, path: str, kind, default):
-    """A key checked like `_require`, or (default, 0) when it is absent."""
-    if key not in section:
-        return default, 0
-    return _require(section, name, key, path, kind)
-
-
 def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
-    """Validate a config file into (game config, trials, seed, fp_samples)."""
+    """Validate a config file, key by key of `CONFIG_KEYS`, into
+    (game config, trials, seed, fp_samples)."""
     sections = parse_config(path)
-    for required in ("experiment", "filter", "adversary"):
-        if required not in sections:
-            raise ConfigError(f"{path}: missing required section [{required}]")
-    exp, flt, adv = sections["experiment"], sections["filter"], sections["adversary"]
-
-    trials, trials_line = _require(exp, "experiment", "trials", path, int)
-    if trials < 1:
-        raise ConfigError(f"{path}:{trials_line}: trials must be >= 1")
-    seed, seed_line = _optional(exp, "experiment", "seed", path, int, _env_seed())
-    _check_seed(seed, f"{path}:{seed_line}: seed")
-    fp_samples, fp_line = _optional(exp, "experiment", "fp_samples", path, int, 10_000)
-    if fp_samples < 1:
-        raise ConfigError(f"{path}:{fp_line}: fp_samples must be >= 1")
-
-    kind, kind_line = _require(flt, "filter", "kind", path, str)
-    n, _ = _require(flt, "filter", "n", path, int)
-    eps_val, eps_line = _require(flt, "filter", "eps", path)
-    if not isinstance(eps_val, (int, float)):
-        raise ConfigError(f"{path}:{eps_line}: eps must be a probability in (0,1)")
-    t, t_line = _require(flt, "filter", "t", path, int)
-    u_bits, _ = _require(flt, "filter", "u_bits", path, int)
-    lambda_bits, _ = _optional(flt, "filter", "lambda_bits", path, int, 128)
+    env_seed = _env_seed()
+    values: dict[str, dict] = {}  # section -> field -> value
+    lines: dict[str, int] = {}  # field -> line of the key that set it, 0 if none
+    opts, opt_lines = {}, {}  # the strategy's options and their lines
+    for name, keys in CONFIG_KEYS.items():
+        if name not in sections:
+            raise ConfigError(f"{path}: missing required section [{name}]")
+        section, values[name] = sections[name], {}
+        for key, (value, line) in section.items():
+            if key not in keys and name != "adversary":
+                raise ConfigError(f"{path}:{line}: unknown key '{key}' in [{name}] "
+                                  f"(known: {', '.join(keys)})")
+            if key not in keys:
+                opts[key], opt_lines[key] = value, line
+        for key, (kind, default, least, field) in keys.items():
+            value, line = section.get(key, (default, 0))
+            if value is ...:
+                raise ConfigError(f"{path}: missing required key '{key}' in [{name}]")
+            if line and not (type(value) is kind or kind is float and type(value) is int):
+                raise ConfigError(f"{path}:{line}: '{key}' must be {_KIND_NAMES[kind]}")
+            if line and least is not None and value < least:
+                raise ConfigError(f"{path}:{line}: {key} must be >= {least}")
+            values[name][field], lines[field] = value, line
+    exp, game = values["experiment"], {**values["filter"], **values["adversary"]}
+    seed = _check_seed(exp["seed"], f"{path}:{lines['seed']}: seed") if lines["seed"] else env_seed
+    lines["expose"] = lines["expose"] or lines["adversary_kind"]
     try:
-        params = FilterParams(n=n, eps=float(eps_val), t=t, u_bits=u_bits,
-                              lambda_bits=lambda_bits)
+        params = FilterParams(**{f.name: game.pop(f.name) for f in fields(FilterParams)})
+        lines.update(opt_lines)  # from here on, an option's error sits at its line
+        cfg = GameConfig(params=params, adversary_opts=opts, **game)
     except ParamError as e:
-        line = flt.get(e.key, (None, 0))[1]
-        raise ConfigError(f"{path}:{line}: [filter] {e}" if line else
-                          f"{path}: [filter] {e}") from None
-
-    shielded, _ = _optional(flt, "filter", "shield", path, bool, False)
-    bloom_bits, m_line = _optional(flt, "filter", "m", path, int, None)
-    if bloom_bits is not None and bloom_bits < 1:
-        raise ConfigError(f"{path}:{m_line}: m must be >= 1")
-    adv_kind, adv_line = _require(adv, "adversary", "kind", path, str)
-    expose, expose_line = adv.get("expose", ("none", adv_line))
-    adv_opts = {k: v for k, (v, _) in adv.items() if k not in ("kind", "expose")}
-    try:
-        cfg = GameConfig(
-            filter_kind=kind, adversary_kind=adv_kind, params=params,
-            shielded=shielded, bloom_bits=bloom_bits, expose=str(expose),
-            adversary_opts=adv_opts,
-        )
-    except ParamError as e:
-        fields = {"filter_kind": kind_line, "adversary_kind": adv_line,
-                  "expose": expose_line, "t": t_line}
-        line = adv[e.key][1] if e.key in adv_opts else fields[e.key]
-        raise ConfigError(f"{path}:{line}: {e}") from None
-    return cfg, trials, seed, fp_samples
+        line = lines.get(e.key)
+        raise ConfigError(f"{path}:{line}: {e}" if line else f"{path}: {e}") from None
+    return cfg, exp["trials"], seed, exp["fp_samples"]
 
 
 def write_results(records: list[dict], out_path: str, fmt: str) -> None:
@@ -184,10 +185,8 @@ def write_results(records: list[dict], out_path: str, fmt: str) -> None:
                    "records": records}
         Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
         return
-    lines = [",".join(RESULT_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(str(rec[c]) for c in RESULT_COLUMNS))
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    rows = [RESULT_COLUMNS] + [[str(rec[c]) for c in RESULT_COLUMNS] for rec in records]
+    Path(out_path).write_text("".join(",".join(row) + "\n" for row in rows))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -198,8 +197,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     if args.seed is not None:
         seed = args.seed
-    res = experiments.run_campaign(cfg, trials, seed, parallel=args.parallel,
-                                   fp_samples=fp_samples)
+    try:
+        res = experiments.run_campaign(cfg, trials, seed, parallel=args.parallel,
+                                       fp_samples=fp_samples)
+    except (adversaries.InconsistentOracleError, BuildError) as e:  # no config foresees these
+        print(f"experiment failed: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     rec = experiments.result_record(res)
     write_results([rec], args.out, args.format)
     print(f"wrote 1 record to {args.out} "

@@ -166,7 +166,7 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
     hits = sum(rep.query_many([adversaries.fresh_element(rng, u, S) for _ in range(samples)]))
     mean_cmp = None
     if isinstance(inner, cuckoo.CuckooFilterRep):  # fresh: these are its only queries
-        mean_cmp = inner.bit_comparisons / samples
+        mean_cmp = inner.mean_bit_comparisons
     return hits / samples, rep.bits, mean_cmp
 
 
@@ -187,32 +187,28 @@ def run_campaign(cfg: GameConfig, trials: int, master_seed: int,
     )
 
 
-RESULT_COLUMNS = (
-    "filter", "adversary", "n", "eps", "t", "trials", "success_rate",
-    "ci_half_width", "fp_rate_baseline", "memory_bits",
-    "mean_bit_comparisons", "wall_time_ms", "master_seed",
-)
+# column -> its value in a campaign's record, in output order
+_RESULT_FORMATS = {
+    "filter": lambda r: r.cfg.filter_kind + ("+shield" if r.cfg.shielded else ""),
+    "adversary": lambda r: r.cfg.adversary_kind,
+    "n": lambda r: r.cfg.params.n,
+    "eps": lambda r: repr(r.cfg.params.eps),
+    "t": lambda r: r.cfg.params.t,
+    "trials": lambda r: r.trials,
+    "success_rate": lambda r: f"{r.success_rate:.6f}",
+    "ci_half_width": lambda r: f"{r.ci_half_width:.6f}",
+    "fp_rate_baseline": lambda r: f"{r.fp_rate_baseline:.6f}",
+    "memory_bits": lambda r: r.memory_bits,
+    "mean_bit_comparisons":
+        lambda r: "" if r.mean_bit_comparisons is None else f"{r.mean_bit_comparisons:.4f}",
+    "wall_time_ms": lambda r: r.wall_time_ms,
+    "master_seed": lambda r: r.master_seed,
+}
+RESULT_COLUMNS = tuple(_RESULT_FORMATS)
 
 
 def result_record(res: CampaignResult) -> dict:
-    cfg = res.cfg
-    name = cfg.filter_kind + ("+shield" if cfg.shielded else "")
-    return {
-        "filter": name,
-        "adversary": cfg.adversary_kind,
-        "n": cfg.params.n,
-        "eps": repr(cfg.params.eps),
-        "t": cfg.params.t,
-        "trials": res.trials,
-        "success_rate": f"{res.success_rate:.6f}",
-        "ci_half_width": f"{res.ci_half_width:.6f}",
-        "fp_rate_baseline": f"{res.fp_rate_baseline:.6f}",
-        "memory_bits": res.memory_bits,
-        "mean_bit_comparisons":
-            "" if res.mean_bit_comparisons is None else f"{res.mean_bit_comparisons:.4f}",
-        "wall_time_ms": res.wall_time_ms,
-        "master_seed": res.master_seed,
-    }
+    return {column: value(res) for column, value in _RESULT_FORMATS.items()}
 
 
 def audit_memory(rep: Representation) -> dict:

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from filterlab.cli import ConfigError, _out_path, config_to_campaign, main, parse_config
-from filterlab.experiments import FILTERS, RESULT_COLUMNS
+from filterlab import bloom
+from filterlab.cli import (CONFIG_KEYS, DEFAULT_SEED, ConfigError, _out_path, _parse_scalar,
+                           config_to_campaign, main, parse_config)
+from filterlab.core import BuildError, FilterParams, ParamError
+from filterlab.experiments import FILTERS, RESULT_COLUMNS, GameConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -463,3 +466,100 @@ def test_selftest_rejects_bad_criteria(capsys, criteria, message):
         main(["selftest", "--criteria", criteria])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key,section", [
+    (_with_line("sheild = true"), "sheild", "filter"),
+    (BASIC_CONFIG.replace("seed = 7", "seed = 7\nfp_sample = 50"), "fp_sample", "experiment"),
+], ids=["sheild", "fp_sample"])
+def test_unknown_key_refused_at_its_line(tmp_path, capsys, text, key, section):
+    # a misspelled key must not leave its setting at the default unnoticed
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert f"bad.ini:{_line_of(text, key + ' ')}: unknown key '{key}' in [{section}]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cls,key", [(FilterParams, "nowhere"), (GameConfig, "nowhere"),
+                                     (FilterParams, "lambda_bits"), (GameConfig, "shielded")])
+def test_param_error_without_a_config_line_reported_at_the_file(tmp_path, capsys, monkeypatch,
+                                                                 cls, key):
+    # "nowhere" is no field; lambda_bits and shield are absent from the config
+    def refuse(self):
+        raise ParamError(key, "refused for the test")
+
+    monkeypatch.setattr(cls, "__post_init__", refuse)
+    rc, err = _config_error(tmp_path, capsys, BASIC_CONFIG)
+    assert rc == 2
+    assert err == "config error: " + str(tmp_path / "bad.ini") + ": refused for the test\n"
+
+
+# a strict consistency search against a shielded toy Bloom filter finds no
+# inner representation consistent with its labels in the first game
+INCONSISTENT = """\
+[experiment]
+trials = 20
+seed = 7
+
+[filter]
+kind = baseline_bloom
+shield = true
+m = 16
+n = 4
+eps = 2^-4
+t = 51200
+u_bits = 10
+
+[adversary]
+kind = consistency_search
+expose = structure
+"""
+
+
+@pytest.mark.parametrize("error,parallel", [("InconsistentOracleError", 1),
+                                            ("InconsistentOracleError", 2),
+                                            ("BuildError", 1), ("BuildError", 2)])
+def test_failed_game_ends_experiment_in_one_line(tmp_path, capsys, monkeypatch,
+                                                 error, parallel):
+    if error == "BuildError":
+        def fail(*args, **kwargs):
+            raise BuildError("placement failed")
+
+        monkeypatch.setattr(bloom, "build_bloom", fail)  # workers fork with it
+    out = tmp_path / "o.csv"
+    rc = main(["experiment", "--config", _write(tmp_path, INCONSISTENT), "--out", str(out),
+               "--parallel", str(parallel)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"experiment failed: {error}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_readme_result_columns_are_the_result_columns():
+    listed = re.search(r"fixed columns: `([^`]*)`", README).group(1)
+    assert [c.strip() for c in listed.split(",")] == list(RESULT_COLUMNS)
+
+
+def test_readme_config_block_lists_every_config_key(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README, flags=re.S).group(1)
+    shown: dict[str, dict[str, str]] = {}  # section -> key -> value, commented out or not
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = shown.setdefault(line.strip("[]"), {})
+        elif m := re.match(r"#? ?(\w+) = (\S+)", line):
+            section[m.group(1)] = m.group(2)
+    assert shown.keys() == CONFIG_KEYS.keys()
+    for name, keys in CONFIG_KEYS.items():
+        assert set(keys) <= set(shown[name])
+        if name != "adversary":  # every other [adversary] key is an option
+            assert set(shown[name]) == set(keys)
+        for key, (_, default, _, _) in keys.items():
+            if default not in (..., None):  # an optional key is shown at its default
+                assert _parse_scalar(shown[name][key]) == default, key
+    assert f"else {DEFAULT_SEED}" in block
+    # and the block itself is a valid config
+    assert config_to_campaign(_write(tmp_path, block))[0].filter_kind == "baseline_bloom"
