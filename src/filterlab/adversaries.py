@@ -167,11 +167,11 @@ class ConsistencySearchAttack:
     representation id consistent with every label is taken as the model M'
     (an exhaustive search, feasible only for toy filters with ~2^20
     candidate states; the Bloom space enumerates only the arrays holding
-    every positive label's positions).  The chosen model is re-checked
-    against every label through `model_query`.  Sampling then looks for a
-    fresh element the model marks positive; since the model approximates
-    the oracle on all of U, such an element is a true false positive with
-    high probability.
+    every positive label's positions).  M' is itself a filter, the
+    enumerator's `model(id)`: the attack re-checks every label with one
+    `query_many` of it, then samples for a fresh element M' answers
+    positive on.  Since the model approximates the oracle on all of U, such
+    an element is a true false positive with high probability.
 
     The query budget is c*m/eps0; the default c = 200 is sized for the
     regime where the universe dwarfs the budget, so at desk scale the
@@ -215,8 +215,8 @@ class ConsistencySearchAttack:
                     "no representation consistent with the oracle labels")
             return self._guess(ctx, xs)
 
-        model_query = enum.model_query
-        if any(model_query(chosen, x) != y for x, y in zip(xs, ys)):
+        model = enum.model(chosen)
+        if model.query_many(xs) != ys:
             raise InconsistentOracleError(
                 f"enumerator chose representation {chosen}, which contradicts "
                 "the oracle labels")
@@ -225,7 +225,7 @@ class ConsistencySearchAttack:
             x = rng.randrange(u)
             if x in ctx.S or x in oracle.queried:
                 continue
-            if model_query(chosen, x):
+            if model.query(x):
                 return x
         return self._guess(ctx, xs)
 

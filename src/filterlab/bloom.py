@@ -28,30 +28,20 @@ def standard_bloom_bits(n: int, eps: float) -> int:
     return math.ceil(n * math.log2(1.0 / eps) / math.log(2))
 
 
+def array_bits(params: FilterParams, m: int | None = None) -> int:
+    """The array size a build uses: m, else standard sizing from eps."""
+    return standard_bloom_bits(params.n, params.eps) if m is None else m
+
+
 def index_count(m: int, n: int) -> int:
     """k_h = max(1, round(ln 2 * m / n))."""
     return max(1, round(math.log(2) * m / n))
 
 
-def position_masks(m: int, seeds: tuple[int, ...], u_bits: int) -> np.ndarray:
-    """Per-element OR-mask of index bits over the whole universe (uint64).
-
-    Only for enumerable universes and arrays of at most 64 bits; lets
-    candidate representations be tested as integers: rep matches x iff
-    rep & mask[x] == mask[x].
-    """
-    if u_bits > 16:
-        raise ValueError("position masks only precomputed for u_bits <= 16")
-    if m > 64:
-        raise ValueError("position masks need m <= 64")
-    xs = np.arange(1 << u_bits, dtype=np.uint64)
-    return np.bitwise_or.reduce(np.uint64(1) << positions(seeds, xs, m), axis=0)
-
-
 def enumerable(m: int, u_bits: int) -> bool:
     """Whether the m-bit arrays over a u_bits universe can be searched
-    exhaustively: at most 2^20 arrays, and position masks for at most 2^16
-    elements."""
+    exhaustively: at most 2^20 arrays, and a position mask for each of at
+    most 2^16 elements."""
     return m <= 20 and u_bits <= 16
 
 
@@ -73,20 +63,22 @@ def supersets(need: int, m: int) -> np.ndarray:
 
 
 class BloomRepSpace:
-    """Exhaustive space of m-bit arrays under a published hash structure
-    (the index seeds over a u_bits universe).
+    """Exhaustive space of m-bit arrays under a filter's published hash
+    structure (its index seeds over a u_bits universe).
 
     A representation id is the array read as an integer, bit p for
-    position p.
+    position p; `model(rep_id)` is the filter with that array.  The space
+    keeps the filter's seeds, never its array, and `masks[x]`, x's
+    positions as bits (uint32, as m <= 20), which an array answering x holds.
     """
 
-    def __init__(self, m: int, seeds: tuple[int, ...], u_bits: int):
-        if not enumerable(m, u_bits):
+    def __init__(self, rep: "BloomFilterRep"):
+        u_bits = rep.params.u_bits
+        if not enumerable(rep.m, u_bits):
             raise ValueError("representation space too large to enumerate")
-        self.m = m
-        # m <= 20, so the masks and ids fit 32 bits: half the scan's memory
-        self._mask_array = position_masks(m, seeds, u_bits).astype(np.uint32)
-        self.masks = self._mask_array.tolist()  # scalar lookups in model_query
+        self.params, self.seeds, self.m = rep.params, rep.seeds, rep.m
+        bits = np.uint64(1) << positions(self.seeds, np.arange(1 << u_bits), self.m)
+        self.masks = np.bitwise_or.reduce(bits, axis=0).astype(np.uint32)
 
     @property
     def memory_bits(self) -> int:
@@ -104,7 +96,7 @@ class BloomRepSpace:
         which leaves few distinct masks; one that is empty there rules out
         every superset, and the survivors are filtered once per other mask.
         """
-        masks = self._mask_array[xs]
+        masks = self.masks[xs]
         positive = np.array(ys, dtype=bool)
         need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
         negatives = set((masks[~positive] & ~need).tolist())
@@ -117,9 +109,10 @@ class BloomRepSpace:
                 return None
         return int(ids[0])
 
-    def model_query(self, rep_id: int, x: int) -> bool:
-        mk = self.masks[x]
-        return (rep_id & mk) == mk
+    def model(self, rep_id: int) -> "BloomFilterRep":
+        """The filter whose array is rep_id."""
+        return BloomFilterRep(self.params, self.seeds,
+                              bytearray(rep_id >> p & 1 for p in range(self.m)))
 
 
 class BloomFilterRep(Representation):
@@ -157,9 +150,7 @@ class BloomFilterRep(Representation):
         return ys
 
     def rep_space_enumerator(self):
-        if enumerable(self.m, self.params.u_bits):
-            return BloomRepSpace(self.m, self.seeds, self.params.u_bits)
-        return None
+        return BloomRepSpace(self) if enumerable(self.m, self.params.u_bits) else None
 
     def write(self, w: BitWriter) -> None:
         for s in self.seeds:
@@ -180,8 +171,7 @@ def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
                 m: int | None = None) -> BloomFilterRep:
     """Build the baseline filter; m defaults to standard sizing from eps."""
     xs = params.check_members(S)
-    if m is None:
-        m = standard_bloom_bits(params.n, params.eps)
+    m = array_bits(params, m)
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = random.Random(rng_seed)

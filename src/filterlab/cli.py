@@ -5,13 +5,14 @@ Subcommands:
   selftest      run the acceptance criteria, write a report
   audit-memory  build one filter and print its exact bit accounting
 
-The experiment config's keys are the rows of `CONFIG_KEYS`: an unknown
-[experiment] or [filter] key is refused at its line, and any other
-[adversary] key is an option of the strategy.
+The experiment config's sections and keys are those of `CONFIG_KEYS`: an
+unknown section, or an unknown [experiment] or [filter] key, is refused at
+its line, and any other [adversary] key is an option of the strategy.
 
 Exit codes: 0 success, 1 criterion/experiment failure (a game's
 InconsistentOracleError or BuildError, in one stderr line), 2 bad input.
-The FILTERLAB_SEED environment variable overrides the default master seed.
+The master seed is --seed, else the config's seed, else the FILTERLAB_SEED
+environment variable (read only then), else DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ def _parse_scalar(raw: str):
     return low
 
 
-def parse_config(path: str) -> dict[str, dict[str, tuple[object, int]]]:
+def parse_config(path: str, known: dict | None = None) -> dict[str, dict[str, tuple[object, int]]]:
     """Parse the key/typed-value section format, keeping line numbers.
 
-    Sections are [name] headers; entries are `key = value` lines; `#` and
-    `;` start comments.  Values parse as bool, int, float, 2^k shorthand,
-    or bare string.
+    Sections are [name] headers, refused at their line when `known` is
+    given and does not hold the name; entries are `key = value` lines; `#`
+    and `;` start comments.  Values parse as bool, int, float, 2^k
+    shorthand, or bare string.
     """
     try:
         text = Path(path).read_text()
@@ -76,6 +78,9 @@ def parse_config(path: str) -> dict[str, dict[str, tuple[object, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if known is not None and current not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{current}] "
+                                  f"(known: {', '.join(known)})")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -98,7 +103,7 @@ def parse_config(path: str) -> dict[str, dict[str, tuple[object, int]]]:
 CONFIG_KEYS = {
     "experiment": {
         "trials": (int, ..., 1, "trials"),
-        "seed": (int, None, None, "seed"),  # None: FILTERLAB_SEED, else DEFAULT_SEED
+        "seed": (int, None, None, "seed"),  # None: see `master_seed`
         "fp_samples": (int, 10_000, 1, "fp_samples"),
     },
     "filter": {
@@ -127,8 +132,10 @@ def _check_seed(value: int, name: str) -> int:
     return value
 
 
-def _env_seed() -> int:
-    """The master seed when none is given: FILTERLAB_SEED, else DEFAULT_SEED."""
+def master_seed(seed: int | None) -> int:
+    """seed, else FILTERLAB_SEED (read and checked only then), else DEFAULT_SEED."""
+    if seed is not None:
+        return seed
     raw = os.environ.get("FILTERLAB_SEED")
     if raw is None:
         return DEFAULT_SEED
@@ -139,11 +146,10 @@ def _env_seed() -> int:
     return _check_seed(value, "FILTERLAB_SEED")
 
 
-def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
-    """Validate a config file, key by key of `CONFIG_KEYS`, into
-    (game config, trials, seed, fp_samples)."""
-    sections = parse_config(path)
-    env_seed = _env_seed()
+def config_to_campaign(path: str, seed: int | None = None) -> tuple[GameConfig, int, int, int]:
+    """Validate a config file by `CONFIG_KEYS` into (game config, trials,
+    master seed, fp_samples); a given seed (`--seed`) overrides the config's."""
+    sections = parse_config(path, CONFIG_KEYS)
     values: dict[str, dict] = {}  # section -> field -> value
     lines: dict[str, int] = {}  # field -> line of the key that set it, 0 if none
     opts, opt_lines = {}, {}  # the strategy's options and their lines
@@ -167,7 +173,9 @@ def config_to_campaign(path: str) -> tuple[GameConfig, int, int, int]:
                 raise ConfigError(f"{path}:{line}: {key} must be >= {least}")
             values[name][field], lines[field] = value, line
     exp, game = values["experiment"], {**values["filter"], **values["adversary"]}
-    seed = _check_seed(exp["seed"], f"{path}:{lines['seed']}: seed") if lines["seed"] else env_seed
+    if lines["seed"]:
+        _check_seed(exp["seed"], f"{path}:{lines['seed']}: seed")
+    seed = master_seed(exp["seed"] if seed is None else seed)
     lines["expose"] = lines["expose"] or lines["adversary_kind"]
     try:
         params = FilterParams(**{f.name: game.pop(f.name) for f in fields(FilterParams)})
@@ -191,12 +199,10 @@ def write_results(records: list[dict], out_path: str, fmt: str) -> None:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     try:
-        cfg, trials, seed, fp_samples = config_to_campaign(args.config)
+        cfg, trials, seed, fp_samples = config_to_campaign(args.config, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        seed = args.seed
     try:
         res = experiments.run_campaign(cfg, trials, seed, parallel=args.parallel,
                                        fp_samples=fp_samples)
@@ -212,7 +218,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     try:
-        seed = args.seed if args.seed is not None else _env_seed()
+        seed = master_seed(args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

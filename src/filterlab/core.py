@@ -431,8 +431,9 @@ class ExactSetRepSpace:
         query = self._rep.query
         return 0 if all(query(x) == y for x, y in zip(xs, ys)) else None
 
-    def model_query(self, rep_id: int, x: int) -> bool:
-        return self._rep.query(x)
+    def model(self, rep_id: int) -> ExactSetRep:
+        """The exact set itself, the one representation."""
+        return self._rep
 
 
 def build_exact_set(S: Iterable[int], params: FilterParams, rng_seed: int) -> ExactSetRep:

@@ -90,9 +90,8 @@ class GameConfig:
         `Representation.rep_space_enumerator`); a shield exposes its inner
         filter's."""
         if self.filter_kind == "baseline_bloom":
-            p, m = self.params, self.bloom_bits
-            return bloom.enumerable(bloom.standard_bloom_bits(p.n, p.eps) if m is None else m,
-                                    p.u_bits)
+            return bloom.enumerable(bloom.array_bits(self.params, self.bloom_bits),
+                                    self.params.u_bits)
         return self.filter_kind == "exact_set"
 
 

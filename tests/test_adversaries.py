@@ -1,7 +1,9 @@
 import hashlib
 import math
 import random
+import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from filterlab.adversaries import (
     fresh_element,
     mu_estimate,
 )
-from filterlab.bloom import BloomRepSpace, supersets
+from filterlab.bloom import BloomFilterRep, BloomRepSpace, supersets
 from filterlab.core import (
     AdversaryContext,
     ExactSetRepSpace,
@@ -138,11 +140,12 @@ class ScalarConsistencySearch(ConsistencySearchAttack):
             if self.strict:
                 raise InconsistentOracleError("no consistent representation")
             return fresh_element(rng, u, ctx.S, oracle.queried)
+        model = enum.model(chosen)
         for _ in range(min(math.ceil(100.0 / eps0), CANDIDATE_CAP)):
             x = rng.randrange(u)
             if x in ctx.S or x in oracle.queried:
                 continue
-            if enum.model_query(chosen, x):
+            if model.query(x):
                 return x
         return fresh_element(rng, u, ctx.S, oracle.queried)
 
@@ -314,19 +317,31 @@ def test_recovered_model_approximates_the_oracle():
         attack.run(ctx)
         chosen = attack.last_consistent_rep
         assert chosen is not None
-        err = sum(enum.model_query(chosen, x) != rep.query(x)
+        model = enum.model(chosen)
+        err = sum(model.query(x) != rep.query(x)
                   for x in range(TOY.universe)) / TOY.universe
         if err <= eps0 / 10:
             good += 1
     assert good / runs >= 0.95
 
 
+def _rule(enum):
+    """(rid, x) -> how id rid answers x, by the reference mask rule: array
+    rid answers x iff it holds x's OR-mask.  The exact set's one id
+    answers as the set."""
+    if isinstance(enum, ExactSetRepSpace):
+        return lambda rid, x: enum.model(rid).query(x)
+    masks = enum.masks.tolist()
+    return lambda rid, x: (rid & masks[x]) == masks[x]
+
+
 def _scan(enum, ids, labels):
     """The ascending candidate scan `first_consistent` replaced, as reference."""
+    answer = _rule(enum)
     for rid in ids:
         ok = True
         for x, y in labels:
-            if enum.model_query(rid, x) != y:
+            if answer(rid, x) != y:
                 ok = False
                 break
         if ok:
@@ -337,7 +352,8 @@ def _scan(enum, ids, labels):
 def _bloom_space(m, seed, k_h=3, u_bits=10):
     rng = random.Random(seed)
     seeds = tuple(rng.getrandbits(64) for _ in range(k_h))
-    return BloomRepSpace(m, seeds, u_bits)
+    params = FilterParams(n=4, eps=2 ** -4, t=0, u_bits=u_bits)
+    return BloomRepSpace(BloomFilterRep(params, seeds, bytearray(m)))
 
 
 def _check_against_scan(enum, labels):
@@ -354,7 +370,8 @@ def test_first_consistent_matches_scan_on_random_labels(m):
         truth = rng.getrandbits(m)
         xs = [rng.randrange(1 << 10) for _ in range(rng.choice((1, 4, 40, 400)))]
         xs += xs[:len(xs) // 2]  # duplicate labels
-        labels = [(x, enum.model_query(truth, x)) for x in xs]
+        answer = _rule(enum)
+        labels = [(x, answer(truth, x)) for x in xs]
         chosen = _check_against_scan(enum, labels)
         assert chosen is not None and chosen <= truth
         noisy = [(x, rng.random() < 0.5) for x in xs[:rng.choice((1, 3, 12))]]
@@ -388,9 +405,10 @@ def test_first_consistent_at_twenty_bits():
     enum = _bloom_space(20, 34, k_h=2)
     truth = 0b1011_0000_0000_0110_0001
     xs = random.Random(35).sample(range(1 << 10), 300)
-    assert _check_against_scan(enum, [(x, enum.model_query(truth, x)) for x in xs]) == truth
+    answer = _rule(enum)
+    assert _check_against_scan(enum, [(x, answer(truth, x)) for x in xs]) == truth
     full = (1 << 20) - 1
-    labels = [(x, enum.model_query(full ^ enum.masks[xs[0]], x)) for x in xs]
+    labels = [(x, answer(full ^ enum.masks[xs[0]], x)) for x in xs]
     assert _check_against_scan(enum, labels) is not None
     assert _check_against_scan(enum, labels + [(xs[0], True)]) is None
 
@@ -409,7 +427,8 @@ def test_first_consistent_matches_scan_on_superset_edges(m):
         rng = random.Random(split_seed(40, m, case))
         xs = [rng.randrange(1 << 10) for _ in range(rng.choice((3, 30, 300)))]
         truth = rng.getrandbits(m)
-        labels = [(x, enum.model_query(truth, x)) for x in xs]
+        answer = _rule(enum)
+        labels = [(x, answer(truth, x)) for x in xs]
         assert _check_against_scan(enum, []) == 0
         assert _check_against_scan(enum, labels + labels[::2]) <= truth  # duplicates
         need = 0
@@ -499,6 +518,21 @@ def test_consistency_search_rejects_a_contradicted_model(monkeypatch):
     with pytest.raises(InconsistentOracleError, match="contradicts"):
         run_challenge(_toy_bloom, ConsistencySearchAttack(), None, TOY, 38,
                       expose="structure")
+
+
+def _public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_readme_lists_the_enumerator_contract():
+    # the attributes both spaces share are the contract the README lists
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    things = re.search(r"An\s+enumerator offers \w+ things:(.*?)\.\s+The Bloom", readme,
+                       flags=re.S).group(1)
+    listed = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", things))
+    assert len(listed) == len(set(listed))
+    assert set(listed) == _public(BloomRepSpace) & _public(ExactSetRepSpace)
+    assert set(listed) == {"memory_bits", "first_consistent", "model"}
 
 
 def test_err_estimate_identity_and_extremes():

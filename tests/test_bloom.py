@@ -9,10 +9,9 @@ from filterlab.bloom import (
     BloomFilterRep,
     BloomRepSpace,
     index_count,
-    position_masks,
     standard_bloom_bits,
 )
-from filterlab.core import BuildError
+from filterlab.core import BuildError, build_exact_set
 from filterlab.hashing import mix64
 
 PARAMS = FilterParams(n=1000, eps=2 ** -6, t=0, u_bits=32)
@@ -176,11 +175,32 @@ def test_enumerator_only_at_toy_scale():
     rep = build_bloom([1, 2, 3, 4], toy, rng_seed=21, m=16)
     space = rep.rep_space_enumerator()
     assert space is not None and space.memory_bits == 16
-    # the true array appears in the space and models the filter exactly
-    rep_id = sum(b << p for p, b in enumerate(rep.array))
-    assert all(space.model_query(rep_id, x) == rep.query(x) for x in range(1024))
     big = build_bloom([1, 2], PARAMS, rng_seed=22)
     assert big.rep_space_enumerator() is None
+
+
+def test_model_of_a_filters_own_id_is_that_filter():
+    toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
+    for seed in range(4):
+        rep = build_bloom([1, 2, 3, 4], toy, rng_seed=seed, m=16)
+        rep_id = sum(b << p for p, b in enumerate(rep.array))
+        model = rep.rep_space_enumerator().model(rep_id)
+        assert type(model) is BloomFilterRep
+        assert model.array == rep.array and model.seeds == rep.seeds
+        assert model.params == rep.params
+        xs = list(range(toy.universe))
+        assert [model.query(x) for x in xs] == [rep.query(x) for x in xs]
+
+
+def test_model_of_the_exact_set_is_the_exact_set():
+    toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
+    rep = build_exact_set([1, 2, 3, 4], toy, 0)
+    assert rep.rep_space_enumerator().model(0) is rep
+
+
+def _filter_with_seeds(u_bits, m, seeds):
+    params = FilterParams(n=4, eps=2 ** -4, t=0, u_bits=u_bits)
+    return BloomFilterRep(params, seeds, bytearray(m))
 
 
 @pytest.mark.parametrize("m", [1, 16, 20])
@@ -189,8 +209,8 @@ def test_position_masks_match_scalar_positions(u_bits, m):
     # seed 2^64-1 makes x + seed wrap for every x > 0
     rng = random.Random(u_bits * 100 + m)
     seeds = (0, (1 << 64) - 1) + tuple(rng.getrandbits(64) for _ in range(2))
-    masks = position_masks(m, seeds, u_bits)
-    assert masks.dtype == np.uint64 and len(masks) == 1 << u_bits
+    masks = BloomRepSpace(_filter_with_seeds(u_bits, m, seeds)).masks
+    assert masks.dtype == np.uint32 and len(masks) == 1 << u_bits
     expected = []
     for x in range(1 << u_bits):
         mk = 0
@@ -200,15 +220,11 @@ def test_position_masks_match_scalar_positions(u_bits, m):
     assert masks.tolist() == expected
 
 
-def test_position_masks_refuse_unenumerable_shapes():
-    with pytest.raises(ValueError):
-        position_masks(16, (1,), 17)
-    with pytest.raises(ValueError):
-        position_masks(65, (1,), 10)
-    with pytest.raises(ValueError):
-        BloomRepSpace(21, (1,), 10)
-    with pytest.raises(ValueError):
-        BloomRepSpace(16, (1,), 17)
+def test_rep_space_refuses_unenumerable_shapes():
+    with pytest.raises(ValueError, match="too large"):
+        BloomRepSpace(_filter_with_seeds(10, 21, (1,)))
+    with pytest.raises(ValueError, match="too large"):
+        BloomRepSpace(_filter_with_seeds(17, 16, (1,)))
 
 
 @pytest.mark.parametrize("u_bits", [10, 32, 64])

@@ -159,6 +159,18 @@ def _line_of(text, prefix):
     return 1 + next(i for i, l in enumerate(text.splitlines()) if l.startswith(prefix))
 
 
+@pytest.mark.parametrize("text", [BASIC_CONFIG + "\n[adversry]\nc = 5\n",
+                                  BASIC_CONFIG.replace("[adversary]", "[adversry]"),
+                                  "[adversry]\n" + BASIC_CONFIG],
+                         ids=["extra", "misspelled", "empty-first"])
+def test_unknown_section_reported_at_its_header(tmp_path, capsys, text):
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert err == (f"config error: {tmp_path / 'bad.ini'}:{_line_of(text, '[adversry]')}: "
+                   "unknown section [adversry] (known: experiment, filter, adversary)\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("adversary", ["seed_exposed", "random_probe"])
 def test_unknown_adversary_option_reported_at_its_line(tmp_path, capsys, adversary):
     text = BASIC_CONFIG.replace("kind = random_probe", f"kind = {adversary}\nbogus = 5")
@@ -422,6 +434,24 @@ def test_seed_env_override(tmp_path, monkeypatch):
     text = text.replace("trials = 100", "trials = 10")
     cfg, trials, seed, _ = config_to_campaign(_write(tmp_path, text))
     assert seed == 31337
+
+
+@pytest.mark.parametrize("config_seed,option,used", [(7, None, 7), (None, "3", 3),
+                                                    (7, "3", 3)])
+def test_seed_env_is_read_only_as_the_fallback(tmp_path, monkeypatch, capsys,
+                                               config_seed, option, used):
+    monkeypatch.setenv("FILTERLAB_SEED", "abc")
+    text = "\n".join(l for l in BASIC_CONFIG.splitlines() if not l.startswith("seed"))
+    text = text.replace("trials = 100", "trials = 10")
+    if config_seed is not None:
+        text = text.replace("[experiment]", f"[experiment]\nseed = {config_seed}")
+    path, out = _write(tmp_path, text), tmp_path / "o.csv"
+    assert config_to_campaign(path, None if option is None else int(option))[2] == used
+    argv = ["experiment", "--config", path, "--out", str(out)]
+    assert main(argv + (["--seed", option] if option else [])) == 0
+    row = dict(zip(RESULT_COLUMNS, out.read_text().splitlines()[1].split(",")))
+    assert row["master_seed"] == str(used)
+    assert "FILTERLAB_SEED" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["selftest", "experiment"])
