@@ -6,13 +6,17 @@ public parameters, and a seeded RNG.  Under debug exposure policies the
 context may also carry the unshielded representation itself (white-box
 attacks) or an enumerator over its representation space (consistency
 search).  Every strategy is a deterministic function of its seed and the
-oracle's responses.
+oracle's responses, and every one ends in `challenge`, the game's one last
+move: its own candidates first, then a fresh uniform guess.  The two
+white-box attacks draw their candidates with `hits`, the uniform points a
+filter they hold answers True on.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Iterable, Iterator
 
 from .core import AdversaryContext, FilterParams, Representation, minimal_error, stopped
 from .hashing import randbelow_many
@@ -50,6 +54,31 @@ def fresh_element(rng: random.Random, universe: int, *excluded: set[int] | froze
     raise SamplingError("universe exhausted during sweep")
 
 
+def challenge(ctx: AdversaryContext, candidates: Iterable[int] = ()) -> int:
+    """The x* a strategy names: the first of its candidates outside S and the
+    queried points (read lazily, so a stream draws no further); else a fresh
+    uniform guess; else, when S and the queried points cover the universe,
+    the first queried point, a guess that cannot win."""
+    S, queried = ctx.S, ctx.oracle.queried
+    for x in candidates:
+        if x not in S and x not in queried:
+            return x
+    try:
+        return fresh_element(ctx.rng, ctx.params.universe, S, queried)
+    except SamplingError:
+        return ctx.oracle.queries[0][0]  # S alone never covers the universe
+
+
+def hits(ctx: AdversaryContext, rep: Representation, attempts: int) -> Iterator[int]:
+    """In order, those of `attempts` uniform draws that lie outside S and the
+    queried points and that rep answers True on."""
+    S, queried, u = ctx.S, ctx.oracle.queried, ctx.params.universe
+    for _ in range(attempts):
+        x = ctx.rng.randrange(u)
+        if x not in S and x not in queried and rep.query(x):
+            yield x
+
+
 def _check_room(params: FilterParams) -> None:
     """2^u_bits > t + n: room for t queries, the n members and a fresh guess."""
     if params.universe <= params.t + params.n:
@@ -60,19 +89,19 @@ class RandomProbeAttack:
     """Non-adaptive baseline: t uniform queries, then a fresh uniform guess."""
 
     def run(self, ctx: AdversaryContext) -> int:
-        params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
-        u = params.universe
+        params = ctx.params
         _check_room(params)
-        oracle.query_many(randbelow_many(rng, u, params.t))
-        return fresh_element(rng, u, ctx.S, oracle.queried)
+        ctx.oracle.query_many(randbelow_many(ctx.rng, params.universe, params.t))
+        return challenge(ctx)
 
 
 class MutatePositivesAttack:
     """Feedback strategy: steer queries toward neighbours of observed positives.
 
     Keeps every non-member that answered True; half of the remaining budget
-    probes single-bit mutations of those, the rest stays uniform.  The final
-    challenge is a fresh mutation of a random positive when one exists.
+    probes single-bit mutations of those, the rest stays uniform.  The
+    challenge is the first fresh one of up to 256 such mutations when a
+    positive exists.
 
     Only a new positive changes the next draw, so the queries go out in
     speculative blocks, drawn ahead with the positives known so far and
@@ -97,10 +126,11 @@ class MutatePositivesAttack:
         _check_room(params)
         positives: list[int] = []
 
+        def mutant() -> int:  # a random positive with one bit flipped
+            return rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
+
         def draw() -> int:  # once a positive exists
-            if rng.random() < 0.5:
-                return rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
-            return rng.randrange(u)
+            return mutant() if rng.random() < 0.5 else rng.randrange(u)
 
         def draws(count: int) -> list[int]:
             if positives:
@@ -123,12 +153,7 @@ class MutatePositivesAttack:
                     draws(len(ys))
                 positives.append(xs[len(ys) - 1])
                 block = self.RESTART
-        if positives:
-            for _ in range(256):
-                x = rng.choice(positives) ^ (1 << rng.randrange(params.u_bits))
-                if x not in ctx.S and x not in oracle.queried:
-                    return x
-        return fresh_element(rng, u, ctx.S, oracle.queried)
+        return challenge(ctx, (mutant() for _ in range(256)) if positives else ())
 
 
 class SeedExposedAttack:
@@ -145,17 +170,9 @@ class SeedExposedAttack:
         self.candidate_budget = candidate_budget
 
     def run(self, ctx: AdversaryContext) -> int:
-        params, rng = ctx.params, ctx.rng
-        u = params.universe
-        published = ctx.published
-        if published is not None:
-            for _ in range(self.candidate_budget):
-                x = rng.randrange(u)
-                if x in ctx.S:
-                    continue
-                if published.query(x):
-                    return x
-        return fresh_element(rng, u, ctx.S, ctx.oracle.queried)
+        if ctx.published is None:
+            return challenge(ctx)
+        return challenge(ctx, hits(ctx, ctx.published, self.candidate_budget))
 
 
 class ConsistencySearchAttack:
@@ -179,10 +196,8 @@ class ConsistencySearchAttack:
     fraction of the universe unqueried and eligible as a challenge.
     When no candidate is consistent the attack either raises (strict mode:
     a matched enumerator guarantees existence, so absence is a bug) or
-    falls back to an arbitrary fresh guess (black-box mode, e.g. attacking
-    through a shield whose inner space the enumerator models).  When the
-    sample and the set cover a tiny universe, no fresh guess exists and the
-    attack concedes: it names a point it queried, which scores as a loss.
+    falls back to `challenge`'s fresh guess (black-box mode, e.g. attacking
+    through a shield whose inner space the enumerator models).
     """
 
     def __init__(self, c: int = 200, strict: bool = True):
@@ -213,30 +228,14 @@ class ConsistencySearchAttack:
             if self.strict:
                 raise InconsistentOracleError(
                     "no representation consistent with the oracle labels")
-            return self._guess(ctx, xs)
+            return challenge(ctx)
 
         model = enum.model(chosen)
         if model.query_many(xs) != ys:
             raise InconsistentOracleError(
                 f"enumerator chose representation {chosen}, which contradicts "
                 "the oracle labels")
-        attempts = min(math.ceil(100.0 / eps0), CANDIDATE_CAP)
-        for _ in range(attempts):
-            x = rng.randrange(u)
-            if x in ctx.S or x in oracle.queried:
-                continue
-            if model.query(x):
-                return x
-        return self._guess(ctx, xs)
-
-    @staticmethod
-    def _guess(ctx: AdversaryContext, xs: list[int]) -> int:
-        """A fresh uniform guess, or, when S and the queried points cover the
-        universe, the first queried point: a guess that cannot win."""
-        try:
-            return fresh_element(ctx.rng, ctx.params.universe, ctx.S, ctx.oracle.queried)
-        except SamplingError:
-            return xs[0]  # S alone never covers the universe, so xs is not empty
+        return challenge(ctx, hits(ctx, model, min(math.ceil(100.0 / eps0), CANDIDATE_CAP)))
 
 
 def _estimate_points(u: int, sample_count: int, rng: random.Random | None) -> list[int]:

@@ -161,10 +161,14 @@ class BloomFilterRep(Representation):
     @classmethod
     def deserialize(cls, params: FilterParams, m: int, data: bytes,
                     bit_length: int) -> "BloomFilterRep":
-        """The filter `write` wrote, with the k_h of `build_bloom` at m."""
+        """The filter `write` wrote, with the k_h of `build_bloom` at m; a
+        payload of any other length raises ValueError."""
         r = BitReader(data, bit_length)
         seeds = tuple(r.read(SEED_BITS) for _ in range(index_count(m, params.n)))
-        return cls(params, seeds, bytearray(r.read(1) for _ in range(m)))
+        array = bytearray(r.read(1) for _ in range(m))
+        if r.remaining:
+            raise ValueError(f"{r.remaining} bits past the payload")
+        return cls(params, seeds, array)
 
 
 def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,

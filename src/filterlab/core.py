@@ -23,6 +23,9 @@ from .hashing import randbelow_many, split_seed
 
 SEED_BITS = 64  # size at which per-representation hash seeds are accounted
 
+# what a game reveals besides the oracle: nothing, the enumerator, or the filter too
+EXPOSURES = ("none", "structure", "full")
+
 
 class ProtocolViolation(Exception):
     """An adversary stepped outside the game contract."""
@@ -339,8 +342,11 @@ def run_challenge(
     the adversary runs with oracle access and up to t queries, and its
     output x* wins only if it is a fresh non-member answering True.  The
     verification query goes through the same (possibly mutating) query path
-    and is issued exactly once.
+    and is issued exactly once.  `expose` is one of `EXPOSURES`; any other
+    value raises ValueError before anything is built.
     """
+    if expose not in EXPOSURES:
+        raise ValueError(f"unknown exposure policy {expose!r} (known: {', '.join(EXPOSURES)})")
     set_seed = split_seed(rng_seed, 0)
     build_seed = split_seed(rng_seed, 1)
     adv_seed = split_seed(rng_seed, 2)
@@ -428,8 +434,7 @@ class ExactSetRepSpace:
     def first_consistent(self, xs: list[int], ys: list[bool]) -> int | None:
         """0, the one representation, if it answers ys[i] on every xs[i];
         else None."""
-        query = self._rep.query
-        return 0 if all(query(x) == y for x, y in zip(xs, ys)) else None
+        return 0 if self._rep.query_many(xs) == list(ys) else None
 
     def model(self, rep_id: int) -> ExactSetRep:
         """The exact set itself, the one representation."""

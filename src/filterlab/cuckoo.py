@@ -216,6 +216,7 @@ class CuckooFilterRep(Representation):
     def deserialize(cls, params: FilterParams, ell: int, k: int, field_width: int,
                     r: int, cursors_enabled: bool, data: bytes,
                     bit_length: int) -> "CuckooFilterRep":
+        """The filter `write` wrote; a payload of any other length raises ValueError."""
         rd = BitReader(data, bit_length)
         seeds = (rd.read(SEED_BITS), rd.read(SEED_BITS))
         cb = cursor_bits(ell) if cursors_enabled else 0
@@ -227,6 +228,8 @@ class CuckooFilterRep(Representation):
             slots.append(fp if full else None)
             cursors.append(rd.read(cb) if cb else 0)
         gfam = GFamily.read(rd, ell, k, field_width)
+        if rd.remaining:
+            raise ValueError(f"{rd.remaining} bits past the payload")
         return cls(params, gfam, seeds, slots, cursors, cursors_enabled)
 
 

@@ -59,8 +59,10 @@ class GameConfig:
         if self.adversary_kind not in ADVERSARIES:
             raise ParamError("adversary_kind",
                              f"unknown adversary kind {self.adversary_kind!r}")
-        if self.expose not in ("none", "structure", "full"):
+        if self.expose not in core.EXPOSURES:
             raise ParamError("expose", f"unknown exposure policy {self.expose!r}")
+        if self.bloom_bits is not None and self.bloom_bits < 1:
+            raise ParamError("bloom_bits", "m must be >= 1")
         known = inspect.signature(ADVERSARIES[self.adversary_kind]).parameters
         for key, value in self.adversary_opts.items():
             bad = f"bad adversary options for {self.adversary_kind}: "

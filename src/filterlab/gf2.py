@@ -12,7 +12,7 @@ bit-exact across implementations:
     w = 64  x^64 + x^4 + x^3 + x + 1         (0x1000000000000001B)
 
 For w <= 16 the polynomial x is a primitive element of these fields, so
-discrete-log/antilog tables with generator x are available (`FieldTables`).
+discrete-log/antilog tables with generator x are available (`tables`).
 `odd_power_rows` computes x, x^3, ..., x^(2m-1) for a whole array of points
 at once: by one table gather at w <= 16, and at w = 32 and 64 by a numpy
 carry-less multiply on uint64 arrays, reduced by folding the high half with
@@ -25,7 +25,7 @@ every byte, and the modulus is folded in the same spread domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -85,27 +85,12 @@ def gf_pow(a: int, e: int, w: int) -> int:
     return r
 
 
-@dataclass
-class FieldTables:
-    """Log/antilog tables for GF(2^w), w <= 16, with generator x.
-
-    Zero has no discrete log; log[0] holds the out-of-range sentinel
-    `order` and callers special-case zero operands.
-    """
-
-    width: int
-    order: int
-    log: np.ndarray    # int32[2^w]
-    exp: np.ndarray    # int32[order]: exp[i] = x^i
-
-
-_TABLE_CACHE: dict[int, FieldTables] = {}
-
-
-def tables(w: int) -> FieldTables:
-    """Build (and cache) the lookup tables for a table-sized width."""
-    if w in _TABLE_CACHE:
-        return _TABLE_CACHE[w]
+@functools.cache
+def tables(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp), the int32 log/antilog tables of GF(2^w) with generator x,
+    for a table-sized width: exp[i] = x^i for i below the order 2^w - 1 =
+    len(exp), and log[exp[i]] = i.  Zero has no discrete log; log[0] holds
+    the out-of-range sentinel len(exp) and callers special-case zero."""
     if w not in TABLE_WIDTHS:
         raise ValueError(f"log/antilog tables only built for widths {TABLE_WIDTHS}")
     order, modulus = (1 << w) - 1, MODULI[w]
@@ -119,9 +104,7 @@ def tables(w: int) -> FieldTables:
     assert v == 1, "x must be primitive for the pinned modulus"
     log = np.full(1 << w, order, dtype=np.int32)  # log[0] keeps the sentinel
     log[exp] = np.arange(order, dtype=np.int32)
-    t = FieldTables(width=w, order=order, log=log, exp=exp)
-    _TABLE_CACHE[w] = t
-    return t
+    return log, exp
 
 
 def odd_power_rows(xs: np.ndarray, m: int, w: int) -> np.ndarray:
@@ -131,9 +114,9 @@ def odd_power_rows(xs: np.ndarray, m: int, w: int) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=np.uint64)
     if w in TABLE_WIDTHS:
-        t = tables(w)
+        log, exp = tables(w)
         odd = 2 * np.arange(m, dtype=np.int32) + 1  # log * odd < 2^31 at w <= 16
-        out = t.exp[(t.log[xs][:, None] * odd) % t.order]
+        out = exp[(log[xs][:, None] * odd) % len(exp)]
         out[xs == 0] = 0  # log[0] is a sentinel; every odd power of 0 is 0
         return out
     out = np.empty((len(xs), m), dtype=np.uint64)

@@ -29,7 +29,7 @@ from filterlab.core import (
     minimal_error,
     run_challenge,
 )
-from filterlab.experiments import GameConfig, build_filter, play_game
+from filterlab.experiments import ADVERSARIES, GameConfig, build_filter, play_game
 from filterlab.hashing import split_seed
 from test_query_many import _state
 
@@ -510,6 +510,47 @@ def test_inversion_games_are_unchanged():
                              "0080598691915526a92479a12b84cb7a")
 
 
+# (name, config) pairs whose games end through every branch of the challenge
+# rule: candidates from a search or from mutations, a fresh guess, and the
+# concession on a covered universe
+CHALLENGE_SHAPES = [
+    ("random_probe", GameConfig("cuckoo_resilient", "random_probe",
+                                FilterParams(n=64, eps=2 ** -4, t=64, u_bits=12))),
+    ("mutate_cuckoo", GameConfig("cuckoo_resilient", "mutate_positives",
+                                 FilterParams(n=64, eps=2 ** -4, t=64, u_bits=12))),
+    ("mutate_dense_bloom", GameConfig("baseline_bloom", "mutate_positives",
+                                      FilterParams(n=64, eps=2 ** -2, t=1000, u_bits=12))),
+    ("seed_exposed_full", GameConfig("baseline_bloom", "seed_exposed",
+                                     FilterParams(n=1000, eps=2 ** -6, t=100, u_bits=32),
+                                     expose="full")),
+    ("seed_exposed_none", GameConfig("baseline_bloom", "seed_exposed",
+                                     FilterParams(n=1000, eps=2 ** -6, t=100, u_bits=32))),
+    ("consistency_exact_set", GameConfig("exact_set", "consistency_search",
+                                         FilterParams(n=4, eps=2 ** -4, t=512, u_bits=10),
+                                         expose="structure")),
+    ("consistency_toy_bloom", GameConfig("baseline_bloom", "consistency_search", TOY,
+                                         bloom_bits=16, expose="structure")),
+    ("consistency_shielded", GameConfig("baseline_bloom", "consistency_search", TOY,
+                                        shielded=True, bloom_bits=16, expose="structure",
+                                        adversary_opts={"strict": False})),
+    ("consistency_covered", GameConfig("baseline_bloom", "consistency_search",
+                                       FilterParams(n=2, eps=0.25, t=64, u_bits=2),
+                                       bloom_bits=4, expose="structure")),
+]
+
+
+def test_challenges_are_unchanged():
+    # SHA-256 over (challenge, success, number of queries) of a few games of
+    # every shape, computed before the strategies shared one challenge rule
+    h = hashlib.sha256()
+    for j, (name, cfg) in enumerate(CHALLENGE_SHAPES):
+        for i in range(8):
+            tr = play_game(cfg, split_seed(53, j, i))
+            h.update(repr((name, tr.challenge, tr.success, len(tr.queries))).encode())
+    assert h.hexdigest() == ("9f234b2cf0ddcfb09e58c9402bd24c27"
+                             "d6169d8ae30662e22f80e7541baf5cf3")
+
+
 def test_consistency_search_rejects_a_contradicted_model(monkeypatch):
     # an enumerator answering an id that contradicts the labels must raise,
     # also under `python -O`, which strips asserts
@@ -533,6 +574,13 @@ def test_readme_lists_the_enumerator_contract():
     assert len(listed) == len(set(listed))
     assert set(listed) == _public(BloomRepSpace) & _public(ExactSetRepSpace)
     assert set(listed) == {"memory_bits", "first_consistent", "model"}
+
+
+def test_readme_adversaries_sentence_names_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"^Adversaries:(.*?)\.\s", readme, flags=re.S | re.M).group(1)
+    listed = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", sentence))
+    assert listed == [cls.__name__ for cls in ADVERSARIES.values()]
 
 
 def test_err_estimate_identity_and_extremes():

@@ -141,6 +141,18 @@ def test_bits_accounting_and_roundtrip():
         assert back.query(x) == rep.query(x)
 
 
+def test_deserialize_reads_exactly_the_payload():
+    # a 70-bit array's payload read as a 67-bit array (same k_h = 12) leaves
+    # 3 bits unread, and so does a payload with a byte after it
+    p = FilterParams(n=4, eps=2 ** -4, t=0, u_bits=10)
+    rep = build_bloom(sample_set(p, random.Random(17)), p, rng_seed=18, m=70)
+    data, bits = rep.serialize()
+    assert index_count(67, p.n) == rep.k_h
+    for args in ((67, data, bits), (70, data + b"\0", bits + 8)):
+        with pytest.raises(ValueError, match="bits past the payload"):
+            BloomFilterRep.deserialize(p, *args)
+
+
 # SHA-256 over (bit length, payload) of the builds below: how the array is
 # held in memory must not change a payload bit
 PAYLOAD_SHA = "b4798c07b1207f1017faafa36051687699ee9174703d7a224f3b685853a59074"

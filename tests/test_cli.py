@@ -238,8 +238,7 @@ n = 2
 eps = 0.25
 t = 64
 u_bits = 2
-m = 4
-
+{m_line}
 [adversary]
 kind = consistency_search
 expose = structure
@@ -251,7 +250,9 @@ def test_consistency_search_concedes_a_covered_universe(tmp_path, capsys, kind):
     # the 8-point label sample usually covers the 2 non-members of the
     # 4-point universe; such a game ends in a loss, not a SamplingError
     out = tmp_path / "o.csv"
-    rc = main(["experiment", "--config", _write(tmp_path, TINY_UNIVERSE.format(kind=kind)),
+    m_line = "m = 4\n" if kind == "baseline_bloom" else ""  # m is the Bloom array's alone
+    rc = main(["experiment", "--config",
+               _write(tmp_path, TINY_UNIVERSE.format(kind=kind, m_line=m_line)),
                "--out", str(out)])
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
@@ -289,6 +290,14 @@ def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, 
     rc, err = _config_error(tmp_path, capsys, text)
     assert rc == 2
     assert f"bad.ini:{_line_of(text, key + ' ')}:" in err and message in err
+
+
+def test_m_under_a_filter_without_an_array_reported_at_its_line(tmp_path, capsys):
+    text = BASIC_CONFIG.replace("kind = baseline_bloom", "kind = cuckoo_resilient\nm = 16")
+    rc, err = _config_error(tmp_path, capsys, text)
+    assert rc == 2
+    assert err == (f"config error: {tmp_path / 'bad.ini'}:{_line_of(text, 'm ')}: "
+                   "m sizes the baseline_bloom array; kind = cuckoo_resilient has none\n")
 
 
 @pytest.mark.parametrize("line,message", [

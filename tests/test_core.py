@@ -15,7 +15,7 @@ from filterlab import (
 )
 from filterlab.adversaries import RandomProbeAttack
 from filterlab.bitio import BitReader, BitWriter
-from filterlab.core import GameTranscript, ParamError
+from filterlab.core import EXPOSURES, GameTranscript, ParamError
 from filterlab.hashing import DRAW_BATCH_MIN, randbelow_many
 
 
@@ -229,6 +229,20 @@ def test_random_probe_vs_bloom_hits_target_band():
     res = run_campaign(GameConfig("baseline_bloom", "random_probe", p), 3000, 2024,
                        fp_samples=100)
     assert 0.010 <= res.success_rate <= 0.022
+
+
+def test_run_challenge_refuses_an_unknown_exposure_policy():
+    # a misspelled policy must not reveal the structure, nor build a filter
+    built = []
+
+    def factory(S, params, seed):
+        built.append(seed)
+        return build_exact_set(S, params, seed)
+
+    assert EXPOSURES == ("none", "structure", "full")
+    with pytest.raises(ValueError, match="unknown exposure policy 'ful'"):
+        run_challenge(factory, RandomProbeAttack(), None, PARAMS_SMALL, 1, expose="ful")
+    assert built == []
 
 
 def test_exact_set_build_and_bits():

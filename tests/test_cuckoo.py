@@ -325,6 +325,14 @@ def test_serialize_roundtrip_preserves_answers_and_cursors(build):
     assert [back.query(x) for x in seq] == [rep.query(x) for x in seq]
 
 
+def test_deserialize_reads_exactly_the_payload():
+    rep = build_cuckoo(sample_set(SMALL, random.Random(24)), SMALL, rng_seed=25)
+    data, bits = rep.serialize()
+    with pytest.raises(ValueError, match="bits past the payload"):
+        CuckooFilterRep.deserialize(SMALL, rep.ell, rep.gfam.k, rep.gfam.field_width,
+                                    rep.r, rep.cursors_enabled, data + b"\0", bits + 8)
+
+
 def test_unsteady_kind_and_serialization_changes_with_cursors():
     S = sample_set(SMALL, random.Random(27))
     rep = build_cuckoo(S, SMALL, rng_seed=28)

@@ -84,6 +84,13 @@ def test_config_errors_name_their_field(key, kwargs):
     assert err.value.key == key
 
 
+def test_bloom_bits_below_one_refused_when_the_config_is_made():
+    # not in every game, where build_bloom would raise
+    with pytest.raises(ParamError, match="m must be >= 1") as err:
+        GameConfig("baseline_bloom", "random_probe", P_SMALL, bloom_bits=0)
+    assert err.value.key == "bloom_bits"
+
+
 def test_consistency_search_configs_follow_the_enumerators():
     # a config is refused exactly where the built filter has no enumerator
     for kind in sorted(FILTERS):

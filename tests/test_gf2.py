@@ -69,15 +69,17 @@ def test_field_axioms_sampled(w):
 
 @pytest.mark.parametrize("w", gf2.TABLE_WIDTHS)
 def test_log_exp_tables_invert(w):
-    t = gf2.tables(w)
+    log, exp = gf2.tables(w)
+    order = (1 << w) - 1
+    assert len(exp) == order
     for a in range(1, 1 << w):
-        assert int(t.exp[t.log[a]]) == a
+        assert int(exp[log[a]]) == a
     # generator has full order: every nonzero element appears once
-    assert len({int(t.exp[i]) for i in range(t.order)}) == t.order
+    assert len({int(exp[i]) for i in range(order)}) == order
     # exp[i] = x^i under the pinned modulus, with gf_mul as the reference
-    assert int(t.exp[0]) == 1 and int(t.log[0]) == t.order
-    assert all(int(t.exp[i + 1]) == gf2.gf_mul(int(t.exp[i]), 2, w)
-               for i in range(t.order - 1))
+    assert int(exp[0]) == 1 and int(log[0]) == order
+    assert all(int(exp[i + 1]) == gf2.gf_mul(int(exp[i]), 2, w)
+               for i in range(order - 1))
 
 
 def test_width_for():
