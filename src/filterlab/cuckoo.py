@@ -239,19 +239,19 @@ def _place_all(members: Iterable[int], seeds: tuple[int, int], r: int,
     table 2; None when some element is still homeless after `kicks` moves."""
     members = list(members)
     c1, c2 = positions(seeds, members, r).tolist()
-    home = {x: (i, r + j) for x, i, j in zip(members, c1, c2)}  # its cells in tables 1, 2
-    cells: list[int | None] = [None] * (2 * r)
-    for x in members:
+    home = (c1, [r + j for j in c2])  # each member's cell in tables 1, 2, by index
+    cells: list[int | None] = [None] * (2 * r)  # member indices while kicking
+    for x in range(len(members)):
         cur, tbl = x, 0
         for _ in range(kicks):
-            i = home[cur][tbl]  # an evicted element is a member too
+            i = home[tbl][cur]  # an evicted index is a member's too
             cur, cells[i] = cells[i], cur
             if cur is None:
                 break
             tbl = 1 - tbl
         else:
             return None
-    return cells
+    return [None if i is None else members[i] for i in cells]
 
 
 def _build(S: Iterable[int], params: FilterParams, rng_seed: int,

@@ -15,12 +15,13 @@ For w <= 16 the polynomial x is a primitive element of these fields, so
 discrete-log/antilog tables with generator x are available (`tables`).
 `odd_power_rows` computes x, x^3, ..., x^(2m-1) for a whole array of points
 at once: by one table gather at w <= 16, and at w = 32 and 64 by a numpy
-carry-less multiply on uint64 arrays, reduced by folding the high half with
-the sparse low terms of the pinned modulus.  `packed_odd_powers` computes
-the same powers for one point at w = 32 and 64, packed into one int, with
-plain Python int multiplication: each bit of an element gets a byte of its
-own, so an ordinary product holds the carry-less one in the low bit of
-every byte, and the modulus is folded in the same spread domain.
+carry-less multiply on uint64 arrays, one gather of every nibble of every
+point per 32-bit limb product, reduced by folding the high half with all
+of the sparse low terms of the pinned modulus at once.  `packed_odd_powers`
+computes the same powers for one point at w = 32 and 64, packed into one
+int, with plain Python int multiplication: each bit of an element gets a
+byte of its own, so an ordinary product holds the carry-less one in the low
+bit of every byte, and the modulus is folded in the same spread domain.
 """
 
 from __future__ import annotations
@@ -119,14 +120,14 @@ def odd_power_rows(xs: np.ndarray, m: int, w: int) -> np.ndarray:
         out = exp[(log[xs][:, None] * odd) % len(exp)]
         out[xs == 0] = 0  # log[0] is a sentinel; every odd power of 0 is 0
         return out
-    out = np.empty((len(xs), m), dtype=np.uint64)
+    out = np.empty((m, len(xs)), dtype=np.uint64)  # one contiguous row per power
     if m:
-        out[:, 0] = xs
+        out[0] = xs
         x2 = _WideMultiplier(xs, w).times(xs)
         by_x2 = _WideMultiplier(x2, w)
         for i in range(1, m):
-            out[:, i] = by_x2.times(out[:, i - 1])
-    return out
+            out[i] = by_x2.times(out[i - 1])
+    return out.T
 
 
 class _Spread:
@@ -172,7 +173,7 @@ def packed_odd_powers(x: int, m: int, w: int) -> int:
     x^(2i+1) at bits [i*w, (i+1)*w).
 
     One point's powers, as a query miss needs them: a numpy batch of one
-    would pay dozens of per-call costs per product.  The chain of products
+    would pay about 20 per-call costs per product.  The chain of products
     by x^2 runs on byte-spread ints (`_Spread`), and the spread powers are
     packed back by reading their bytes as the binary digits of one int.
     """
@@ -198,17 +199,23 @@ class _WideMultiplier:
     """Multiplication by a fixed element b per point in GF(2^32) or GF(2^64).
 
     Carry-less products come from 32-bit limbs: a 16-entry table per point
-    holds b's product with every nibble, so a 32x32-bit product is 8 gathers
-    and its 63-bit result fits a uint64.  At w = 64 the 128-bit product takes
-    three such limb products (Karatsuba).
+    holds b's product with every nibble, so a 32x32-bit product is one
+    gather of all eight nibbles of every point, shifted into place and
+    XORed together, and its 63-bit result fits a uint64.  At w = 64 the
+    128-bit product takes three such limb products (Karatsuba).  The arrays
+    of a product are [8, points], so that each nibble is a contiguous row.
     """
 
     def __init__(self, b: np.ndarray, w: int):
         self.w = w
-        self.taps = [e for e in range(w) if MODULI[w] >> e & 1]
+        taps = [e for e in range(w) if MODULI[w] >> e & 1]
         # two folds reduce any product only while the low terms stay below w/2
-        assert max(self.taps) < w // 2
-        self.rows = 16 * np.arange(len(b), dtype=np.intp)
+        assert max(taps) < w // 2
+        self.taps = np.array(taps, dtype=np.uint64)[:, None]
+        self.spills = np.array([w - e for e in taps if e], dtype=np.uint64)[:, None]
+        self.mask = np.uint64((1 << w) - 1)
+        self.rows = 16 * np.arange(len(b), dtype=np.uint64)
+        self.shifts = np.arange(0, 32, 4, dtype=np.uint64)[:, None]  # one row per nibble
         if w == 32:
             self.limbs = (self._nibbles(b),)
         else:
@@ -217,18 +224,22 @@ class _WideMultiplier:
 
     @staticmethod
     def _nibbles(b: np.ndarray) -> np.ndarray:
-        """Flat table: entry 16*i + v is clmul(b[i], v), for b below 2^32."""
+        """Flat table: entry 16*i + v is clmul(b[i], v), for b below 2^32.
+        Built by doubling: entries [h, 2h) are entries [0, h) XOR b*h."""
         t = np.zeros((len(b), 16), dtype=np.uint64)
-        for v in range(1, 16):
-            low = v & -v
-            t[:, v] = t[:, v ^ low] ^ (b << (low.bit_length() - 1))
+        t[:, 1] = b
+        for s in range(1, 4):
+            h = 1 << s
+            np.bitwise_xor(t[:, :h], (b << s)[:, None], out=t[:, h:2 * h])
         return t.ravel()
 
     def _clmul32(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
-        r = table[self.rows + (a & 15).astype(np.intp)]
-        for s in range(4, 32, 4):
-            r ^= table[self.rows + ((a >> s) & 15).astype(np.intp)] << s
-        return r
+        idx = a >> self.shifts
+        idx &= 15
+        idx |= self.rows
+        r = table.take(idx.view(np.intp))  # indices below 2^63: no intp copy
+        r <<= self.shifts
+        return np.bitwise_xor.reduce(r, axis=0)
 
     def times(self, a: np.ndarray) -> np.ndarray:
         """a * b for every point, reduced by the pinned modulus."""
@@ -243,13 +254,10 @@ class _WideMultiplier:
         return self._reduce(hi ^ (mid >> 32), lo ^ (mid << 32))
 
     def _reduce(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """(hi * x^w + lo) mod the modulus: x^w is replaced by its low terms."""
-        w, mask = self.w, np.uint64((1 << self.w) - 1)
-        for _ in range(2):
-            over = np.zeros_like(hi)
-            for e in self.taps:
-                lo ^= (hi << e) & mask
-                if e:
-                    over ^= hi >> (w - e)
-            hi = over
+        """(hi * x^w + lo) mod the modulus: x^w is replaced by its low terms,
+        all taps at once.  The bits the first fold pushes past x^w (`spill`)
+        lie below x^max(taps), so the second fold stays below x^w."""
+        lo ^= np.bitwise_xor.reduce(hi << self.taps, axis=0) & self.mask
+        spill = np.bitwise_xor.reduce(hi >> self.spills, axis=0)
+        lo ^= np.bitwise_xor.reduce(spill << self.taps, axis=0)
         return lo

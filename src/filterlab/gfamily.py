@@ -32,18 +32,21 @@ the rows the batch path reads, joined and viewed as one numpy matrix with
 no per-vector conversion.  A scalar query reads its one vector as an int.
 A filter build asks for every member at once (`fingerprints`), and so does
 a batch of queries: the missing X-vectors come from one batch, and the ell
-bits of every point from a packed uint64 AND, an XOR over each row's limbs
-and a popcount.  `XProvider._build_many` alone picks how a batch of
-X-vectors is built: a table gather at w <= 16 (`gf2.odd_power_rows`); at
-w = 32/64, below WIDE_BATCH_MIN points, the chain of m products by x^2
-that `gf2.packed_odd_powers` runs point by point on byte-spread Python ints
-(each bit of an element in a byte of its own, so one plain integer product
-carries a whole carry-less product), packed into the X-vector by reading
-those bytes as binary digits; and from WIDE_BATCH_MIN points on, a numpy
-carry-less multiply (`gf2.odd_power_rows` again).  A single query's miss
-is a batch of one.  A slow direct evaluation with field powers
-(`GFamily.evaluate`, one `gf2.gf_pow` per term) is kept as the reference
-oracle; every route is cross-checked against it in tests.
+bits of every point from packed uint64 ANDs and popcounts, looped over the
+shorter of the limb and function axes.  `XProvider._build_many` alone picks
+how a batch of X-vectors is built: a table gather at w <= 16
+(`gf2.odd_power_rows`); at w = 32/64, below WIDE_BATCH_MIN points, the
+chain of m products by x^2 that `gf2.packed_odd_powers` runs point by
+point on byte-spread Python ints (each bit of an element in a byte of its
+own, so one plain integer product carries a whole carry-less product),
+packed into the X-vector by reading those bytes as binary digits; and from
+WIDE_BATCH_MIN points on, a numpy carry-less multiply (`gf2.odd_power_rows`
+again), about 20 numpy calls a product whatever the batch size: one gather
+of every nibble of every point, then the modulus folded with all of its
+taps at once.  A single query's miss is a batch of one.  A slow direct
+evaluation with field powers (`GFamily.evaluate`, one `gf2.gf_pow` per
+term) is kept as the reference oracle; every route is cross-checked against
+it in tests.
 """
 
 from __future__ import annotations
@@ -58,23 +61,26 @@ from .bitio import BitReader, BitWriter
 
 _SLOT_DTYPES = {4: "<u1", 8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
-# Row chunk, in bytes, of the fingerprint AND matrix and of the power rows
-# behind a batch of X-vectors: the whole batch at once would hold every
-# X-vector as a second, numpy-shaped copy.
+# Row chunk, in bytes, of the fingerprint AND matrix (max(limbs, ell) words
+# a row) and of the power rows behind a batch of X-vectors: the whole batch
+# at once would hold every X-vector as a second, numpy-shaped copy.
 FP_CHUNK_BYTES = 1 << 18
 
 # Row chunk, in bytes, of the power rows at w = 32/64, where each pass runs
-# the whole numpy power chain (m products of dozens of calls each): at
+# the whole numpy power chain (m products of about 20 calls each): at
 # FP_CHUNK_BYTES and m = 683 a pass holds only 48 rows, and call overhead,
 # not arithmetic, sets the time.
 WIDE_CHUNK_BYTES = 1 << 23
 
 # Below this many points, building each X-vector by `gf2.packed_odd_powers`
-# beats the numpy batch at w = 32/64, whose fixed cost is dozens of numpy
-# calls per power (on a 2-core x86_64 box the two meet near 64 points at
-# w = 32, at m = 11 and at m = 683, and at 64-128 points at w = 64), as
-# `permutation.BATCH_MIN` does for `permute_many`.
-WIDE_BATCH_MIN = 64
+# beats the numpy batch at w = 32/64, whose fixed cost is about 20 numpy
+# calls per power, as `permutation.BATCH_MIN` does for `permute_many`.  On a
+# 2-core x86_64 box, `XProvider._build_many` takes 10 us a point by the
+# chain against 0.21 ms + 1.0 us a point by numpy at w = 32, m = 11 (0.47 ms
+# a point against 9.9 ms + 53 us at m = 683), so the two meet near 23
+# points; at w = 64 they meet near 31-34 points (15 us against 0.43 ms +
+# 1.8 us at m = 11).
+WIDE_BATCH_MIN = 24
 
 
 def odd_powers(k: int) -> int:
@@ -101,8 +107,13 @@ def _pack_rows(values: np.ndarray, top, w: int) -> np.ndarray:
 
 
 def _ints(rows: np.ndarray) -> list[int]:
-    """Each row of a little-endian unsigned array as one int."""
+    """Each row of a little-endian unsigned array as one int: rows of at
+    most 8 bytes through one uint64 view, wider ones by `int.from_bytes`."""
     nb = rows.shape[1] * rows.itemsize
+    if nb <= 8:
+        padded = np.zeros((len(rows), 8), dtype=np.uint8)
+        padded[:, :nb] = np.ascontiguousarray(rows).view(np.uint8)
+        return padded.view("<u8").ravel().tolist()
     data = rows.tobytes()
     return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
 
@@ -159,9 +170,9 @@ class XProvider:
         if not self._keep and len(xs) < WIDE_BATCH_MIN:
             return [(gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit)
                     .to_bytes(self.nbytes, "little") for x in xs]
-        for x in xs:
-            if x >> self.w:
-                raise ValueError(f"point {x} does not embed in GF(2^{self.w})")
+        if min(xs) < 0 or max(xs) >> self.w:
+            bad = next(x for x in xs if x >> self.w)
+            raise ValueError(f"point {bad} does not embed in GF(2^{self.w})")
         nbytes = FP_CHUNK_BYTES if self._keep else WIDE_CHUNK_BYTES
         step = max(1, nbytes // (8 * max(1, self.m)))
         nb = self.nbytes
@@ -232,20 +243,34 @@ class GFamily:
     def fingerprints(self, xs: list[int]) -> list[int]:
         """All ell output bits at every x in xs, each packed with g_0 in the low bit.
 
-        The X-vectors come from one `get_many`, as limb bytes; the AND matrix
-        is then taken FP_CHUNK_BYTES of X-vectors at a time, each chunk one
-        `b"".join` viewed as uint64 rows, and g_j(xs[i]) is the popcount
-        parity of row i's limbs ANDed with g_j's and XORed together.
+        The X-vectors come from one `get_many`, as limb bytes, and are taken
+        in chunks, each one `b"".join` viewed as uint64 rows; g_j(xs[i]) is
+        the popcount parity of row i's limbs ANDed with g_j's.  The loop runs
+        over the shorter axis.  When a row has no more limbs than there are
+        functions (w = 32, t = 64: 6 limbs, 24 functions), each pass ANDs one
+        limb of every row with that limb of every function and XORs the
+        popcounts into all ell bits at once.  Otherwise (u_bits = 13: 171
+        limbs, 24 functions), each pass ANDs every row with one function's
+        limbs, XORs them together and takes the popcount.  Either way the
+        AND matrix of a chunk holds at most FP_CHUNK_BYTES, or one row.
         """
         Xs = self.provider.get_many(xs)
         P = self._limbs
         limbs = P.shape[1]
-        step = max(1, FP_CHUNK_BYTES // (8 * limbs))
+        step = max(1, FP_CHUNK_BYTES // (8 * max(limbs, self.ell)))
         bits = np.empty((len(Xs), self.ell), dtype=np.uint8)
         for i in range(0, len(Xs), step):
             X = np.frombuffer(b"".join(Xs[i:i + step]), dtype="<u8").reshape(-1, limbs)
-            for j in range(self.ell):
-                bits[i:i + step, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
+            out = bits[i:i + step]
+            if limbs <= self.ell:
+                anded = np.empty((len(X), self.ell), dtype=np.uint64)
+                np.bitwise_count(np.bitwise_and(X[:, :1], P[:, 0], out=anded), out=out)
+                for c in range(1, limbs):
+                    out ^= np.bitwise_count(np.bitwise_and(X[:, c:c + 1], P[:, c], out=anded))
+                out &= 1
+            else:
+                for j in range(self.ell):
+                    out[:, j] = np.bitwise_count(np.bitwise_xor.reduce(X & P[j], axis=1)) & 1
         return _ints(np.packbits(bits, axis=1, bitorder="little"))
 
     def write(self, w: BitWriter) -> None:

@@ -118,6 +118,19 @@ def test_odd_power_rows_match_gf_pow(w):
                [[gf2.gf_pow(x, 2 * i + 1, w) for i in range(m)] for x in xs]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("w", [32, 64])
+def test_odd_power_rows_of_tiny_wide_batches(w, n):
+    # the [8, points] nibble gather and the [taps, points] folds at their
+    # smallest shapes, with the widest point first
+    xs = [(1 << w) - 1, 1 << (w - 1)][:n]
+    for m in (1, 3):
+        rows = gf2.odd_power_rows(np.array(xs, dtype=np.uint64), m, w)
+        assert rows.shape == (n, m)
+        assert [[int(v) for v in row] for row in rows] == \
+               [[gf2.gf_pow(x, 2 * i + 1, w) for i in range(m)] for x in xs]
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 11, 683])
 @pytest.mark.parametrize("w", [32, 64])
 def test_packed_odd_powers_match_batch_rows_and_gf_pow(w, m):

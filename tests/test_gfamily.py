@@ -6,7 +6,7 @@ import pytest
 
 from filterlab import FilterParams, build_cuckoo, gf2, gfamily, sample_set
 from filterlab.bitio import BitReader, BitWriter
-from filterlab.gfamily import GFamily, XProvider, g_sample, x_provider
+from filterlab.gfamily import GFamily, XProvider, _ints, g_sample, x_provider
 
 from stats import chi2_sf
 
@@ -141,6 +141,22 @@ def test_point_outside_field_raises():
         fam.fingerprints([3, 16])
 
 
+@pytest.mark.parametrize("w", [32, 64])
+def test_wide_point_outside_field_raises(w):
+    # both routes of `_build_many`: the chain point by point below
+    # WIDE_BATCH_MIN points, the numpy batch from there on
+    fam = g_sample(3, 5, w, rng_seed=w)
+    prov = fam.provider
+    for bad in (1 << w, (1 << w) + 5, 1 << (2 * w), -1, -(1 << w)):
+        for size in (1, gfamily.WIDE_BATCH_MIN - 1, gfamily.WIDE_BATCH_MIN):
+            points = list(range(1, size)) + [bad]
+            with pytest.raises(ValueError):
+                prov.get_many(points)
+            with pytest.raises(ValueError):
+                fam.fingerprints(points)
+    assert prov._cache == {}
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         g_sample(0, 3, 8, rng_seed=0)
@@ -245,6 +261,38 @@ def test_fingerprints_do_not_depend_on_the_chunk(monkeypatch):
         monkeypatch.setattr(gfamily, "FP_CHUNK_BYTES", chunk)
         assert fam.fingerprints(points) == whole
     assert whole == [sum(eval_bit(fam, j, x) << j for j in range(5)) for x in points]
+
+
+@pytest.mark.parametrize("w, m", [(16, 11), (32, 11)])
+def test_fingerprints_at_the_axis_rule_boundary(monkeypatch, w, m):
+    # `fingerprints` loops over limbs when a row has no more limbs than there
+    # are functions, else over functions: ell = limbs - 1, limbs, limbs + 1
+    # straddle the rule
+    limbs = -(-(m + 1) * w // 64)
+    points = _edge_points(w, random.Random(m), 30)
+    for ell in (limbs - 1, limbs, limbs + 1):
+        fam = g_sample(ell, 2 * m, w, rng_seed=ell)
+        assert fam._limbs.shape == (ell, limbs)
+        whole = fam.fingerprints(points)
+        assert whole == [sum(fam.evaluate(j, x) << j for j in range(ell)) for x in points]
+        with monkeypatch.context() as mp:
+            mp.setattr(gfamily, "FP_CHUNK_BYTES", 8 * limbs)  # one row per chunk
+            assert fam.fingerprints(points) == whole
+
+
+@pytest.mark.parametrize("ell", [1, 8, 63, 64, 65, 68])
+def test_fingerprint_rows_pack_into_ints(ell):
+    # rows of at most 8 bytes go through one uint64 view, wider ones by
+    # `int.from_bytes`; both read the packed bits little-endian
+    bits = np.random.default_rng(ell).integers(0, 2, size=(40, ell), dtype=np.uint8)
+    bits[0], bits[1] = 0, 1
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    assert _ints(rows) == [int.from_bytes(row.tobytes(), "little") for row in rows]
+    assert _ints(rows[:0]) == []
+    fam = g_sample(ell, 5, 16, rng_seed=ell)
+    points = [0, 1, 0xFFFF, 12345]
+    assert fam.fingerprints(points) == \
+           [sum(fam.evaluate(j, x) << j for j in range(ell)) for x in points]
 
 
 @pytest.mark.parametrize("w", [16, 32])
