@@ -116,8 +116,6 @@ class BloomRepSpace:
 
 
 class BloomFilterRep(Representation):
-    kind = "steady"
-
     def __init__(self, params: FilterParams, seeds: tuple[int, ...], array: bytearray):
         self.params = params
         self.m = len(array)

@@ -170,12 +170,7 @@ class Representation:
 
     Concrete filters expose exact bit accounting (`bits`), a query method,
     and `write`, which appends their bit-exact payload to a shared writer.
-    `kind` distinguishes steady representations (queries never mutate state)
-    from unsteady ones (queries may mutate; here only benign cursor state
-    that never changes an answer).
     """
-
-    kind = "steady"
 
     params: FilterParams
 
@@ -397,8 +392,6 @@ def normal_ci_half_width(rate: float, trials: int, z: float = 1.96) -> float:
 
 class ExactSetRep(Representation):
     """Trivial baseline that stores S verbatim: zero false positives."""
-
-    kind = "steady"
 
     def __init__(self, S: frozenset[int], params: FilterParams):
         self.params = params

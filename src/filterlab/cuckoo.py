@@ -81,8 +81,6 @@ def cursor_bits(ell: int) -> int:
 
 
 class CuckooFilterRep(Representation):
-    kind = "unsteady"  # queries advance cursors; answers never change
-
     def __init__(self, params: FilterParams, gfam: GFamily, seeds: tuple[int, int],
                  slots: list[int | None], cursors: list[int], cursors_enabled: bool):
         self.params = params

@@ -27,9 +27,9 @@ bit into a single AND + popcount:
 X depends only on the field, m, and the point, never on the seeds, so it is
 cached and shared across every family (and filter build) with the same
 shape (at the table widths w <= 16; wider fields build each vector anew).
-The cache holds each X-vector as bytes, its little-endian uint64 limbs:
-the rows the batch path reads, joined and viewed as one numpy matrix with
-no per-vector conversion.  A scalar query reads its one vector as an int.
+An X-vector is one row of little-endian uint64 limbs from the batch build
+to the AND, and the cache keeps these rows in one matrix reserved for the
+whole field.  A scalar query reads its one vector as an int.
 A filter build asks for every member at once (`fingerprints`), and so does
 a batch of queries: the missing X-vectors come from one batch, and the ell
 bits of every point from packed uint64 ANDs and popcounts, looped over the
@@ -121,66 +121,73 @@ def _ints(rows: np.ndarray) -> list[int]:
 class XProvider:
     """Cache of packed point vectors X(x) = (x, x^3, ..., x^(2m-1), 1).
 
-    A vector is kept as its little-endian uint64 limbs, `nbytes` bytes, the
-    rows `GFamily.fingerprints` reads; `get` turns the one vector a scalar
+    A vector is a row of `limbs` little-endian uint64 limbs, the form
+    `GFamily.fingerprints` ANDs with; `get` turns the one vector a scalar
     query needs into an int.  `get_many` builds every missing vector of a
     batch at once (a cuckoo build); `get` builds one (a query miss) as a
     batch of one.  Both leave the same entries.  Vectors are kept only at
-    the table widths, where the field caps each shape at 2^w points; at
-    w = 32/64 nearly every point is new, so a kept vector would only grow
-    the cache, and each one is built and dropped.
+    the table widths, where the field caps each shape at 2^w points, so
+    `_cache` maps each point to a row of one matrix reserved for all 2^w:
+    its pages become resident only as rows are written, and it never grows
+    by copying.  At w = 32/64 nearly every point is new, so a kept vector
+    would only grow the cache, and each one is built and dropped.
     """
 
     def __init__(self, w: int, m: int):
         self.w = w
         self.m = m
         self.const_bit = 1 << (m * w)
-        self.nbytes = 8 * -(-(m + 1) * w // 64)
-        self._cache: dict[int, bytes] = {}
+        self.limbs = -(-(m + 1) * w // 64)
+        self._cache: dict[int, int] = {}
         self._keep = w in gf2.TABLE_WIDTHS
+        self._rows = np.empty((1 << w if self._keep else 0, self.limbs), dtype="<u8")
 
     def get(self, x: int) -> int:
         """X(x) as an int, the form the lazy scalar probe ANDs with."""
-        v = self._cache.get(x)
-        if v is None:
-            v = self._build(x)
-            if self._keep:
-                self._cache[x] = v
-        return int.from_bytes(v, "little")
+        i = self._cache.get(x)
+        row = self._build(x) if i is None else self._rows[i]
+        return int.from_bytes(row.tobytes(), "little")
 
-    def get_many(self, xs: list[int]) -> list[bytes]:
-        """X(x) for every x in xs, in order, as limb bytes; misses are built
-        in one batch."""
-        found = self._cache if self._keep else {}
-        missing = [x for x in dict.fromkeys(xs) if x not in found]
+    def get_many(self, xs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, index) with X(xs[i]) = rows[index[i]]; misses are built in
+        one batch.  At the table widths rows is the cache matrix; at
+        w = 32/64 it is the batch just built, in order."""
+        if not self._keep:
+            out = np.empty((len(xs), self.limbs), dtype="<u8")
+            return self._build_many(xs, out), np.arange(len(xs))
+        cache = self._cache
+        missing = [x for x in dict.fromkeys(xs) if x not in cache]
         if missing:
-            found.update(zip(missing, self._build_many(missing)))
-        return [found[x] for x in xs]
+            start = len(cache)
+            self._build_many(missing, self._rows[start:start + len(missing)])
+            cache.update(zip(missing, range(start, start + len(missing))))
+        return self._rows, np.array([cache[x] for x in xs], dtype=np.intp)
 
-    def _build(self, x: int) -> bytes:
-        """One point, the miss of a scalar query: a batch of one."""
-        return self._build_many([x])[0]
+    def _build(self, x: int) -> np.ndarray:
+        """X(x) as a row, the miss of a scalar query: a batch of one."""
+        rows, index = self.get_many([x])
+        return rows[index[0]]
 
-    def _build_many(self, xs: list[int]) -> list[bytes]:
-        """The one place that picks a route: at w = 32/64 a batch below
-        WIDE_BATCH_MIN points takes the byte-spread chain point by point;
-        any other takes `gf2.odd_power_rows` (a table gather at w <= 16) on
-        about FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power rows,
-        8 bytes a power, at a time, not [len(xs), m] temporaries at once."""
+    def _build_many(self, xs: list[int], out: np.ndarray) -> np.ndarray:
+        """Write X(xs[i]) into out[i] and return out.  The one place that
+        picks a route: at w = 32/64 a batch below WIDE_BATCH_MIN points takes
+        the byte-spread chain point by point; any other takes
+        `gf2.odd_power_rows` (a table gather at w <= 16) on about
+        FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power rows, 8 bytes
+        a power, at a time, not [len(xs), m] temporaries at once."""
         if not self._keep and len(xs) < WIDE_BATCH_MIN:
-            return [(gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit)
-                    .to_bytes(self.nbytes, "little") for x in xs]
+            for row, x in zip(out, xs):
+                v = gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
+                row[:] = np.frombuffer(v.to_bytes(8 * self.limbs, "little"), dtype="<u8")
+            return out
         if min(xs) < 0 or max(xs) >> self.w:
             bad = next(x for x in xs if x >> self.w)
             raise ValueError(f"point {bad} does not embed in GF(2^{self.w})")
         nbytes = FP_CHUNK_BYTES if self._keep else WIDE_CHUNK_BYTES
         step = max(1, nbytes // (8 * max(1, self.m)))
-        nb = self.nbytes
-        out: list[bytes] = []
         for i in range(0, len(xs), step):
             chunk = np.array(xs[i:i + step], dtype=np.uint64)
-            rows = _pack_rows(gf2.odd_power_rows(chunk, self.m, self.w), 1, self.w).tobytes()
-            out += [rows[j:j + nb] for j in range(0, len(rows), nb)]
+            out[i:i + step] = _pack_rows(gf2.odd_power_rows(chunk, self.m, self.w), 1, self.w)
         return out
 
 
@@ -243,10 +250,10 @@ class GFamily:
     def fingerprints(self, xs: list[int]) -> list[int]:
         """All ell output bits at every x in xs, each packed with g_0 in the low bit.
 
-        The X-vectors come from one `get_many`, as limb bytes, and are taken
-        in chunks, each one `b"".join` viewed as uint64 rows; g_j(xs[i]) is
-        the popcount parity of row i's limbs ANDed with g_j's.  The loop runs
-        over the shorter axis.  When a row has no more limbs than there are
+        The X-vectors come from one `get_many` as uint64 rows, gathered a
+        chunk at a time, not the whole batch as a second copy; g_j(xs[i]) is
+        the popcount parity of X(xs[i])'s limbs ANDed with g_j's.  The loop
+        runs over the shorter axis.  When a row has no more limbs than there are
         functions (w = 32, t = 64: 6 limbs, 24 functions), each pass ANDs one
         limb of every row with that limb of every function and XORs the
         popcounts into all ell bits at once.  Otherwise (u_bits = 13: 171
@@ -254,13 +261,13 @@ class GFamily:
         limbs, XORs them together and takes the popcount.  Either way the
         AND matrix of a chunk holds at most FP_CHUNK_BYTES, or one row.
         """
-        Xs = self.provider.get_many(xs)
+        rows, index = self.provider.get_many(xs)
         P = self._limbs
         limbs = P.shape[1]
         step = max(1, FP_CHUNK_BYTES // (8 * max(limbs, self.ell)))
-        bits = np.empty((len(Xs), self.ell), dtype=np.uint8)
-        for i in range(0, len(Xs), step):
-            X = np.frombuffer(b"".join(Xs[i:i + step]), dtype="<u8").reshape(-1, limbs)
+        bits = np.empty((len(xs), self.ell), dtype=np.uint8)
+        for i in range(0, len(xs), step):
+            X = rows[index[i:i + step]]
             out = bits[i:i + step]
             if limbs <= self.ell:
                 anded = np.empty((len(X), self.ell), dtype=np.uint64)

@@ -31,10 +31,6 @@ class ShieldedRep(Representation):
         self.inner = inner
 
     @property
-    def kind(self) -> str:  # type: ignore[override]
-        return self.inner.kind
-
-    @property
     def bits(self) -> int:
         return self.inner.bits + self.params.lambda_bits
 

@@ -6,6 +6,7 @@ criterion 6 (C ~ 4.60 against the required 8) is laid out in the acceptance
 module docstring and the README.
 """
 
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -16,7 +17,10 @@ from filterlab import acceptance, gf2, gfamily
 
 @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
 def test_criterion(number):
-    res = acceptance.run_criterion(number, acceptance.DEFAULT_SEED)
+    # only the criteria that count wins (3, 4, 5, 10) take the workers, and
+    # `count_wins` makes each count the same for any worker count
+    res = acceptance.run_criterion(number, acceptance.DEFAULT_SEED,
+                                   parallel=min(2, os.cpu_count() or 1))
     print(res.line())
     assert res.passed, res.line()
 

@@ -207,18 +207,18 @@ def _edge_points(w, rng, count):
 
 @pytest.mark.parametrize("w", WIDTHS)
 def test_get_many_matches_get_and_leaves_the_same_cache(w):
-    # the cache holds each vector as its limb bytes: get_many hands them out
-    # and get reads one as an int.  At w = 32/64 the first batch is large
-    # enough for the numpy route, so it meets the scalar chain of a query
-    # miss; both must give equal vectors and leave the same entries, in the
-    # same order
+    # get_many hands out uint64 limb rows and get reads one as an int.  At
+    # w = 32/64 the first batch is large enough for the numpy route, so it
+    # meets the scalar chain of a query miss; both must give equal vectors
+    # and leave the same entries, in the same order, on the same rows
     rng = random.Random(w)
     batch, single = XProvider(w, 5), XProvider(w, 5)
     for points in (_edge_points(w, rng, gfamily.WIDE_BATCH_MIN), [],
                    [rng.randrange(1 << w), 1, 0]):
-        vectors = batch.get_many(points)
-        assert all(len(v) == batch.nbytes for v in vectors)
-        assert [int.from_bytes(v, "little") for v in vectors] == [single.get(x) for x in points]
+        rows, index = batch.get_many(points)
+        assert rows.dtype == np.dtype("<u8") and rows.shape[1] == batch.limbs
+        vectors = rows[index]
+        assert _ints(vectors) == [single.get(x) for x in points]
         assert list(batch._cache.items()) == list(single._cache.items())
 
 
@@ -295,12 +295,18 @@ def test_fingerprint_rows_pack_into_ints(ell):
            [sum(fam.evaluate(j, x) << j for j in range(ell)) for x in points]
 
 
+def _built(w, points):
+    """X(x) for every point, as the rows `_build_many` writes at m = 5."""
+    prov = XProvider(w, 5)
+    return prov._build_many(points, np.empty((len(points), prov.limbs), dtype="<u8"))
+
+
 @pytest.mark.parametrize("w", [16, 32])
 def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
     # 68 points: at least WIDE_BATCH_MIN, so w = 32 takes the numpy route too,
     # and not a multiple of the chunk, so the last chunk is a short one
     points = random.Random(w).sample(range(1 << 16), 68)
-    whole = XProvider(w, 5)._build_many(points)
+    whole = _built(w, points)
     for name in ("FP_CHUNK_BYTES", "WIDE_CHUNK_BYTES"):
         monkeypatch.setattr(gfamily, name, 8 * 5 * 7)  # seven rows of m = 5 powers
     passes, rows = [], gf2.odd_power_rows
@@ -310,16 +316,16 @@ def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
         return rows(xs, m, w)
 
     monkeypatch.setattr(gf2, "odd_power_rows", counted)
-    assert XProvider(w, 5)._build_many(points) == whole
+    assert np.array_equal(_built(w, points), whole)
     assert passes == [7] * 9 + [5]
-    assert whole == [XProvider(w, 5)._build(x) for x in points]
+    assert np.array_equal(whole, [XProvider(w, 5)._build(x) for x in points])
 
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_a_small_wide_batch_is_built_point_by_point(monkeypatch, w):
     # below WIDE_BATCH_MIN points the byte-spread chain beats the numpy batch
     points = _edge_points(w, random.Random(w), gfamily.WIDE_BATCH_MIN)
-    whole = XProvider(w, 5)._build_many(points)
+    whole = _built(w, points)
     passes, rows = [], gf2.odd_power_rows
 
     def counted(xs, m, w):
@@ -330,10 +336,31 @@ def test_a_small_wide_batch_is_built_point_by_point(monkeypatch, w):
     # nor through `_build`, the single-point miss of a scalar query
     monkeypatch.setattr(XProvider, "_build", lambda self, x: pytest.fail("scalar miss"))
     small = points[:gfamily.WIDE_BATCH_MIN - 1]
-    assert XProvider(w, 5)._build_many(small) == whole[:len(small)]
+    assert np.array_equal(_built(w, small), whole[:len(small)])
     assert passes == []
-    assert XProvider(w, 5)._build_many(points) == whole
+    assert np.array_equal(_built(w, points), whole)
     assert passes == [len(points)]
+
+
+@pytest.mark.parametrize("w", [4, 8, 16])
+def test_a_refused_batch_leaves_the_cache_as_it_was(w):
+    # the range check runs before any row is written, so a batch with a
+    # point outside the field keeps no entry, and the next batch takes the
+    # same free rows a fresh provider would have filled
+    rng = random.Random(w)
+    prov, fresh = XProvider(w, 5), XProvider(w, 5)
+    warm = [rng.randrange(1 << w) for _ in range(5)]
+    prov.get_many(warm)
+    before = dict(prov._cache)
+    for bad in (1 << w, -1):
+        with pytest.raises(ValueError):
+            prov.get_many([rng.randrange(1 << w) for _ in range(3)] + [bad])
+        assert prov._cache == before
+    points = warm + [rng.randrange(1 << w) for _ in range(7)]
+    rows, index = prov.get_many(points)
+    fresh_rows, fresh_index = fresh.get_many(points)
+    assert np.array_equal(rows[index], fresh_rows[fresh_index])
+    assert list(prov._cache.items()) == list(fresh._cache.items())
 
 
 def test_chi2_sf_reference_points():

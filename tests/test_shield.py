@@ -39,7 +39,6 @@ def test_shield_over_exact_set_stays_exact():
 def test_steadiness_inherited():
     S = sample_set(PARAMS, random.Random(8))
     rep = build_shield(_bloom, S, PARAMS, rng_seed=9)
-    assert rep.kind == "steady"
     before = rep.serialize()
     for x in range(500):
         rep.query(x)
@@ -52,7 +51,6 @@ class _InstrumentedInner:
     def __init__(self, rep):
         self.rep = rep
         self.params = rep.params
-        self.kind = rep.kind
         self.inputs = []
 
     @property
@@ -122,6 +120,5 @@ def test_shield_is_generic_over_the_cuckoo_filter():
     rep = build_shield(build_cuckoo, S, p, rng_seed=16)
     assert all(rep.query(x) for x in S)
     assert rep.bits == rep.inner.bits + p.lambda_bits
-    assert rep.kind == "unsteady"  # inherited from the inner filter
     data, bits = rep.serialize()
     assert bits == rep.bits
