@@ -108,17 +108,17 @@ class MutatePositivesAttack:
     sent as one `query_many` that stops right after the first non-member
     answering True.  The RNG state is saved before each block; on a stop it
     is restored and the answered prefix drawn again, so every draw and
-    every query is the one the query-by-query loop makes.  The first block
-    is the whole budget, the one batch a game without positives needs.
+    every query is the one the query-by-query loop makes.
     While there is no positive every draw is `randrange(u)`, so a block and
     the redraw of an answered prefix come from `randbelow_many`; once a
     positive exists the blocks draw point by point.
-    After a stop the blocks restart at RESTART points and double, so the
-    points drawn past the next stop, work thrown away, number at most
-    RESTART plus the queries answered since this one.
+    After a stop the next block is the mean gap so far, ceil(queries
+    answered / positives found); before any positive that is the whole
+    budget, the one batch a game without positives needs.  A block that
+    finds no positive doubles the next one.  So the points drawn past the
+    next stop, work thrown away, number at most the mean gap plus the
+    queries answered since this one.
     """
-
-    RESTART = 64
 
     def run(self, ctx: AdversaryContext) -> int:
         params, rng, oracle = ctx.params, ctx.rng, ctx.oracle
@@ -152,7 +152,7 @@ class MutatePositivesAttack:
                     rng.setstate(state)
                     draws(len(ys))
                 positives.append(xs[len(ys) - 1])
-                block = self.RESTART
+                block = math.ceil((params.t - left) / len(positives))  # the mean gap
         return challenge(ctx, (mutant() for _ in range(256)) if positives else ())
 
 

@@ -184,9 +184,6 @@ def config_to_campaign(path: str, seed: int | None = None) -> tuple[GameConfig, 
     except ParamError as e:
         line = lines.get(e.key)
         raise ConfigError(f"{path}:{line}: {e}" if line else f"{path}: {e}") from None
-    if lines["bloom_bits"] and cfg.filter_kind != "baseline_bloom":
-        raise ConfigError(f"{path}:{lines['bloom_bits']}: m sizes the baseline_bloom array; "
-                          f"kind = {cfg.filter_kind} has none")
     return cfg, exp["trials"], seed, exp["fp_samples"]
 
 

@@ -61,6 +61,9 @@ class GameConfig:
                              f"unknown adversary kind {self.adversary_kind!r}")
         if self.expose not in core.EXPOSURES:
             raise ParamError("expose", f"unknown exposure policy {self.expose!r}")
+        if self.bloom_bits is not None and self.filter_kind != "baseline_bloom":
+            raise ParamError("bloom_bits", "m sizes the baseline_bloom array; "
+                             f"kind = {self.filter_kind} has none")
         if self.bloom_bits is not None and self.bloom_bits < 1:
             raise ParamError("bloom_bits", "m must be >= 1")
         known = inspect.signature(ADVERSARIES[self.adversary_kind]).parameters
@@ -174,6 +177,8 @@ def measure_fp_rate(cfg: GameConfig, master_seed: int,
 def run_campaign(cfg: GameConfig, trials: int, master_seed: int,
                  parallel: int = 1, fp_samples: int = 10_000) -> CampaignResult:
     """Run the Monte-Carlo campaign for one config and aggregate."""
+    if fp_samples < 1:
+        raise ValueError("fp_samples must be >= 1")
     t0 = time.perf_counter()
     wins = count_wins(cfg, trials, master_seed, parallel=parallel)
     rate = wins / trials

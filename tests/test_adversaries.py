@@ -28,6 +28,7 @@ from filterlab.core import (
     QueryOracle,
     minimal_error,
     run_challenge,
+    stopped,
 )
 from filterlab.experiments import ADVERSARIES, GameConfig, build_filter, play_game
 from filterlab.hashing import split_seed
@@ -168,6 +169,7 @@ def _played(cfg, strategy, seed):
     ("cuckoo_resilient", True, FilterParams(n=1024, eps=2 ** -2, t=4096, u_bits=13)),
     ("baseline_bloom", False, FilterParams(n=64, eps=2 ** -2, t=1000, u_bits=12)),
     ("cuckoo_resilient", False, FilterParams(n=1024, eps=2 ** -2, t=1024, u_bits=32)),
+    ("baseline_bloom", True, FilterParams(n=64, eps=2 ** -2, t=1000, u_bits=12)),
 ])
 def test_mutate_positives_equals_the_scalar_loop(kind, shielded, params):
     # shapes where non-member positives are frequent, so blocks stop, the
@@ -183,6 +185,35 @@ def test_mutate_positives_equals_the_scalar_loop(kind, shielded, params):
         S = sample_set(params, random.Random(tr.seed_record["set"]))
         positives += sum(y and x not in S for x, y in tr.queries)
     assert positives >= 15
+
+
+def test_mutate_positives_sizes_each_block_by_the_mean_gap(monkeypatch):
+    # the first block is the whole budget; after a stop the next block is
+    # ceil(queries answered / positives found), and a block without a stop
+    # doubles the next one
+    params = FilterParams(n=64, eps=2 ** -2, t=1000, u_bits=12)
+    cfg = GameConfig("baseline_bloom", "mutate_positives", params)
+    blocks = []  # (size sent, answers, whether it ended at a stop)
+    query_many = QueryOracle.query_many
+
+    def recorded(self, xs, stop=None):
+        ys = query_many(self, xs, stop)
+        blocks.append((len(xs), len(ys), stopped(ys, stop)))
+        return ys
+
+    monkeypatch.setattr(QueryOracle, "query_many", recorded)
+    _played(cfg, MutatePositivesAttack(), split_seed(22, 0))
+    left = block = params.t
+    positives = 0
+    for size, answered, stop in blocks:
+        assert size == min(block, left)
+        left -= answered
+        block *= 2
+        if stop:
+            positives += 1
+            block = math.ceil((params.t - left) / positives)
+    assert left == 0
+    assert positives >= 100
 
 
 U13 = FilterParams(n=1024, eps=2 ** -6, t=4096, u_bits=13)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from filterlab import FilterParams, run_challenge, sample_set, split_seed
+from filterlab import FilterParams, experiments, run_challenge, sample_set, split_seed
 from filterlab.adversaries import fresh_element
 from filterlab.bloom import BloomRepSpace
 from filterlab.core import BuildError, ExactSetRepSpace, ParamError
@@ -91,6 +91,13 @@ def test_bloom_bits_below_one_refused_when_the_config_is_made():
     assert err.value.key == "bloom_bits"
 
 
+def test_bloom_bits_refused_for_a_filter_without_an_array():
+    for kind in sorted(set(FILTERS) - {"baseline_bloom"}):
+        with pytest.raises(ParamError, match=f"kind = {kind} has none") as err:
+            GameConfig(kind, "random_probe", P_SMALL, bloom_bits=16)
+        assert err.value.key == "bloom_bits"
+
+
 def test_consistency_search_configs_follow_the_enumerators():
     # a config is refused exactly where the built filter has no enumerator
     for kind in sorted(FILTERS):
@@ -98,6 +105,7 @@ def test_consistency_search_configs_follow_the_enumerators():
                           (FilterParams(n=4, eps=2 ** -4, t=64, u_bits=10), 21),
                           (FilterParams(n=2, eps=2 ** -4, t=64, u_bits=16), None),
                           (FilterParams(n=4, eps=2 ** -4, t=64, u_bits=17), 16)):
+            m = m if kind == "baseline_bloom" else None  # m sizes a Bloom array only
             try:
                 GameConfig(kind, "consistency_search", params, bloom_bits=m,
                            expose="structure")
@@ -145,6 +153,15 @@ def test_count_wins_plays_the_stream_trials():
         count_wins(cfg, 0, 11)
     with pytest.raises(ValueError):
         count_wins(cfg, 4, 11, parallel=0)
+
+
+def test_run_campaign_refuses_no_fp_samples_before_its_first_game(monkeypatch):
+    cfg = GameConfig("baseline_bloom", "random_probe", P_SMALL)
+    played = []
+    monkeypatch.setattr(experiments, "play_game", lambda *a: played.append(a))
+    with pytest.raises(ValueError, match="fp_samples must be >= 1"):
+        run_campaign(cfg, trials=2, master_seed=1, fp_samples=0)
+    assert played == []
 
 
 @pytest.mark.parametrize("kind", sorted(FILTERS))
@@ -211,7 +228,8 @@ def test_only_the_game_applies_an_exposure_policy(kind, shielded, expose):
     # the adversary may see the unshielded filter (under "full") and an
     # enumerator over its space (under "structure" and "full"), never a key
     toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
-    cfg = GameConfig(kind, "random_probe", toy, shielded=shielded, bloom_bits=16)
+    cfg = GameConfig(kind, "random_probe", toy, shielded=shielded,
+                     bloom_bits=16 if kind == "baseline_bloom" else None)
     built = []
 
     def factory(S, p, seed):
