@@ -40,10 +40,12 @@ chain of m products by x^2 that `gf2.packed_odd_powers` runs point by
 point on byte-spread Python ints (each bit of an element in a byte of its
 own, so one plain integer product carries a whole carry-less product),
 packed into the X-vector by reading those bytes as binary digits; and from
-WIDE_BATCH_MIN points on, a numpy carry-less multiply (`gf2.odd_power_rows`
-again), about 20 numpy calls a product whatever the batch size: one gather
-of every nibble of every point, then the modulus folded with all of its
-taps at once.  A single query's miss is a batch of one.  A slow direct
+WIDE_BATCH_MIN points on, `gf2.odd_power_rows` again: at w = 32 table reads
+through the tower GF(2^16)[z], four gathers a point and power after a fixed
+cost of some 40 numpy calls, and at w = 64 a numpy carry-less multiply,
+about 20 numpy calls a product whatever the batch size (one gather of every
+nibble of every point, then the modulus folded with all of its taps at
+once).  A single query's miss is a batch of one.  A slow direct
 evaluation with field powers (`GFamily.evaluate`, one `gf2.gf_pow` per
 term) is kept as the reference oracle; every route is cross-checked against
 it in tests.
@@ -66,20 +68,28 @@ _SLOT_DTYPES = {4: "<u1", 8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 # at once would hold every X-vector as a second, numpy-shaped copy.
 FP_CHUNK_BYTES = 1 << 18
 
-# Row chunk, in bytes, of the power rows at w = 32/64, where each pass runs
+# Row chunk, in bytes, of the power rows at w = 64, where each pass runs
 # the whole numpy power chain (m products of about 20 calls each): at
 # FP_CHUNK_BYTES and m = 683 a pass holds only 48 rows, and call overhead,
-# not arithmetic, sets the time.
+# not arithmetic, sets the time.  w = 32 reads its powers off tables in a
+# fixed few dozen calls a pass and takes FP_CHUNK_BYTES: on a 2-core x86_64
+# box a 1,024-point batch at m = 683 took 17.6 ms in passes of
+# FP_CHUNK_BYTES and 26.8 ms in passes of WIDE_CHUNK_BYTES, whose
+# temporaries (about four int64 or int32 words a power) leave the cache.
 WIDE_CHUNK_BYTES = 1 << 23
 
 # Below this many points, building each X-vector by `gf2.packed_odd_powers`
-# beats the numpy batch at w = 32/64, whose fixed cost is about 20 numpy
-# calls per power, as `permutation.BATCH_MIN` does for `permute_many`.  On a
-# 2-core x86_64 box, `XProvider._build_many` takes 10 us a point by the
-# chain against 0.21 ms + 1.0 us a point by numpy at w = 32, m = 11 (0.47 ms
-# a point against 9.9 ms + 53 us at m = 683), so the two meet near 23
-# points; at w = 64 they meet near 31-34 points (15 us against 0.43 ms +
-# 1.8 us at m = 11).
+# beats the numpy batch at w = 64, whose fixed cost is about 20 numpy calls
+# per power, as `permutation.BATCH_MIN` does for `permute_many`.  On a
+# 2-core x86_64 box (one loaded run), `XProvider._build_many` takes 32 us a
+# point by the chain against 0.80 ms + 4.0 us a point by numpy at w = 64,
+# m = 11 (1.16 ms a point against 40 ms + 0.15 ms at m = 683), so the two
+# meet near 29-39 points.  At w = 32 the table route costs 77 us + 0.45 us a
+# point against the chain's 24 us at m = 11 (78 us + 18 us against 1.03 ms
+# at m = 683), so there they meet near 3 points, and below one point at
+# m = 683.  The one threshold keeps the w = 64 crossover: w = 32 batches of
+# 4-23 points take the slower chain, though a `wide_u32` game makes none
+# (its batches have 1, 36-54 or 1,024 points).
 WIDE_BATCH_MIN = 24
 
 
@@ -172,8 +182,8 @@ class XProvider:
         """Write X(xs[i]) into out[i] and return out.  The one place that
         picks a route: at w = 32/64 a batch below WIDE_BATCH_MIN points takes
         the byte-spread chain point by point; any other takes
-        `gf2.odd_power_rows` (a table gather at w <= 16) on about
-        FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 32/64) of power rows, 8 bytes
+        `gf2.odd_power_rows` (table reads at w <= 32) on about
+        FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 64) of power rows, 8 bytes
         a power, at a time, not [len(xs), m] temporaries at once."""
         if not self._keep and len(xs) < WIDE_BATCH_MIN:
             for row, x in zip(out, xs):
@@ -183,7 +193,7 @@ class XProvider:
         if min(xs) < 0 or max(xs) >> self.w:
             bad = next(x for x in xs if x >> self.w)
             raise ValueError(f"point {bad} does not embed in GF(2^{self.w})")
-        nbytes = FP_CHUNK_BYTES if self._keep else WIDE_CHUNK_BYTES
+        nbytes = WIDE_CHUNK_BYTES if self.w == 64 else FP_CHUNK_BYTES
         step = max(1, nbytes // (8 * max(1, self.m)))
         for i in range(0, len(xs), step):
             chunk = np.array(xs[i:i + step], dtype=np.uint64)

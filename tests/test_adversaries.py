@@ -30,7 +30,8 @@ from filterlab.core import (
     run_challenge,
     stopped,
 )
-from filterlab.experiments import ADVERSARIES, GameConfig, build_filter, play_game
+from filterlab.experiments import (ADVERSARIES, GameConfig, build_filter,
+                                   make_adversary, play_game)
 from filterlab.hashing import split_seed
 from test_query_many import _state
 
@@ -580,6 +581,30 @@ def test_challenges_are_unchanged():
             h.update(repr((name, tr.challenge, tr.success, len(tr.queries))).encode())
     assert h.hexdigest() == ("9f234b2cf0ddcfb09e58c9402bd24c27"
                              "d6169d8ae30662e22f80e7541baf5cf3")
+
+
+def test_wide_u32_games_are_unchanged():
+    # SHA-256 over (challenge, success, number of queries, bit comparisons) of
+    # the benchmark's wide_u32 shape, plain and shielded: every X-vector of
+    # these games is built over GF(2^32), so this pins that build end to end.
+    # Computed while the powers still came from chained carry-less products.
+    h = hashlib.sha256()
+    p = FilterParams(n=1024, eps=2 ** -6, t=64, u_bits=32)
+    for shielded in (False, True):
+        cfg = GameConfig("cuckoo_resilient", "mutate_positives", p, shielded=shielded)
+        for i in range(4):
+            reps = []
+
+            def build(S, params, seed):
+                reps.append(build_filter(cfg, S, params, seed))
+                return reps[-1]
+
+            tr = run_challenge(build, make_adversary(cfg), None, p,
+                               split_seed(61, int(shielded), i), expose=cfg.expose)
+            h.update(repr((tr.challenge, tr.success, len(tr.queries),
+                           reps[0].unshielded.bit_comparisons)).encode())
+    assert h.hexdigest() == ("6733a23295191793a7c7c0882972bd38"
+                             "2ae35403d20584cecc361e6caef1fe34")
 
 
 def test_consistency_search_rejects_a_contradicted_model(monkeypatch):
