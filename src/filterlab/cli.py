@@ -222,21 +222,32 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    results = []
+    line = _json_line if args.json else acceptance.CriterionResult.line
+    # with --json, standard output holds the JSON lines alone
+    summary = sys.stderr if args.json else sys.stdout
+    lines, failed = [], []
     for n in args.criteria or sorted(acceptance.CRITERIA):
         res = acceptance.run_criterion(n, seed, parallel=args.parallel)
-        print(res.line(), flush=True)
-        results.append(res)
-    report = "\n".join(r.line() for r in results) + "\n"
+        lines.append(line(res))
+        print(lines[-1], flush=True)
+        if not res.passed:
+            failed.append(res.number)
     if args.out:
-        Path(args.out).write_text(report)
-        print(f"report written to {args.out}")
-    failed = [r.number for r in results if not r.passed]
+        Path(args.out).write_text("\n".join(lines) + "\n")
+        print(f"report written to {args.out}", file=summary)
     if failed:
-        print(f"FAILED criteria: {failed}")
+        print(f"FAILED criteria: {failed}", file=summary)
         return 1
-    print("all criteria passed")
+    print("all criteria passed", file=summary)
     return 0
+
+
+JSON_KEYS = ("number", "title", "measured", "threshold", "passed", "seed", "runtime_s")
+
+
+def _json_line(res: acceptance.CriterionResult) -> str:
+    """One criterion's result as a JSON object on one line."""
+    return json.dumps({key: getattr(res, key) for key in JSON_KEYS})
 
 
 def cmd_audit_memory(args: argparse.Namespace) -> int:
@@ -326,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     p_self.add_argument("--parallel", type=_positive_int, default=1,
                         help="worker processes for the game-counting criteria "
                              "3, 4, 5 and 10 (results do not change)")
+    p_self.add_argument("--json", action="store_true",
+                        help="one JSON object a criterion, with its runtime_s "
+                             "(the report too); the summary goes to stderr")
     p_self.set_defaults(fn=cmd_selftest)
 
     p_audit = sub.add_parser("audit-memory", help="bit-exact memory accounting")

@@ -109,9 +109,10 @@ class FilterParams:
 
     def check_members(self, S: Iterable[int]) -> list[int]:
         """list(S), the one member rule of every builder: raises BuildError on a
-        repeated element, and `check_element`'s ValueError on a point outside."""
+        repeated element, and `check_element`'s ValueError on a point outside.
+        A set or frozenset cannot repeat, so only other inputs are scanned."""
         xs = list(S)
-        if len(set(xs)) != len(xs):
+        if not isinstance(S, (set, frozenset)) and len(set(xs)) != len(xs):
             raise BuildError("duplicate elements in S")
         bad = first_outside(xs, self.universe)
         if bad < len(xs):

@@ -5,7 +5,17 @@ tables of r = ceil(1.1 n) cells, keyed by `hashing.positions`), then every
 stored element is replaced by its ell-bit fingerprint g(x) from the k-wise
 independent family G.  A lookup compares g(x) against at most two cells.
 The cells are one flat list of 2r slots, table 1 then table 2, each holding
-a fingerprint or None when empty, with one cursor per slot beside it.
+a fingerprint or None when empty, with one cursor per slot beside it, and a
+bool mask of the full slots, which never change after the build.
+
+A build hashes the members once, as one uint64 array in the iteration
+order of `frozenset(check_members(S))`, which numbers them.  Placement
+(`_place_all`) takes the members in that order: one whose table-1 cell is
+empty is placed at once, and only a member that finds its cell full enters
+the kick loop, the one sequential step.  It returns the member index of
+every cell (-1 when empty); the mask is that index array's non-negative
+entries, and the members it places go to `GFamily.fingerprints` as one
+uint64 array, whose fingerprints fill the full slots in cell order.
 
 Comparisons are bit-serial and cyclic: each cell keeps a cursor marking
 where the last comparison stopped, the next comparison resumes there, and a
@@ -82,14 +92,15 @@ def cursor_bits(ell: int) -> int:
 
 class CuckooFilterRep(Representation):
     def __init__(self, params: FilterParams, gfam: GFamily, seeds: tuple[int, int],
-                 slots: list[int | None], cursors: list[int], cursors_enabled: bool):
+                 slots: list[int | None], cursors: list[int], cursors_enabled: bool,
+                 full: np.ndarray):
         self.params = params
         self.ell = gfam.ell
         self.gfam = gfam
         self.seeds = seeds
         self.r = len(slots) // 2
         self.slots = slots  # table 1 then table 2; a fingerprint, or None when empty
-        self._full = np.array([fp is not None for fp in slots])  # slots never change
+        self._full = full  # bool per slot, fp is not None; slots never change
         self.cursors = cursors  # one per slot
         self.cursors_enabled = cursors_enabled
         self.cursor_width = cursor_bits(self.ell) if cursors_enabled else 0
@@ -162,7 +173,7 @@ class CuckooFilterRep(Representation):
         c1, c2 = positions(self.seeds, pts, r)
         c2 += np.uint64(r)  # table 2 follows table 1
         need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare
-        fps = dict(zip(need.tolist(), self.gfam.fingerprints(pts[need].tolist())))
+        fps = dict(zip(need.tolist(), self.gfam.fingerprints(pts[need])))
         c1, c2 = c1.tolist(), c2.tolist()
         slots, cursors = self.slots, self.cursors
         mask = (1 << ell) - 1
@@ -228,28 +239,38 @@ class CuckooFilterRep(Representation):
         gfam = GFamily.read(rd, ell, k, field_width)
         if rd.remaining:
             raise ValueError(f"{rd.remaining} bits past the payload")
-        return cls(params, gfam, seeds, slots, cursors, cursors_enabled)
+        full = np.array([fp is not None for fp in slots], dtype=bool)
+        return cls(params, gfam, seeds, slots, cursors, cursors_enabled, full)
 
 
-def _place_all(members: Iterable[int], seeds: tuple[int, int], r: int,
-               kicks: int) -> list[int | None] | None:
-    """Cuckoo placement of the raw elements into 2r flat cells, table 1 then
-    table 2; None when some element is still homeless after `kicks` moves."""
-    members = list(members)
-    c1, c2 = positions(seeds, members, r).tolist()
-    home = (c1, [r + j for j in c2])  # each member's cell in tables 1, 2, by index
-    cells: list[int | None] = [None] * (2 * r)  # member indices while kicking
-    for x in range(len(members)):
-        cur, tbl = x, 0
-        for _ in range(kicks):
-            i = home[tbl][cur]  # an evicted index is a member's too
+def _place_all(members: np.ndarray, seeds: tuple[int, int], r: int,
+               kicks: int) -> np.ndarray | None:
+    """Cuckoo placement of the uint64 members into 2r flat cells, table 1
+    then table 2: the member index of each cell, -1 when empty; None when
+    some member is still homeless after `kicks` >= 1 moves.
+
+    Member i, in index order, goes to its table-1 cell, and is placed there
+    at once when the cell is empty.  Otherwise the member it evicts moves
+    on to its cell in the other table, and so on, the tables alternating.
+    """
+    c1, c2 = positions(seeds, members, r)
+    c2 += np.uint64(r)  # table 2 follows table 1
+    one, two = c1.tolist(), c2.tolist()
+    cells = [-1] * (2 * r)
+    for x, i in enumerate(one):
+        cur, cells[i] = cells[i], x
+        if cur < 0:
+            continue
+        home, away = two, one  # cur was evicted from table 1
+        for _ in range(kicks - 1):
+            i = home[cur]
             cur, cells[i] = cells[i], cur
-            if cur is None:
+            if cur < 0:
                 break
-            tbl = 1 - tbl
+            home, away = away, home
         else:
             return None
-    return [None if i is None else members[i] for i in cells]
+    return np.array(cells, dtype=np.intp)
 
 
 def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
@@ -257,6 +278,7 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
     members = frozenset(params.check_members(S))
     if len(members) != params.n:
         raise BuildError(f"|S|={len(members)} but params.n={params.n}")
+    xs = np.fromiter(members, dtype=np.uint64, count=len(members))
     field_width = gf2.width_for(params.u_bits)
     rng = random.Random(rng_seed)
     gfam = g_sample(ell, k, field_width, rng.getrandbits(63))
@@ -267,15 +289,17 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
     seeds = (0, 0)
     for _ in range(REBUILD_LIMIT):
         seeds = (rng.getrandbits(SEED_BITS), rng.getrandbits(SEED_BITS))
-        cells = _place_all(members, seeds, r, kicks)
+        cells = _place_all(xs, seeds, r, kicks)
         if cells is not None:
             break
     if cells is None:
         raise BuildError(f"cuckoo placement failed after {REBUILD_LIMIT} rebuilds")
 
-    fps = iter(gfam.fingerprints([x for x in cells if x is not None]))
-    slots = [None if x is None else next(fps) for x in cells]
-    return CuckooFilterRep(params, gfam, seeds, slots, [0] * len(slots), cursors_enabled)
+    full = cells >= 0
+    slots = np.full(2 * r, None, dtype=object)
+    slots[full] = gfam.fingerprints(xs[cells[full]])
+    return CuckooFilterRep(params, gfam, seeds, slots.tolist(), [0] * (2 * r),
+                           cursors_enabled, full)
 
 
 def build_cuckoo(S: Iterable[int], params: FilterParams, rng_seed: int) -> CuckooFilterRep:

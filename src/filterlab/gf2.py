@@ -379,7 +379,8 @@ def packed_odd_powers(x: int, m: int, w: int) -> int:
     x^(2i+1) at bits [i*w, (i+1)*w).
 
     One point's powers, as a query miss needs them: a numpy batch of one
-    pays the fixed cost of some 40 numpy calls at w = 32 and of about 20
+    pays the fixed cost of some 40 numpy calls at w = 32, which beats this
+    chain only at large m (`gfamily.TOWER_POWERS_MIN`), and of about 20
     per product at w = 64.  The chain of products
     by x^2 runs on byte-spread ints (`_Spread`), and the spread powers are
     packed back by reading their bytes as the binary digits of one int.

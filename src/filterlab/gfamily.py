@@ -30,22 +30,24 @@ shape (at the table widths w <= 16; wider fields build each vector anew).
 An X-vector is one row of little-endian uint64 limbs from the batch build
 to the AND, and the cache keeps these rows in one matrix reserved for the
 whole field.  A scalar query reads its one vector as an int.
-A filter build asks for every member at once (`fingerprints`), and so does
-a batch of queries: the missing X-vectors come from one batch, and the ell
-bits of every point from packed uint64 ANDs and popcounts, looped over the
-shorter of the limb and function axes.  `XProvider._build_many` alone picks
-how a batch of X-vectors is built: a table gather at w <= 16
-(`gf2.odd_power_rows`); at w = 32/64, below WIDE_BATCH_MIN points, the
-chain of m products by x^2 that `gf2.packed_odd_powers` runs point by
-point on byte-spread Python ints (each bit of an element in a byte of its
-own, so one plain integer product carries a whole carry-less product),
-packed into the X-vector by reading those bytes as binary digits; and from
-WIDE_BATCH_MIN points on, `gf2.odd_power_rows` again: at w = 32 table reads
-through the tower GF(2^16)[z], four gathers a point and power after a fixed
-cost of some 40 numpy calls, and at w = 64 a numpy carry-less multiply,
-about 20 numpy calls a product whatever the batch size (one gather of every
-nibble of every point, then the modulus folded with all of its taps at
-once).  A single query's miss is a batch of one.  A slow direct
+A filter build asks for every member at once (`fingerprints`, one uint64
+array of points), and so does a batch of queries: the missing X-vectors
+come from one batch, and the ell bits of every point from packed uint64
+ANDs and popcounts, looped over the shorter of the limb and function axes.
+`XProvider._build_many` alone picks how a batch of X-vectors is built: a
+table gather at w <= 16 (`gf2.odd_power_rows`); at w = 32/64, for a batch
+small enough (below WIDE_BATCH_MIN points at w = 64, below
+TOWER_POWERS_MIN powers, points times m, at w = 32), the chain of m
+products by x^2 that `gf2.packed_odd_powers` runs point by point on
+byte-spread Python ints (each bit of an element in a byte of its own, so
+one plain integer product carries a whole carry-less product), packed into
+the X-vector by reading those bytes as binary digits; and for any larger
+batch `gf2.odd_power_rows` again: at w = 32 table reads through the tower
+GF(2^16)[z], four gathers a point and power after a fixed cost of some 40
+numpy calls, and at w = 64 a numpy carry-less multiply, about 20 numpy
+calls a product whatever the batch size (one gather of every nibble of
+every point, then the modulus folded with all of its taps at once).  A
+single query's miss is a batch of one.  A slow direct
 evaluation with field powers (`GFamily.evaluate`, one `gf2.gf_pow` per
 term) is kept as the reference oracle; every route is cross-checked against
 it in tests.
@@ -78,19 +80,27 @@ FP_CHUNK_BYTES = 1 << 18
 # temporaries (about four int64 or int32 words a power) leave the cache.
 WIDE_CHUNK_BYTES = 1 << 23
 
-# Below this many points, building each X-vector by `gf2.packed_odd_powers`
-# beats the numpy batch at w = 64, whose fixed cost is about 20 numpy calls
-# per power, as `permutation.BATCH_MIN` does for `permute_many`.  On a
-# 2-core x86_64 box (one loaded run), `XProvider._build_many` takes 32 us a
-# point by the chain against 0.80 ms + 4.0 us a point by numpy at w = 64,
-# m = 11 (1.16 ms a point against 40 ms + 0.15 ms at m = 683), so the two
-# meet near 29-39 points.  At w = 32 the table route costs 77 us + 0.45 us a
-# point against the chain's 24 us at m = 11 (78 us + 18 us against 1.03 ms
-# at m = 683), so there they meet near 3 points, and below one point at
-# m = 683.  The one threshold keeps the w = 64 crossover: w = 32 batches of
-# 4-23 points take the slower chain, though a `wide_u32` game makes none
-# (its batches have 1, 36-54 or 1,024 points).
+# The byte-spread chain (`gf2.packed_odd_powers`, point by point) against
+# the numpy batch (`gf2.odd_power_rows`) at the wide widths, as
+# `XProvider._build_many` runs them on a 2-core x86_64 box:
+#
+#   w = 64 builds its powers by chained numpy products, about 20 calls a
+#   product: 32 us a point by the chain against 0.80 ms + 4.0 us a point at
+#   m = 11, and 1.16 ms a point against 40 ms + 0.15 ms at m = 683 (one
+#   loaded run).  Both scale with m, so the routes meet at a number of
+#   points, near 29-39, and a w = 64 batch below WIDE_BATCH_MIN points
+#   takes the chain, as `permutation.BATCH_MIN` does for `permute_many`.
+#
+#   w = 32 reads its powers off the tower tables, about 80 us a batch
+#   whatever m, against the chain's 1.6-2.6 us a power (medians of 20-200
+#   batches): at m = 11 one point takes 26 against 81 us, 3 points 76
+#   against 85, 4 points 97 against 81 and 16 points 380 against 90; at
+#   m = 683 one point takes 1.11 against 0.13 ms.  So the routes meet at a
+#   number of powers, points times m, near 36-40, and a w = 32 batch below
+#   TOWER_POWERS_MIN powers takes the chain: a query miss at m = 11, but no
+#   miss at m = 683 and no batch of 4 points or more at m = 11.
 WIDE_BATCH_MIN = 24
+TOWER_POWERS_MIN = 36
 
 
 def odd_powers(k: int) -> int:
@@ -158,13 +168,16 @@ class XProvider:
         row = self._build(x) if i is None else self._rows[i]
         return int.from_bytes(row.tobytes(), "little")
 
-    def get_many(self, xs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def get_many(self, xs: list[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(rows, index) with X(xs[i]) = rows[index[i]]; misses are built in
         one batch.  At the table widths rows is the cache matrix; at
-        w = 32/64 it is the batch just built, in order."""
+        w = 32/64 it is the batch just built, in order, and index is None.
+        xs is a list of ints or a uint64 array, which the wide widths read
+        as it is."""
         if not self._keep:
-            out = np.empty((len(xs), self.limbs), dtype="<u8")
-            return self._build_many(xs, out), np.arange(len(xs))
+            return self._build_many(xs, np.empty((len(xs), self.limbs), dtype="<u8")), None
+        if isinstance(xs, np.ndarray):
+            xs = xs.tolist()
         cache = self._cache
         missing = [x for x in dict.fromkeys(xs) if x not in cache]
         if missing:
@@ -176,28 +189,35 @@ class XProvider:
     def _build(self, x: int) -> np.ndarray:
         """X(x) as a row, the miss of a scalar query: a batch of one."""
         rows, index = self.get_many([x])
-        return rows[index[0]]
+        return rows[0 if index is None else index[0]]
 
-    def _build_many(self, xs: list[int], out: np.ndarray) -> np.ndarray:
+    def _build_many(self, xs: list[int] | np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write X(xs[i]) into out[i] and return out.  The one place that
-        picks a route: at w = 32/64 a batch below WIDE_BATCH_MIN points takes
-        the byte-spread chain point by point; any other takes
+        picks a route: at w = 32/64 a batch below WIDE_BATCH_MIN points
+        (w = 64) or TOWER_POWERS_MIN powers (w = 32) takes the byte-spread
+        chain point by point; any other takes
         `gf2.odd_power_rows` (table reads at w <= 32) on about
         FP_CHUNK_BYTES (WIDE_CHUNK_BYTES at w = 64) of power rows, 8 bytes
-        a power, at a time, not [len(xs), m] temporaries at once."""
-        if not self._keep and len(xs) < WIDE_BATCH_MIN:
+        a power, at a time, not [len(xs), m] temporaries at once.  A uint64
+        array is read as it is; a list is checked and converted once."""
+        small = len(xs) < WIDE_BATCH_MIN if self.w == 64 else len(xs) * self.m < TOWER_POWERS_MIN
+        if not self._keep and small:
             for row, x in zip(out, xs):
-                v = gf2.packed_odd_powers(x, self.m, self.w) | self.const_bit
+                v = gf2.packed_odd_powers(int(x), self.m, self.w) | self.const_bit
                 row[:] = np.frombuffer(v.to_bytes(8 * self.limbs, "little"), dtype="<u8")
             return out
-        if min(xs) < 0 or max(xs) >> self.w:
-            bad = next(x for x in xs if x >> self.w)
-            raise ValueError(f"point {bad} does not embed in GF(2^{self.w})")
+        if not isinstance(xs, np.ndarray):
+            if min(xs) < 0 or max(xs) >> self.w:
+                bad = next(x for x in xs if x >> self.w)
+                raise ValueError(f"point {bad} does not embed in GF(2^{self.w})")
+            xs = np.array(xs, dtype=np.uint64)
+        elif self.w < 64 and int(xs.max()) >> self.w:
+            raise ValueError(f"point {int(xs.max())} does not embed in GF(2^{self.w})")
         nbytes = WIDE_CHUNK_BYTES if self.w == 64 else FP_CHUNK_BYTES
         step = max(1, nbytes // (8 * max(1, self.m)))
         for i in range(0, len(xs), step):
-            chunk = np.array(xs[i:i + step], dtype=np.uint64)
-            out[i:i + step] = _pack_rows(gf2.odd_power_rows(chunk, self.m, self.w), 1, self.w)
+            out[i:i + step] = _pack_rows(gf2.odd_power_rows(xs[i:i + step], self.m, self.w),
+                                         1, self.w)
         return out
 
 
@@ -257,14 +277,17 @@ class GFamily:
             acc ^= (int(c) & gf2.gf_pow(x, 2 * d + 1, self.field_width)).bit_count() & 1
         return acc
 
-    def fingerprints(self, xs: list[int]) -> list[int]:
-        """All ell output bits at every x in xs, each packed with g_0 in the low bit.
+    def fingerprints(self, xs: list[int] | np.ndarray) -> list[int]:
+        """All ell output bits at every x in xs (a list of ints or a uint64
+        array), each packed with g_0 in the low bit.
 
-        The X-vectors come from one `get_many` as uint64 rows, gathered a
-        chunk at a time, not the whole batch as a second copy; g_j(xs[i]) is
-        the popcount parity of X(xs[i])'s limbs ANDed with g_j's.  The loop
-        runs over the shorter axis.  When a row has no more limbs than there are
-        functions (w = 32, t = 64: 6 limbs, 24 functions), each pass ANDs one
+        The X-vectors come from one `get_many` as uint64 rows: at w = 32/64
+        the rows just built, in order; at the table widths cache rows,
+        gathered a chunk at a time, not the whole batch as a second copy.
+        g_j(xs[i]) is the popcount parity of X(xs[i])'s limbs ANDed with
+        g_j's.  The loop runs over the shorter axis.  When a row has no more
+        limbs than there are functions (w = 32, t = 64: 6 limbs, 24
+        functions), each pass ANDs one
         limb of every row with that limb of every function and XORs the
         popcounts into all ell bits at once.  Otherwise (u_bits = 13: 171
         limbs, 24 functions), each pass ANDs every row with one function's
@@ -277,7 +300,7 @@ class GFamily:
         step = max(1, FP_CHUNK_BYTES // (8 * max(limbs, self.ell)))
         bits = np.empty((len(xs), self.ell), dtype=np.uint8)
         for i in range(0, len(xs), step):
-            X = rows[index[i:i + step]]
+            X = rows[i:i + step] if index is None else rows[index[i:i + step]]
             out = bits[i:i + step]
             if limbs <= self.ell:
                 anded = np.empty((len(X), self.ell), dtype=np.uint64)

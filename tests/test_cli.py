@@ -428,6 +428,21 @@ def test_selftest_single_fast_criterion(tmp_path, capsys):
     assert "seed=" in text
 
 
+def test_selftest_json_prints_one_object_a_criterion(tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    rc = main(["selftest", "--criteria", "1", "--json", "--out", str(report)])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    (line,) = out.splitlines()
+    record = json.loads(line)
+    assert list(record) == ["number", "title", "measured", "threshold", "passed",
+                            "seed", "runtime_s"]
+    assert record["number"] == 1 and record["passed"] is True
+    assert isinstance(record["seed"], int) and record["runtime_s"] >= 0
+    assert report.read_text() == line + "\n"
+    assert "all criteria passed" in err
+
+
 def test_audit_memory_matches_serialization(tmp_path, capsys):
     rc = main(["audit-memory", "--filter", "cuckoo_random_query", "--n", "64",
                "--eps", "0.125", "--t", "256", "--u-bits", "12"])

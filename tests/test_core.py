@@ -15,8 +15,20 @@ from filterlab import (
 )
 from filterlab.adversaries import RandomProbeAttack
 from filterlab.bitio import BitReader, BitWriter
-from filterlab.core import EXPOSURES, GameTranscript, ParamError
+from filterlab.core import EXPOSURES, BuildError, GameTranscript, ParamError
 from filterlab.hashing import DRAW_BATCH_MIN, randbelow_many
+
+
+def test_check_members_keeps_every_rule_for_sets_and_lists():
+    p = FilterParams(n=4, eps=0.25, t=4, u_bits=8)
+    # a set cannot repeat, so it skips the repeat scan, but not the range check
+    for S in (frozenset({1, 2, 300}), {1, 2, -1}):
+        with pytest.raises(ValueError, match="outside universe"):
+            p.check_members(S)
+    with pytest.raises(BuildError, match="duplicate elements in S"):
+        p.check_members([1, 2, 1])
+    assert p.check_members(frozenset({5, 7})) == list(frozenset({5, 7}))
+    assert p.check_members([7, 5]) == [7, 5]
 
 
 def test_minimal_error_examples():

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from filterlab import FilterParams, build_cuckoo, build_cuckoo_random_query, sample_set
@@ -114,17 +115,32 @@ def _reference_place_all(members, seeds, r, kicks):
     return cells
 
 
-@pytest.mark.parametrize("r", [table_size(64), 40])
-def test_placement_matches_the_scalar_kick_loop(r):
+def _placed(members, seeds, r, kicks):
+    """`_place_all`'s cells as the members they hold, None when empty."""
+    xs = list(members)
+    cells = _place_all(np.array(xs, dtype=np.uint64), seeds, r, kicks)
+    return None if cells is None else [None if i < 0 else xs[i] for i in cells.tolist()]
+
+
+TINY = FilterParams(n=4, eps=2 ** -3, t=256, u_bits=12)
+
+
+@pytest.mark.parametrize("params, r, kicks", [
+    pytest.param(SMALL, table_size(64), max_kicks(64), id="71"),
+    pytest.param(SMALL, 40, max_kicks(64), id="40"),
+    # where the empty-home fast path and the table alternation end: both
+    # outcomes at each limit (161, 10, 10 and 3 of the 200 fail)
+    *(pytest.param(TINY, table_size(4), kicks, id=f"5-kicks{kicks}") for kicks in (1, 2, 3, 4)),
+])
+def test_placement_matches_the_scalar_kick_loop(params, r, kicks):
     # the same cells on every seed pair, and None on the same pairs; some
     # placements fail at both sizes (9 and 197 of the 200 at r = 71 and 40)
-    kicks = max_kicks(64)
     failed = 0
     for i in range(200):
         rng = random.Random(i)
-        members = sample_set(SMALL, rng)
+        members = sample_set(params, rng)
         seeds = (rng.getrandbits(SEED_BITS), rng.getrandbits(SEED_BITS))
-        cells = _place_all(members, seeds, r, kicks)
+        cells = _placed(members, seeds, r, kicks)
         assert cells == _reference_place_all(members, seeds, r, kicks)
         failed += cells is None
     assert 0 < failed < 200
@@ -323,6 +339,23 @@ def test_serialize_roundtrip_preserves_answers_and_cursors(build):
     assert back.cursors == rep.cursors
     seq = [rng.randrange(SMALL.universe) for _ in range(1500)] + sorted(S)
     assert [back.query(x) for x in seq] == [rep.query(x) for x in seq]
+
+
+@pytest.mark.parametrize("u_bits", [13, 32])
+@pytest.mark.parametrize("build", [build_cuckoo, build_cuckoo_random_query])
+def test_full_mask_follows_the_slots(build, u_bits):
+    # the build takes the mask from its placement and a read from the slots
+    # it reads; either way it marks exactly the slots holding a fingerprint
+    p = FilterParams(n=64, eps=2 ** -3, t=64, u_bits=u_bits)
+    rep = build(sample_set(p, random.Random(u_bits)), p, rng_seed=30 + u_bits)
+    assert rep._full.dtype == bool
+    assert rep._full.tolist() == [fp is not None for fp in rep.slots]
+    assert rep._full.sum() == p.n
+    data, bits = rep.serialize()
+    back = CuckooFilterRep.deserialize(p, rep.ell, rep.gfam.k, rep.gfam.field_width,
+                                       rep.r, rep.cursors_enabled, data, bits)
+    assert back.slots == rep.slots
+    assert back._full.tolist() == [fp is not None for fp in back.slots]
 
 
 def test_deserialize_reads_exactly_the_payload():

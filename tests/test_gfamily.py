@@ -143,8 +143,9 @@ def test_point_outside_field_raises():
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_wide_point_outside_field_raises(w):
-    # both routes of `_build_many`: the chain point by point below
-    # WIDE_BATCH_MIN points, the numpy batch from there on
+    # both routes of `_build_many`: the chain point by point for 1 point
+    # (and 23 at w = 64, below WIDE_BATCH_MIN), the numpy batch for 24 (and
+    # 23 at w = 32: 46 powers of m = 2, past TOWER_POWERS_MIN)
     fam = g_sample(3, 5, w, rng_seed=w)
     prov = fam.provider
     for bad in (1 << w, (1 << w) + 5, 1 << (2 * w), -1, -(1 << w)):
@@ -154,6 +155,11 @@ def test_wide_point_outside_field_raises(w):
                 prov.get_many(points)
             with pytest.raises(ValueError):
                 fam.fingerprints(points)
+    if w == 32:  # a uint64 array on the tower route, as a cuckoo build hands it over
+        points = np.arange(1, 41, dtype=np.uint64)
+        points[-1] = 1 << 32
+        with pytest.raises(ValueError, match="does not embed"):
+            fam.fingerprints(points)
     assert prov._cache == {}
 
 
@@ -210,14 +216,16 @@ def test_get_many_matches_get_and_leaves_the_same_cache(w):
     # get_many hands out uint64 limb rows and get reads one as an int.  At
     # w = 32/64 the first batch is large enough for the numpy route, so it
     # meets the scalar chain of a query miss; both must give equal vectors
-    # and leave the same entries, in the same order, on the same rows
+    # and leave the same entries, in the same order, on the same rows.  A
+    # wide batch comes back in order, with no index
     rng = random.Random(w)
     batch, single = XProvider(w, 5), XProvider(w, 5)
     for points in (_edge_points(w, rng, gfamily.WIDE_BATCH_MIN), [],
                    [rng.randrange(1 << w), 1, 0]):
         rows, index = batch.get_many(points)
         assert rows.dtype == np.dtype("<u8") and rows.shape[1] == batch.limbs
-        vectors = rows[index]
+        assert (index is None) == (w in (32, 64))
+        vectors = rows if index is None else rows[index]
         assert _ints(vectors) == [single.get(x) for x in points]
         assert list(batch._cache.items()) == list(single._cache.items())
 
@@ -301,14 +309,8 @@ def _built(w, points):
     return prov._build_many(points, np.empty((len(points), prov.limbs), dtype="<u8"))
 
 
-@pytest.mark.parametrize("w", [16, 32])
-def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
-    # 68 points: at least WIDE_BATCH_MIN, so w = 32 takes the numpy route too,
-    # and not a multiple of the chunk, so the last chunk is a short one
-    points = random.Random(w).sample(range(1 << 16), 68)
-    whole = _built(w, points)
-    for name in ("FP_CHUNK_BYTES", "WIDE_CHUNK_BYTES"):
-        monkeypatch.setattr(gfamily, name, 8 * 5 * 7)  # seven rows of m = 5 powers
+def _counted_passes(monkeypatch):
+    """The batch sizes `gf2.odd_power_rows` is called with from now on."""
     passes, rows = [], gf2.odd_power_rows
 
     def counted(xs, m, w):
@@ -316,6 +318,19 @@ def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
         return rows(xs, m, w)
 
     monkeypatch.setattr(gf2, "odd_power_rows", counted)
+    return passes
+
+
+@pytest.mark.parametrize("w", [16, 32])
+def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
+    # 68 points of m = 5: 340 powers, past TOWER_POWERS_MIN, so w = 32 takes
+    # the numpy route too, and not a multiple of the chunk, so the last chunk
+    # is a short one
+    points = random.Random(w).sample(range(1 << 16), 68)
+    whole = _built(w, points)
+    for name in ("FP_CHUNK_BYTES", "WIDE_CHUNK_BYTES"):
+        monkeypatch.setattr(gfamily, name, 8 * 5 * 7)  # seven rows of m = 5 powers
+    passes = _counted_passes(monkeypatch)
     assert np.array_equal(_built(w, points), whole)
     assert passes == [7] * 9 + [5]
     assert np.array_equal(whole, [XProvider(w, 5)._build(x) for x in points])
@@ -323,23 +338,39 @@ def test_batch_build_does_not_depend_on_the_chunk(monkeypatch, w):
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_a_small_wide_batch_is_built_point_by_point(monkeypatch, w):
-    # below WIDE_BATCH_MIN points the byte-spread chain beats the numpy batch
+    # the byte-spread chain beats the numpy batch below WIDE_BATCH_MIN
+    # points at w = 64, and below TOWER_POWERS_MIN powers at w = 32: 7
+    # points of m = 5 take the chain there, 8 the tower
     points = _edge_points(w, random.Random(w), gfamily.WIDE_BATCH_MIN)
     whole = _built(w, points)
-    passes, rows = [], gf2.odd_power_rows
-
-    def counted(xs, m, w):
-        passes.append(len(xs))
-        return rows(xs, m, w)
-
-    monkeypatch.setattr(gf2, "odd_power_rows", counted)
+    passes = _counted_passes(monkeypatch)
     # nor through `_build`, the single-point miss of a scalar query
     monkeypatch.setattr(XProvider, "_build", lambda self, x: pytest.fail("scalar miss"))
-    small = points[:gfamily.WIDE_BATCH_MIN - 1]
+    chain = {32: -(-gfamily.TOWER_POWERS_MIN // 5) - 1, 64: gfamily.WIDE_BATCH_MIN - 1}[w]
+    small = points[:chain]
     assert np.array_equal(_built(w, small), whole[:len(small)])
     assert passes == []
+    assert np.array_equal(_built(w, points[:chain + 1]), whole[:chain + 1])
+    assert passes == [chain + 1]
     assert np.array_equal(_built(w, points), whole)
-    assert passes == [len(points)]
+    assert passes == [chain + 1, len(points)]
+
+
+@pytest.mark.parametrize("m, size, tower", [
+    (11, 1, False), (11, 3, False), (11, 4, True), (11, 36, True), (11, 54, True),
+    (11, 1024, True), (683, 1, True), (683, 4, True)])
+def test_the_width_32_route_knows_m(monkeypatch, m, size, tower):
+    # at w = 32 the chain costs about 2.5 us a power and the tower about
+    # 80 us a batch: at m = 11 they meet near 3-4 points, and at m = 683 the
+    # tower wins from one point.  A game over GF(2^32) at t = 64 (m = 11)
+    # keeps its routes: a query miss on the chain, its batches of 36 and
+    # more points, and a build's 1,024, on the tower
+    prov = XProvider(32, m)
+    points = random.Random(size).sample(range(1 << 32), size)
+    passes = _counted_passes(monkeypatch)
+    rows = prov._build_many(points, np.empty((size, prov.limbs), dtype="<u8"))
+    assert passes == ([size] if tower else [])
+    assert _ints(rows) == [gf2.packed_odd_powers(x, m, 32) | prov.const_bit for x in points]
 
 
 @pytest.mark.parametrize("w", [4, 8, 16])
