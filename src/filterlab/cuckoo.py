@@ -38,7 +38,9 @@ accounting).
 A batch of points chosen in advance (`query_many`) leaves the answers, the
 counters, the cursors and the loads exactly as one `query` per point
 would.  The fingerprints of the batch come from one `GFamily.fingerprints`
-call, and the queries are then taken in order, each probe in closed form:
+call on its distinct points (`_distinct`, one sort), each query's two cells
+and fingerprint are gathered from those into lists, and the queries are
+then taken in order, each probe in closed form:
 rotate `diff = fp XOR cell` right by the cell's cursor c0 within ell bits;
 the comparison count n is the index of its lowest set bit plus 1 (ell when
 diff is 0, a full match), the probe compares the bits in the cyclic span
@@ -164,34 +166,44 @@ class CuckooFilterRep(Representation):
     def _query_pass(self, xs: list[int], start: int, stop: Stop | None) -> list[bool]:
         """One pass over xs, which sit at start, start + 1, ... of the batch
         `stop` indexes: every distinct point is hashed and, when one of its
-        cells is full, fingerprinted up front; the queries then run in order
-        and end at a stop."""
+        cells is full, fingerprinted up front; each query's two cells and
+        fingerprint are then gathered into lists, and the queries run in
+        order, both probes inline, and end at a stop."""
         ell, r = self.ell, self.r
-        index: dict[int, int] = {}  # each distinct point's row, in first-seen order
-        rows = [index.setdefault(x, len(index)) for x in xs]
-        pts = np.array(list(index), dtype=np.uint64)
+        pts, inverse = _distinct(np.array(xs, dtype=np.uint64))
         c1, c2 = positions(self.seeds, pts, r)
         c2 += np.uint64(r)  # table 2 follows table 1
         need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare
-        fps = dict(zip(need.tolist(), self.gfam.fingerprints(pts[need])))
-        c1, c2 = c1.tolist(), c2.tolist()
-        slots, cursors = self.slots, self.cursors
+        fps = np.zeros(len(pts), dtype=object)
+        fps[need] = self.gfam.fingerprints(pts[need])
+        slots, cursors, moves = self.slots, self.cursors, self.cursors_enabled
         mask = (1 << ell) - 1
         count = 0
         loads, answers = [], []
-        for i in rows:
+        # an empty cell costs 0 and keeps its cursor; a full one is probed
+        # in closed form (module docstring)
+        for a, b, fp in zip(c1[inverse].tolist(), c2[inverse].tolist(), fps[inverse].tolist()):
             load, hit = 0, False
-            for c in (c1[i], c2[i]):
-                fp = slots[c]
-                if fp is None:  # an empty cell costs 0 and keeps its cursor
-                    continue
-                diff, c0 = fps[i] ^ fp, cursors[c]
+            cell = slots[a]
+            if cell is not None:
+                diff, c0 = fp ^ cell, cursors[a]
+                diff = (diff >> c0 | diff << (ell - c0)) & mask
+                n = (diff & -diff).bit_length() if diff else ell
+                span = ((1 << n) - 1) << c0
+                load = (span | span >> ell) & mask
+                if moves:
+                    cursors[a] = (c0 + n) % ell
+                count += n
+                hit = not diff
+            cell = slots[b]
+            if cell is not None:
+                diff, c0 = fp ^ cell, cursors[b]
                 diff = (diff >> c0 | diff << (ell - c0)) & mask
                 n = (diff & -diff).bit_length() if diff else ell
                 span = ((1 << n) - 1) << c0
                 load |= (span | span >> ell) & mask
-                if self.cursors_enabled:
-                    cursors[c] = (c0 + n) % ell
+                if moves:
+                    cursors[b] = (c0 + n) % ell
                 count += n
                 hit = hit or not diff
             loads.append(load)
@@ -241,6 +253,19 @@ class CuckooFilterRep(Representation):
             raise ValueError(f"{rd.remaining} bits past the payload")
         full = np.array([fp is not None for fp in slots], dtype=bool)
         return cls(params, gfam, seeds, slots, cursors, cursors_enabled, full)
+
+
+def _distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, inverse): the distinct entries of xs in ascending order, and
+    where each entry of xs sits among them, so values[inverse] == xs.  One
+    sort, not `np.unique`, which can import numpy.ma (about 2 MB resident)."""
+    order = np.argsort(xs)
+    ordered = xs[order]
+    new = np.ones(len(xs), dtype=bool)  # the first entry of each run of equal values
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(xs), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def _place_all(members: np.ndarray, seeds: tuple[int, int], r: int,

@@ -11,6 +11,13 @@ from filterlab.gfamily import GFamily, XProvider, _ints, g_sample, x_provider
 from stats import chi2_sf
 
 
+def _held(prov):
+    """{point: row} for every point the X-cache holds a row for, read off its
+    row map."""
+    points = np.flatnonzero(prov._row_of >= 0)
+    return dict(zip(points.tolist(), prov._row_of[points].tolist()))
+
+
 def eval_bit(fam, i, x):
     """Output bit of g_i at x by the packed seeds, the scalar fast path of
     `CuckooFilterRep._probe`; the tests hold it to `GFamily.evaluate`."""
@@ -139,6 +146,10 @@ def test_point_outside_field_raises():
         fam.evaluate(0, 16)
     with pytest.raises(ValueError):
         fam.fingerprints([3, 16])
+    fam.fingerprints([15])  # the row map must not read -1 as the last point
+    for bad in (-1, -16, 16):
+        with pytest.raises(ValueError):
+            fam.provider.get(bad)
 
 
 @pytest.mark.parametrize("w", [32, 64])
@@ -160,7 +171,7 @@ def test_wide_point_outside_field_raises(w):
         points[-1] = 1 << 32
         with pytest.raises(ValueError, match="does not embed"):
             fam.fingerprints(points)
-    assert prov._cache == {}
+    assert _held(prov) == {} and prov._filled == 0
 
 
 def test_sample_validation():
@@ -216,18 +227,27 @@ def test_get_many_matches_get_and_leaves_the_same_cache(w):
     # get_many hands out uint64 limb rows and get reads one as an int.  At
     # w = 32/64 the first batch is large enough for the numpy route, so it
     # meets the scalar chain of a query miss; both must give equal vectors
-    # and leave the same entries, in the same order, on the same rows.  A
-    # wide batch comes back in order, with no index
+    # and leave the same entries on the same rows, written in the order their
+    # points first appear.  A wide batch comes back in order, with no index
     rng = random.Random(w)
     batch, single = XProvider(w, 5), XProvider(w, 5)
+    seen = []
     for points in (_edge_points(w, rng, gfamily.WIDE_BATCH_MIN), [],
                    [rng.randrange(1 << w), 1, 0]):
+        seen += points
         rows, index = batch.get_many(points)
         assert rows.dtype == np.dtype("<u8") and rows.shape[1] == batch.limbs
         assert (index is None) == (w in (32, 64))
         vectors = rows if index is None else rows[index]
         assert _ints(vectors) == [single.get(x) for x in points]
-        assert list(batch._cache.items()) == list(single._cache.items())
+        assert np.array_equal(batch._row_of, single._row_of)
+        assert batch._filled == single._filled
+        held = _held(batch)
+        assert sorted(held.values()) == list(range(batch._filled))
+        if w in gf2.TABLE_WIDTHS:
+            assert sorted(held, key=held.get) == list(dict.fromkeys(seen))
+        else:
+            assert held == {}
 
 
 @pytest.mark.parametrize("u_bits, w", [(13, 16), (32, 32)])
@@ -243,11 +263,11 @@ def test_cache_keeps_vectors_only_at_table_widths(monkeypatch, u_bits, w):
     for x in queries + sorted(S):
         rep.query(x)
     assert rep.gfam.field_width == w
-    cache = rep.gfam.provider._cache
+    held = _held(rep.gfam.provider)
     if w in gf2.TABLE_WIDTHS:
-        assert set(cache) == set(S) | set(queries)
+        assert set(held) == set(S) | set(queries)
     else:
-        assert cache == {}
+        assert held == {} and rep.gfam.provider._rows.size == 0
     assert all(rep.query(x) for x in S)
 
 
@@ -286,6 +306,42 @@ def test_fingerprints_at_the_axis_rule_boundary(monkeypatch, w, m):
         with monkeypatch.context() as mp:
             mp.setattr(gfamily, "FP_CHUNK_BYTES", 8 * limbs)  # one row per chunk
             assert fam.fingerprints(points) == whole
+
+
+@pytest.mark.parametrize("w, m, ell", [(16, 683, 2), (32, 11, 24)])
+def test_fingerprints_around_a_group_match_reference(monkeypatch, w, m, ell):
+    # at m = 683 a row has 171 limbs, more than ell, and rows are ANDed in
+    # groups of FP_GROUP; at w = 32, m = 11 a row has 6 limbs, fewer than
+    # ell, and the AND runs limb by limb.  Batches of 1, G - 1, G and G + 1
+    # points, then 2G + 3 in chunks of one group: two chunks and a shorter
+    # tail.  FP_GROUP is made small so that `evaluate`, about 40 ms a bit
+    # at m = 683, checks every case
+    monkeypatch.setattr(gfamily, "FP_GROUP", 4)
+    G = gfamily.FP_GROUP
+    fam = g_sample(ell, 2 * m, w, rng_seed=m)
+    limbs = fam._limbs.shape[1]
+    assert (limbs > ell) == (m == 683)
+    points = random.Random(m).sample(range(1 << 13), 2 * G + 2)
+    points.insert(G, points[1])  # a repeat inside the batch
+    want = [sum(fam.evaluate(j, x) << j for j in range(ell)) for x in points]
+    for size in (1, G - 1, G, G + 1):
+        assert fam.fingerprints(points[:size]) == want[:size]
+    monkeypatch.setattr(gfamily, "FP_CHUNK_BYTES", 8 * max(limbs, ell) * G)
+    assert fam.fingerprints(np.array(points, dtype=np.uint64)) == want
+
+
+def test_fingerprints_around_the_real_group():
+    # the same sizes at FP_GROUP itself and at the acceptance shape (24
+    # functions of m = 683), against the scalar fast path, which the tests
+    # above hold to `evaluate`; 1,000 points cross FP_CHUNK_BYTES chunks
+    G = gfamily.FP_GROUP
+    fam = g_sample(24, 1366, 16, rng_seed=9)
+    chunk = max(1, gfamily.FP_CHUNK_BYTES // (8 * fam._limbs.shape[1] * G)) * G
+    points = [random.Random(10).randrange(1 << 13) for _ in range(1000)]
+    assert len(points) > chunk
+    want = [sum(eval_bit(fam, j, x) << j for j in range(24)) for x in points]
+    for size in (1, G - 1, G, G + 1, len(points)):
+        assert fam.fingerprints(points[:size]) == want[:size]
 
 
 @pytest.mark.parametrize("ell", [1, 8, 63, 64, 65, 68])
@@ -382,16 +438,16 @@ def test_a_refused_batch_leaves_the_cache_as_it_was(w):
     prov, fresh = XProvider(w, 5), XProvider(w, 5)
     warm = [rng.randrange(1 << w) for _ in range(5)]
     prov.get_many(warm)
-    before = dict(prov._cache)
+    before, filled = prov._row_of.copy(), prov._filled
     for bad in (1 << w, -1):
         with pytest.raises(ValueError):
             prov.get_many([rng.randrange(1 << w) for _ in range(3)] + [bad])
-        assert prov._cache == before
+        assert np.array_equal(prov._row_of, before) and prov._filled == filled
     points = warm + [rng.randrange(1 << w) for _ in range(7)]
     rows, index = prov.get_many(points)
     fresh_rows, fresh_index = fresh.get_many(points)
     assert np.array_equal(rows[index], fresh_rows[fresh_index])
-    assert list(prov._cache.items()) == list(fresh._cache.items())
+    assert np.array_equal(prov._row_of, fresh._row_of) and prov._filled == fresh._filled
 
 
 def test_chi2_sf_reference_points():

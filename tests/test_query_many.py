@@ -258,9 +258,25 @@ def test_points_on_two_empty_cells_equal_the_scalar_loop(kind):
     assert _state(batch_rep)[:4] == (before[0], before[1] + 350, *before[2:4])
 
 
+@pytest.mark.parametrize("kind", ["cuckoo_random_query", "cuckoo_resilient"])
+@pytest.mark.parametrize("u_bits", [13, 32])
+def test_replayed_members_equal_the_scalar_loop(kind, u_bits):
+    # the load adversary's pattern: one member 4,096 times, then every member
+    # over and over, so that each query is a full match and the pass answers
+    # thousands of queries from a handful of distinct points
+    params = _params(u_bits, 2 ** -6)
+    cfg, S, loop_rep, batch_rep = _pair(kind, False, params, 17 + u_bits)
+    members = sorted(S)
+    for xs in ([members[0]] * 4096, members * 64):
+        assert batch_rep.query_many(xs) == [loop_rep.query(x) for x in xs] == [True] * 4096
+        assert _state(batch_rep) == _state(loop_rep)
+    assert batch_rep.query_count == 8192
+    assert batch_rep.participation == [8192] * batch_rep.ell  # a full match compares every bit
+
+
 def test_a_batched_game_leaves_numpy_ma_unimported():
     # `np.unique` can import numpy.ma (with numpy 2.4 it does on an index
-    # array), some 2 MB of resident memory; the batch path dedups by a dict
+    # array), some 2 MB of resident memory; the batch path dedups by a sort
     code = (
         "import sys\n"
         "from filterlab import FilterParams, GameConfig\n"
