@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, FilterParams, Representation, Stop
+from .core import SEED_BITS, FilterParams, ParamError, Representation, Stop
 from .hashing import mix64, positions
 
 
@@ -29,7 +29,10 @@ def standard_bloom_bits(n: int, eps: float) -> int:
 
 
 def array_bits(params: FilterParams, m: int | None = None) -> int:
-    """The array size a build uses: m, else standard sizing from eps."""
+    """The array size a build uses: m, else standard sizing from eps.  An
+    explicit m below 1 raises ParamError."""
+    if m is not None and m < 1:
+        raise ParamError("bloom_bits", "m must be >= 1")
     return standard_bloom_bits(params.n, params.eps) if m is None else m
 
 
@@ -171,11 +174,10 @@ class BloomFilterRep(Representation):
 
 def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
                 m: int | None = None) -> BloomFilterRep:
-    """Build the baseline filter; m defaults to standard sizing from eps."""
+    """Build the baseline filter on S, checked by `FilterParams.check_members`;
+    m defaults to standard sizing from eps (`array_bits`)."""
     xs = params.check_members(S)
     m = array_bits(params, m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     rng = random.Random(rng_seed)
     k_h = index_count(m, params.n)
     seeds = tuple(rng.getrandbits(SEED_BITS) for _ in range(k_h))

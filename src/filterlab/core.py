@@ -108,15 +108,18 @@ class FilterParams:
             raise ValueError(f"element {x} outside universe [0, 2^{self.u_bits})")
 
     def check_members(self, S: Iterable[int]) -> list[int]:
-        """list(S), the one member rule of every builder: raises BuildError on a
-        repeated element, and `check_element`'s ValueError on a point outside.
-        A set or frozenset cannot repeat, so only other inputs are scanned."""
+        """list(S), the one member rule of every builder and of `run_challenge`:
+        raises BuildError on a repeated element, then `check_element`'s
+        ValueError on a point outside, then BuildError unless |S| = n.  A set
+        or frozenset cannot repeat, so only other inputs are scanned."""
         xs = list(S)
         if not isinstance(S, (set, frozenset)) and len(set(xs)) != len(xs):
             raise BuildError("duplicate elements in S")
         bad = first_outside(xs, self.universe)
         if bad < len(xs):
             self.check_element(xs[bad])  # raises
+        if len(xs) != self.n:
+            raise BuildError(f"|S|={len(xs)} but params.n={self.n}")
         return xs
 
 
@@ -334,12 +337,13 @@ def run_challenge(
 ) -> GameTranscript:
     """Play one challenge game and report the transcript.
 
-    The filter is built on S (sampled fresh from a derived seed when None),
-    the adversary runs with oracle access and up to t queries, and its
-    output x* wins only if it is a fresh non-member answering True.  The
-    verification query goes through the same (possibly mutating) query path
-    and is issued exactly once.  `expose` is one of `EXPOSURES`; any other
-    value raises ValueError before anything is built.
+    The filter is built on S (sampled fresh from a derived seed when None;
+    the factory's `check_members` refuses |S| != n), the adversary runs with
+    oracle access and up to t queries, and its output x* wins only if it is
+    a fresh non-member answering True.  The verification query goes through
+    the same (possibly mutating) query path and is issued exactly once.
+    `expose` is one of `EXPOSURES`; any other value raises ValueError before
+    anything is built.
     """
     if expose not in EXPOSURES:
         raise ValueError(f"unknown exposure policy {expose!r} (known: {', '.join(EXPOSURES)})")
@@ -349,8 +353,6 @@ def run_challenge(
     if S is None:
         S = sample_set(params, random.Random(set_seed))
     S = frozenset(S)
-    if len(S) != params.n:
-        raise ValueError(f"|S|={len(S)} but params.n={params.n}")
 
     rep = filter_factory(S, params, build_seed)
     oracle = QueryOracle(rep, params.t)
@@ -436,7 +438,4 @@ class ExactSetRepSpace:
 
 
 def build_exact_set(S: Iterable[int], params: FilterParams, rng_seed: int) -> ExactSetRep:
-    members = frozenset(params.check_members(S))
-    if len(members) != params.n:
-        raise BuildError(f"|S|={len(members)} but params.n={params.n}")
-    return ExactSetRep(members, params)
+    return ExactSetRep(frozenset(params.check_members(S)), params)

@@ -301,8 +301,6 @@ def _place_all(members: np.ndarray, seeds: tuple[int, int], r: int,
 def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
            ell: int, k: int, cursors_enabled: bool) -> CuckooFilterRep:
     members = frozenset(params.check_members(S))
-    if len(members) != params.n:
-        raise BuildError(f"|S|={len(members)} but params.n={params.n}")
     xs = np.fromiter(members, dtype=np.uint64, count=len(members))
     field_width = gf2.width_for(params.u_bits)
     rng = random.Random(rng_seed)

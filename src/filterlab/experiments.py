@@ -64,8 +64,7 @@ class GameConfig:
         if self.bloom_bits is not None and self.filter_kind != "baseline_bloom":
             raise ParamError("bloom_bits", "m sizes the baseline_bloom array; "
                              f"kind = {self.filter_kind} has none")
-        if self.bloom_bits is not None and self.bloom_bits < 1:
-            raise ParamError("bloom_bits", "m must be >= 1")
+        bloom.array_bits(self.params, self.bloom_bits)  # raises on m < 1
         known = inspect.signature(ADVERSARIES[self.adversary_kind]).parameters
         for key, value in self.adversary_opts.items():
             bad = f"bad adversary options for {self.adversary_kind}: "

@@ -7,7 +7,8 @@ as points the adversary cannot steer, and the memory overhead is exactly
 the key: lambda_bits.
 
 It checks S and every query point by the filters' own rule before permuting,
-so a repeated member or a point outside the universe raises as it would unshielded.
+so a repeated member, a point outside the universe or a wrong size raises as
+it would unshielded.
 
 Only the key must stay secret: publishing the inner representation must not
 help an attacker, and the debug exposure policies deliberately exercise

@@ -645,9 +645,8 @@ def test_err_estimate_identity_and_extremes():
     rep = build_bloom(S, p, 21, m=128)
     assert err_estimate(rep, rep) == 0.0
 
-    zero = build_bloom([], p, 22, m=64)
-    ones = build_bloom([], p, 22, m=64)
-    ones.array[:] = bytes([1]) * len(ones.array)
+    zero = BloomFilterRep(p, rep.seeds, bytearray(64))
+    ones = BloomFilterRep(p, rep.seeds, bytearray([1]) * 64)
     assert err_estimate(zero, ones) == 1.0
 
 
@@ -657,8 +656,7 @@ def test_mu_estimate_extremes_and_exact_set():
     exact = build_exact_set(S, p, 0)
     assert mu_estimate(exact) == 16 / 1024
 
-    ones = build_bloom([], p, 24, m=64)
-    ones.array[:] = bytes([1]) * len(ones.array)
+    ones = BloomFilterRep(p, (24,), bytearray([1]) * 64)
     assert mu_estimate(ones) == 1.0
 
 

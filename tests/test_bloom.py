@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from filterlab.hashing import mix64
 PARAMS = FilterParams(n=1000, eps=2 ** -6, t=0, u_bits=32)
 
 
-def test_empty_set_builds_all_zero_array():
-    rep = build_bloom([], PARAMS, rng_seed=1, m=256)
-    assert all(b == 0 for b in rep.array)
+def test_empty_set_refused_and_an_all_zero_array_answers_false():
+    # n >= 1, so an empty S is never a set of n members
+    with pytest.raises(BuildError, match=re.escape("|S|=0 but params.n=1000")):
+        build_bloom([], PARAMS, rng_seed=1, m=256)
+    rep = BloomFilterRep(PARAMS, (1, 2, 3), bytearray(256))
     assert not rep.query(12345)
+    assert rep.query_many([0, 12345, PARAMS.universe - 1]) == [False] * 3
 
 
 def test_duplicates_rejected():
@@ -99,7 +104,7 @@ def test_fp_rate_tracks_occupancy_expectation():
 
 
 def test_saturated_array_answers_true_everywhere():
-    rep = build_bloom([1, 2, 3], PARAMS, rng_seed=11, m=64)
+    rep = build_bloom([1, 2, 3], replace(PARAMS, n=3), rng_seed=11, m=64)
     rep.array[:] = bytes([1]) * len(rep.array)
     assert all(rep.query(x) for x in (0, 5, 17, 2 ** 31, PARAMS.universe - 1))
 
@@ -117,8 +122,12 @@ def test_steadiness_byte_identical_after_queries():
 def test_monotonicity_under_superset():
     small = frozenset(range(100, 200))
     big = small | frozenset(range(5000, 5050))
-    a = build_bloom(small, PARAMS, rng_seed=15, m=4096)
-    b = build_bloom(big, PARAMS, rng_seed=15, m=4096)  # same seed, same hashes
+    a = build_bloom(small, replace(PARAMS, n=len(small)), rng_seed=15, m=4096)
+    array = bytearray(a.m)  # big under a's hashes
+    for x in big:
+        for s in a.seeds:
+            array[mix64(s, x) % a.m] = 1
+    b = BloomFilterRep(replace(PARAMS, n=len(big)), a.seeds, array)
     rng = random.Random(16)
     for _ in range(5000):
         x = rng.randrange(PARAMS.universe)
@@ -175,7 +184,7 @@ def test_payloads_are_pinned():
 
 
 def test_a_corrupt_array_does_not_serialize():
-    rep = build_bloom([1, 2, 3], PARAMS, rng_seed=11, m=64)
+    rep = build_bloom([1, 2, 3], replace(PARAMS, n=3), rng_seed=11, m=64)
     rep.array[5] = 2
     with pytest.raises(ValueError, match="does not fit in 1 bits"):
         rep.serialize()
@@ -186,7 +195,7 @@ def test_enumerator_only_at_toy_scale():
     rep = build_bloom([1, 2, 3, 4], toy, rng_seed=21, m=16)
     space = rep.rep_space_enumerator()
     assert space is not None and space.memory_bits == 16
-    big = build_bloom([1, 2], PARAMS, rng_seed=22)
+    big = build_bloom(sample_set(PARAMS, random.Random(22)), PARAMS, rng_seed=22)
     assert big.rep_space_enumerator() is None
 
 

@@ -1,4 +1,6 @@
 import random
+import re
+from functools import partial
 
 import pytest
 
@@ -16,19 +18,28 @@ from filterlab import (
 from filterlab.adversaries import RandomProbeAttack
 from filterlab.bitio import BitReader, BitWriter
 from filterlab.core import EXPOSURES, BuildError, GameTranscript, ParamError
+from filterlab.experiments import FILTERS, build_filter
 from filterlab.hashing import DRAW_BATCH_MIN, randbelow_many
 
 
 def test_check_members_keeps_every_rule_for_sets_and_lists():
     p = FilterParams(n=4, eps=0.25, t=4, u_bits=8)
     # a set cannot repeat, so it skips the repeat scan, but not the range check
-    for S in (frozenset({1, 2, 300}), {1, 2, -1}):
+    for S in (frozenset({1, 2, 300, 4}), {1, 2, -1, 4}):
         with pytest.raises(ValueError, match="outside universe"):
             p.check_members(S)
     with pytest.raises(BuildError, match="duplicate elements in S"):
+        p.check_members([1, 2, 1, 3])
+    # a repeat is reported before the range, the range before the size
+    with pytest.raises(BuildError, match="duplicate elements in S"):
         p.check_members([1, 2, 1])
-    assert p.check_members(frozenset({5, 7})) == list(frozenset({5, 7}))
-    assert p.check_members([7, 5]) == [7, 5]
+    with pytest.raises(ValueError, match="outside universe"):
+        p.check_members([1, 2, 300])
+    for S in ([1, 2, 3], frozenset({1, 2, 3, 4, 5})):
+        with pytest.raises(BuildError, match=re.escape(f"|S|={len(S)} but params.n=4")):
+            p.check_members(S)
+    assert p.check_members(frozenset({5, 7, 9, 11})) == list(frozenset({5, 7, 9, 11}))
+    assert p.check_members([11, 7, 9, 5]) == [11, 7, 9, 5]
 
 
 def test_minimal_error_examples():
@@ -255,6 +266,24 @@ def test_run_challenge_refuses_an_unknown_exposure_policy():
     with pytest.raises(ValueError, match="unknown exposure policy 'ful'"):
         run_challenge(factory, RandomProbeAttack(), None, PARAMS_SMALL, 1, expose="ful")
     assert built == []
+
+
+@pytest.mark.parametrize("kind", FILTERS)
+def test_run_challenge_refuses_a_wrong_size_set_before_any_query(kind):
+    # the factory's member rule refuses |S| != n, so the adversary never runs
+    class _Recorder:
+        ran = False
+
+        def run(self, ctx):
+            self.ran = True
+            return 0
+
+    factory = partial(build_filter, GameConfig(kind, "random_probe", PARAMS_SMALL))
+    for size in (PARAMS_SMALL.n - 1, PARAMS_SMALL.n + 1):
+        strategy = _Recorder()
+        with pytest.raises(BuildError, match=re.escape(f"|S|={size} but params.n=8")):
+            run_challenge(factory, strategy, frozenset(range(size)), PARAMS_SMALL, 1)
+        assert not strategy.ran
 
 
 def test_exact_set_build_and_bits():

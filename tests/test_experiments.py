@@ -176,12 +176,15 @@ def test_every_filter_kind_plays_at_u_bits_64(kind):
 @pytest.mark.parametrize("kind,shielded",
                          [(kind, shielded) for kind in FILTERS for shielded in (False, True)])
 def test_every_filter_kind_accepts_the_same_members_and_points(kind, shielded):
-    # one rule for every kind, plain or shielded: S holds distinct points of
-    # the universe, and so does every query
+    # one rule for every kind, plain or shielded: S holds n distinct points
+    # of the universe, and every query is a point of the universe
     p = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=13)
     cfg = GameConfig(kind, "random_probe", p, shielded=shielded)
     with pytest.raises(BuildError, match="duplicate elements in S"):
         build_filter(cfg, [1, 2, 3, 2], p, 5)
+    for wrong in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(BuildError, match=re.escape(f"|S|={len(wrong)} but params.n=4")):
+            build_filter(cfg, wrong, p, 5)
     S = [1, 2, 3, p.universe - 1]
     rep = build_filter(cfg, S, p, 5)
     assert rep.query_many(S) == [rep.query(x) for x in S] == [True] * 4
