@@ -10,6 +10,10 @@ oracle's responses, and every one ends in `challenge`, the game's one last
 move: its own candidates first, then a fresh uniform guess.  The two
 white-box attacks draw their candidates with `hits`, the uniform points a
 filter they hold answers True on.
+
+A batch of points goes to the oracle as one uint64 array, as
+`randbelow_many` draws it; the transcript, the positives a strategy keeps
+and its challenge hold plain ints.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 import random
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .core import AdversaryContext, FilterParams, Representation, minimal_error, stopped
 from .hashing import randbelow_many
@@ -111,7 +117,8 @@ class MutatePositivesAttack:
     every query is the one the query-by-query loop makes.
     While there is no positive every draw is `randrange(u)`, so a block and
     the redraw of an answered prefix come from `randbelow_many`; once a
-    positive exists the blocks draw point by point.
+    positive exists the blocks draw point by point.  Either way a block is
+    one uint64 array, and a positive is kept as an int.
     After a stop the next block is the mean gap so far, ceil(queries
     answered / positives found); before any positive that is the whole
     budget, the one batch a game without positives needs.  A block that
@@ -132,13 +139,13 @@ class MutatePositivesAttack:
         def draw() -> int:  # once a positive exists
             return mutant() if rng.random() < 0.5 else rng.randrange(u)
 
-        def draws(count: int) -> list[int]:
+        def draws(count: int) -> np.ndarray:
             if positives:
-                return [draw() for _ in range(count)]
+                return np.array([draw() for _ in range(count)], dtype=np.uint64)
             return randbelow_many(rng, u, count)
 
         def new_positive(i: int, y: bool) -> bool:  # on the block in flight
-            return y and xs[i] not in S
+            return y and int(xs[i]) not in S
 
         left = block = params.t
         while left:
@@ -151,7 +158,7 @@ class MutatePositivesAttack:
                 if len(ys) < len(xs):
                     rng.setstate(state)
                     draws(len(ys))
-                positives.append(xs[len(ys) - 1])
+                positives.append(int(xs[len(ys) - 1]))
                 block = math.ceil((params.t - left) / len(positives))  # the mean gap
         return challenge(ctx, (mutant() for _ in range(256)) if positives else ())
 
@@ -238,11 +245,12 @@ class ConsistencySearchAttack:
         return challenge(ctx, hits(ctx, model, min(math.ceil(100.0 / eps0), CANDIDATE_CAP)))
 
 
-def _estimate_points(u: int, sample_count: int, rng: random.Random | None) -> list[int]:
+def _estimate_points(u: int, sample_count: int, rng: random.Random | None) -> np.ndarray:
     """The whole universe when it fits in EXHAUSTIVE_LIMIT, else sample_count
-    uniform draws (from random.Random(0) when no rng is given)."""
+    uniform draws (from random.Random(0) when no rng is given): one uint64
+    array either way."""
     if u <= EXHAUSTIVE_LIMIT:
-        return list(range(u))
+        return np.arange(u, dtype=np.uint64)
     if rng is None:
         rng = random.Random(0)
     return randbelow_many(rng, u, sample_count)

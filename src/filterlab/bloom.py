@@ -88,7 +88,7 @@ class BloomRepSpace:
         # the searched secret state is the array; the seeds are published
         return self.m
 
-    def first_consistent(self, xs: list[int], ys: list[bool]) -> int | None:
+    def first_consistent(self, xs: np.ndarray, ys: list[bool]) -> int | None:
         """Least id answering ys[i] on every xs[i], or None.
 
         An array answers every label exactly when it holds `need`, the OR
@@ -139,7 +139,7 @@ class BloomFilterRep(Representation):
                 return False
         return True
 
-    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
+    def _query_batch(self, xs: np.ndarray, stop: Stop | None = None) -> list[bool]:
         """`query` for every x: every position by `positions`, then one
         gather from the array.  A query changes nothing here, so a stop only
         cuts the answers."""

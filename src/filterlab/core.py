@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
+
+import numpy as np
 
 from .bitio import BitWriter
 from .hashing import randbelow_many, split_seed
@@ -143,6 +145,27 @@ def first_outside(xs: list[int], size: int) -> int:
     return next(i for i, x in enumerate(xs) if not 0 <= x < size)
 
 
+def as_points(xs: Sequence[int] | np.ndarray, size: int) -> tuple[np.ndarray, int | None]:
+    """(points, bad): the points of a batch before its first point outside
+    [0, size) as one uint64 array, and that point (None when there is none);
+    size <= 2^64.
+
+    A uint64 array is checked in one comparison and cut to a view.  Any
+    other iterable is checked point by point (`first_outside`), so that -1
+    or 2^64, which no uint64 holds, is found and reported as it is.
+    """
+    if isinstance(xs, np.ndarray) and xs.dtype == np.uint64:
+        if size < 1 << 64 and len(xs):
+            out = xs >= np.uint64(size)
+            if out.any():
+                ok = int(out.argmax())
+                return xs[:ok], int(xs[ok])
+        return xs, None
+    xs = list(xs)
+    ok = first_outside(xs, size)
+    return np.array(xs[:ok], dtype=np.uint64), xs[ok] if ok < len(xs) else None
+
+
 # A batch's stop predicate: stop(i, y) holds at the answer y to point i that
 # ends the batch.  It must be pure, since `stopped` asks it again.
 Stop = Callable[[int, bool], bool]
@@ -165,7 +188,7 @@ def sample_set(params: FilterParams, rng: random.Random) -> frozenset[int]:
     """
     S: set[int] = set()
     while len(S) < params.n:
-        S.update(randbelow_many(rng, params.universe, params.n - len(S)))
+        S.update(randbelow_many(rng, params.universe, params.n - len(S)).tolist())
     return frozenset(S)
 
 
@@ -185,28 +208,32 @@ class Representation:
     def query(self, x: int) -> bool:
         raise NotImplementedError
 
-    def query_many(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
+    def query_many(self, xs: Sequence[int] | np.ndarray,
+                   stop: Stop | None = None) -> list[bool]:
         """`[self.query(x) for x in xs]`, and exactly that: the same answers,
         and every counter and cursor left as that loop leaves it.  A point
         outside the universe raises `check_element`'s ValueError, as `query`
         does, after `_query_batch` has answered the points before it.
+
+        A batch is a uint64 array (`as_points`): one is taken as it is, and
+        any other sequence of ints is checked and converted once, here.
 
         With `stop`, the batch ends right after the first answer y, at index
         i, for which `stop(i, y)` holds, as the loop would with
         `if stop(i, y): break`; only that prefix is answered, and a point
         outside the universe after it raises nothing.
         """
-        xs = list(xs)
-        ok = first_outside(xs, self.params.universe)
-        ys = self._query_batch(xs[:ok], stop)
-        if ok < len(xs) and not stopped(ys, stop):
-            self.params.check_element(xs[ok])  # raises after the same prefix
+        points, bad = as_points(xs, self.params.universe)
+        ys = self._query_batch(points, stop)
+        if bad is not None and not stopped(ys, stop):
+            self.params.check_element(bad)  # raises after the same prefix
         return ys
 
-    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
-        """`query_many` of points all inside the universe; filters batch it."""
+    def _query_batch(self, xs: np.ndarray, stop: Stop | None = None) -> list[bool]:
+        """`query_many` of a uint64 array of points all inside the universe;
+        filters batch it."""
         ys = []
-        for i, x in enumerate(xs):
+        for i, x in enumerate(xs.tolist()):
             ys.append(self.query(x))
             if stop is not None and stop(i, ys[-1]):
                 break
@@ -279,9 +306,12 @@ class QueryOracle:
         self.queried.add(x)
         return y
 
-    def query_many(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
+    def query_many(self, xs: Sequence[int] | np.ndarray,
+                   stop: Stop | None = None) -> list[bool]:
         """Answers to xs, for a strategy that chose them before any answer, or
-        that would change course only where `stop(i, y)` holds.
+        that would change course only where `stop(i, y)` holds.  A batch is
+        best a uint64 array (see `Representation.query_many`); the transcript
+        records the answered points as ints either way.
 
         Records and raises as a loop of `query` does: a batch that crosses
         the budget is answered and recorded up to the budget, then raises
@@ -295,10 +325,13 @@ class QueryOracle:
         the points before it; the oracle then records none of the batch, as
         the game ends there either way.
         """
-        xs = list(xs)
+        if not isinstance(xs, np.ndarray):
+            xs = list(xs)
         fit = xs[:self.budget - len(self.queries)]
         ys = self._rep.query_many(fit, stop)
         answered = fit[:len(ys)]
+        if isinstance(answered, np.ndarray):
+            answered = answered.tolist()
         self.queries += zip(answered, ys)
         self.queried.update(answered)
         if len(fit) < len(xs) and not stopped(ys, stop):
@@ -338,7 +371,9 @@ def run_challenge(
     """Play one challenge game and report the transcript.
 
     The filter is built on S (sampled fresh from a derived seed when None;
-    the factory's `check_members` refuses |S| != n), the adversary runs with
+    the factory's `check_members` refuses |S| != n, and an S that is no set
+    meets the same rule before it is frozen, so a repeat raises as it would
+    at the factory), the adversary runs with
     oracle access and up to t queries, and its output x* wins only if it is
     a fresh non-member answering True.  The verification query goes through
     the same (possibly mutating) query path and is issued exactly once.
@@ -352,6 +387,8 @@ def run_challenge(
     adv_seed = split_seed(rng_seed, 2)
     if S is None:
         S = sample_set(params, random.Random(set_seed))
+    elif not isinstance(S, (set, frozenset)):
+        S = params.check_members(S)  # before the frozenset collapses a repeat
     S = frozenset(S)
 
     rep = filter_factory(S, params, build_seed)
@@ -427,7 +464,7 @@ class ExactSetRepSpace:
     def memory_bits(self) -> int:
         return self._rep.bits
 
-    def first_consistent(self, xs: list[int], ys: list[bool]) -> int | None:
+    def first_consistent(self, xs: np.ndarray, ys: list[bool]) -> int | None:
         """0, the one representation, if it answers ys[i] on every xs[i];
         else None."""
         return 0 if self._rep.query_many(xs) == list(ys) else None

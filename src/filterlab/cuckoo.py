@@ -154,7 +154,7 @@ class CuckooFilterRep(Representation):
         self.query_count += 1
         return m1 or m2
 
-    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
+    def _query_batch(self, xs: np.ndarray, stop: Stop | None = None) -> list[bool]:
         """`query` for every x, QUERY_CHUNK a pass, each probe in closed form."""
         ys: list[bool] = []
         for i in range(0, len(xs), QUERY_CHUNK):
@@ -163,14 +163,14 @@ class CuckooFilterRep(Representation):
                 break
         return ys
 
-    def _query_pass(self, xs: list[int], start: int, stop: Stop | None) -> list[bool]:
+    def _query_pass(self, xs: np.ndarray, start: int, stop: Stop | None) -> list[bool]:
         """One pass over xs, which sit at start, start + 1, ... of the batch
         `stop` indexes: every distinct point is hashed and, when one of its
         cells is full, fingerprinted up front; each query's two cells and
         fingerprint are then gathered into lists, and the queries run in
         order, both probes inline, and end at a stop."""
         ell, r = self.ell, self.r
-        pts, inverse = _distinct(np.array(xs, dtype=np.uint64))
+        pts, inverse = _distinct(xs)
         c1, c2 = positions(self.seeds, pts, r)
         c2 += np.uint64(r)  # table 2 follows table 1
         need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare

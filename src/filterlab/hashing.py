@@ -10,7 +10,9 @@ bit-reproducible: `split_seed(master, i, j, ...)` hashes the master seed and
 the index path with SHA-256 and returns 63 bits.  Trial i of a campaign uses
 `split_seed(master, i)`; streams inside a trial split further by role.
 `randbelow_many(rng, n, count)` draws a stream of uniform points in a few
-`getrandbits` calls, exact to the `randrange` loop it replaces.
+`getrandbits` calls, exact to the `randrange` loop it replaces, as one
+uint64 array: the format of every batch of points, from the draw to the
+filter.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ def split_seed(master: int, *path: int) -> int:
 DRAW_BATCH_MIN = 24
 
 
-def randbelow_many(rng: random.Random, n: int, count: int) -> list[int]:
-    """`[rng.randrange(n) for _ in range(count)]`, leaving `rng.getstate()`
-    exactly as that loop leaves it, from a few `getrandbits` calls.
+def randbelow_many(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """`[rng.randrange(n) for _ in range(count)]` as a uint64 array (so
+    n <= 2^64), leaving `rng.getstate()` exactly as that loop leaves it,
+    from a few `getrandbits` calls.
 
     Exact because of three facts about CPython's Mersenne Twister `Random`
     (3.10-3.13): `randrange(n)` draws `getrandbits(k)`, k = n.bit_length(),
@@ -89,22 +92,24 @@ def randbelow_many(rng: random.Random, n: int, count: int) -> list[int]:
     words of exactly the draws still missing in one call, keeps the values
     below n in order and repeats for the rest.  The loop would make every
     one of those draws too, so a round never overdraws and nothing is
-    rewound.  Fewer than DRAW_BATCH_MIN draws left, and every k > 64, take
-    the loop itself.  `tests/test_core.py` pins this contract against
+    rewound.  Fewer than DRAW_BATCH_MIN draws left, and n = 2^64, take the
+    loop itself.  `tests/test_core.py` pins this contract against
     `randrange` on the running interpreter.
     """
-    out: list[int] = []
+    rounds: list[np.ndarray] = []
+    done = 0
     if 0 < n < 1 << 64:
         k = n.bit_length()
         nbytes = 4 if k <= 32 else 8
-        while count - len(out) >= DRAW_BATCH_MIN:
-            need = count - len(out)
+        while count - done >= DRAW_BATCH_MIN:
+            need = count - done
             raw = rng.getrandbits(8 * nbytes * need).to_bytes(nbytes * need, "little")
             if k <= 32:
                 vals = np.frombuffer(raw, dtype="<u4") >> np.uint32(32 - k)
             else:  # a two-word draw is one little-endian u8, low word first
                 w = np.frombuffer(raw, dtype="<u8")
                 vals = (w & np.uint64(0xFFFFFFFF)) | ((w >> np.uint64(96 - k)) << np.uint64(32))
-            out += vals[vals < n].tolist()
-    out += [rng.randrange(n) for _ in range(count - len(out))]
-    return out
+            rounds.append(vals[vals < n])
+            done += len(rounds[-1])
+    rounds.append(np.array([rng.randrange(n) for _ in range(count - done)], dtype=np.uint64))
+    return np.concatenate(rounds, dtype=np.uint64)

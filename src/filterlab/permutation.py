@@ -18,10 +18,11 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import xor
+from typing import Sequence
 
 import numpy as np
 
-from .core import first_outside
+from .core import as_points
 from .hashing import mix64, mix64_many
 
 ROUNDS = 4
@@ -103,22 +104,24 @@ def _feistel_many(key: PermKey, v: np.ndarray) -> np.ndarray:
 BATCH_MIN = 12
 
 
-def permute_many(key: PermKey, xs: list[int]) -> list[int]:
-    """`permute` of every x, cycle-walking only the values still outside the
-    domain; raises `permute`'s ValueError when some x is outside it."""
-    if len(xs) < BATCH_MIN:
-        return [permute(key, x) for x in xs]
-    bad = first_outside(xs, key.domain_size)
-    if bad < len(xs):
-        permute(key, xs[bad])  # raises
-    y = _feistel_many(key, np.array(xs, dtype=np.uint64))
+def permute_many(key: PermKey, xs: Sequence[int] | np.ndarray) -> np.ndarray:
+    """`permute` of every x of a batch, as a uint64 array in the batch's
+    order, cycle-walking only the values still outside the domain; raises
+    `permute`'s ValueError when some x is outside it.  The batch is best a
+    uint64 array, checked in one comparison (`core.as_points`)."""
+    points, bad = as_points(xs, key.domain_size)
+    if bad is not None:
+        permute(key, bad)  # raises
+    if len(points) < BATCH_MIN:
+        return np.array([permute(key, x) for x in points.tolist()], dtype=np.uint64)
+    y = _feistel_many(key, points)
     if key.domain_size < 1 << (2 * key.half_width):  # else every value is inside
         size = np.uint64(key.domain_size)
         walk = np.flatnonzero(y >= size)
         while walk.size:
             y[walk] = _feistel_many(key, y[walk])
             walk = walk[y[walk] >= size]
-    return y.tolist()
+    return y
 
 
 def invert(key: PermKey, y: int) -> int:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+import numpy as np
+
 from .bitio import BitWriter
 from .core import FilterParams, FilterFactory, Representation, Stop
 from .permutation import PermKey, permute, permute_many, sample_key
@@ -39,7 +41,7 @@ class ShieldedRep(Representation):
         self.params.check_element(x)
         return self.inner.query(permute(self.key, x))
 
-    def _query_batch(self, xs: list[int], stop: Stop | None = None) -> list[bool]:
+    def _query_batch(self, xs: np.ndarray, stop: Stop | None = None) -> list[bool]:
         """Permute the points in one batch, then answer them by the inner
         batch: a bijection of the universe leaves every point inside it, and
         keeps each point's index, which is all `stop` sees of it."""
@@ -66,7 +68,7 @@ def build_shield(
     members = params.check_members(S)
     rng = random.Random(rng_seed)
     key = sample_key(params.lambda_bits, params.universe, rng)
-    permuted = set(permute_many(key, members))
+    permuted = set(permute_many(key, members).tolist())  # ints, in members' order
     assert len(permuted) == len(members), "bijection cannot collapse the set"
     inner_seed = rng.getrandbits(63)
     inner = inner_builder(permuted, params, inner_seed)

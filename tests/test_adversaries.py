@@ -583,6 +583,32 @@ def test_challenges_are_unchanged():
                              "d6169d8ae30662e22f80e7541baf5cf3")
 
 
+class _KeepContext:
+    """A strategy that plays another and keeps the context it was given."""
+
+    def __init__(self, inner):
+        self.inner, self.ctx = inner, None
+
+    def run(self, ctx):
+        self.ctx = ctx
+        return self.inner.run(ctx)
+
+
+@pytest.mark.parametrize("name,cfg", CHALLENGE_SHAPES, ids=[n for n, _ in CHALLENGE_SHAPES])
+def test_games_record_plain_ints(name, cfg):
+    # batches go to the oracle as uint64 arrays; what a game records (the
+    # transcript, the queried set, the challenge) holds ints and bools, so
+    # no np.uint64 reaches a transcript, a CSV or a JSON record
+    assert {c.adversary_kind for _, c in CHALLENGE_SHAPES} == set(ADVERSARIES)
+    for i in range(2):
+        strategy = _KeepContext(make_adversary(cfg))
+        tr = run_challenge(partial(build_filter, cfg), strategy, None, cfg.params,
+                           split_seed(71, i), expose=cfg.expose)
+        assert all(type(x) is int and type(y) is bool for x, y in tr.queries)
+        assert all(type(x) is int for x in strategy.ctx.oracle.queried)
+        assert type(tr.challenge) is int
+
+
 def test_wide_u32_games_are_unchanged():
     # SHA-256 over (challenge, success, number of queries, bit comparisons) of
     # the benchmark's wide_u32 shape, plain and shielded: every X-vector of

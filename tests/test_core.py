@@ -2,6 +2,7 @@ import random
 import re
 from functools import partial
 
+import numpy as np
 import pytest
 
 from filterlab import (
@@ -123,10 +124,13 @@ def test_sample_set_wide_universes(u_bits):
 def test_randbelow_many_equals_randrange(n, count):
     # values and generator state exactly as the randrange loop leaves them:
     # one 32-bit word per draw up to n < 2^32, two up to n < 2^64, the loop
-    # itself above, and a rejection rate of up to a half at n = 2^b
+    # itself above, and a rejection rate of up to a half at n = 2^b; a
+    # uint64 array at every n and count
     for seed in range(3):
         rng, ref = random.Random(seed), random.Random(seed)
-        assert randbelow_many(rng, n, count) == [ref.randrange(n) for _ in range(count)]
+        xs = randbelow_many(rng, n, count)
+        assert xs.dtype == np.uint64
+        assert xs.tolist() == [ref.randrange(n) for _ in range(count)]
         assert rng.getstate() == ref.getstate()
 
 
@@ -284,6 +288,15 @@ def test_run_challenge_refuses_a_wrong_size_set_before_any_query(kind):
         with pytest.raises(BuildError, match=re.escape(f"|S|={size} but params.n=8")):
             run_challenge(factory, strategy, frozenset(range(size)), PARAMS_SMALL, 1)
         assert not strategy.ran
+    # a list whose repeat would collapse to n points in a frozenset: the
+    # game refuses it as the factory does
+    S = list(range(PARAMS_SMALL.n)) + [0]
+    strategy = _Recorder()
+    with pytest.raises(BuildError, match="duplicate elements in S"):
+        factory(S, PARAMS_SMALL, 1)
+    with pytest.raises(BuildError, match="duplicate elements in S"):
+        run_challenge(factory, strategy, S, PARAMS_SMALL, 1)
+    assert not strategy.ran
 
 
 def test_exact_set_build_and_bits():

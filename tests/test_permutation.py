@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from filterlab import permutation
@@ -112,10 +113,12 @@ def test_permute_many_equals_permute(domain):
         xs = [rng.randrange(domain) for _ in range(2000)] + [0, 1, domain - 1, domain - 2]
         if domain <= 3000:
             xs += range(domain)
-        assert permute_many(key, xs) == [permute(key, x) for x in xs]
         few = xs[-permutation.BATCH_MIN:]  # the smallest batch the numpy route takes
-        assert permute_many(key, few) == [permute(key, x) for x in few]
-    assert permute_many(key, []) == []
+        for batch in (xs, few, few[1:]):  # and the scalar route below it
+            ys = permute_many(key, batch)
+            assert ys.dtype == np.uint64
+            assert ys.tolist() == [permute(key, x) for x in batch]
+    assert permute_many(key, []).tolist() == []
 
 
 @pytest.mark.parametrize("bad", [-1, 1000, 2 ** 64])

@@ -4,7 +4,8 @@ Two filters are built from one seed; one answers each stream point by point
 through `query`, the other in one `query_many`.  The streams run one after
 the other on the same pair, so cursors carry from batch to batch, and after
 each stream the answers, the counters, the cursors, the per-function loads
-and the serialized payloads must be equal.  A batch with a stop predicate
+and the serialized payloads must be equal.  A batch is given as a list of
+ints or as a uint64 array, the format the adversaries draw.  A batch with a stop predicate
 is held to the loop that breaks right after the first answer holding it.
 """
 
@@ -15,6 +16,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import filterlab
@@ -33,11 +35,11 @@ def _params(u_bits: int, eps: float) -> FilterParams:
     return FilterParams(n=64, eps=eps, t=256, u_bits=u_bits)
 
 
-def _pair(kind: str, shielded: bool, params: FilterParams, seed: int):
+def _pair(kind: str, shielded: bool, params: FilterParams, seed: int, copies: int = 2):
     cfg = GameConfig(kind, "mutate_positives", params, shielded=shielded)
     S = sample_set(params, random.Random(seed))
     build = partial(build_filter, cfg, S, params, seed + 1)
-    return cfg, S, build(), build()
+    return (cfg, S, *(build() for _ in range(copies)))
 
 
 def _state(rep):
@@ -104,12 +106,14 @@ def test_query_many_equals_the_scalar_loop(kind, shielded, u_bits, eps, stop):
     # eps 2^-6 gives ell = 24 on the resilient cuckoo filter, 2^-17 gives 68
     params = _params(u_bits, eps)
     for seed in (1, 2):
-        cfg, S, loop_rep, batch_rep = _pair(kind, shielded, params, 100 * u_bits + seed)
+        cfg, S, loop_rep, batch_rep, array_rep = _pair(kind, shielded, params,
+                                                       100 * u_bits + seed, copies=3)
         for name, xs in _streams(cfg, S, seed).items():
             at = STOPS[stop] and STOPS[stop](S, xs)
             ys = batch_rep.query_many(xs, at)
             assert ys == _loop(loop_rep.query, xs, at), name
-            assert _state(batch_rep) == _state(loop_rep), name
+            assert array_rep.query_many(np.array(xs, dtype=np.uint64), at) == ys, name
+            assert _state(batch_rep) == _state(loop_rep) == _state(array_rep), name
             if stop == "first True" and True in ys:
                 assert len(ys) == ys.index(True) + 1
         inner = loop_rep.unshielded
@@ -163,18 +167,23 @@ def test_a_stop_across_passes_equals_the_scalar_loop(monkeypatch, kind, at):
 @pytest.mark.parametrize("kind,shielded", CASES)
 @pytest.mark.parametrize("bad", [-1, "universe", 2 ** 64])
 def test_a_rejected_point_raises_after_the_same_prefix(kind, shielded, bad):
+    # as a list, and as a uint64 array where the point fits one
     params = _params(13, 2 ** -6)
-    cfg, S, loop_rep, batch_rep = _pair(kind, shielded, params, 7)
+    cfg, S, loop_rep, batch_rep, array_rep = _pair(kind, shielded, params, 7, copies=3)
     rng = random.Random(8)
     bad = params.universe if bad == "universe" else bad
     xs = [rng.randrange(params.universe) for _ in range(200)] + sorted(S)
     xs.insert(150, bad)
     answers, error = _answers_until_error(loop_rep.query, xs)
     assert len(answers) == 150
-    with pytest.raises(ValueError) as exc:
-        batch_rep.query_many(xs)
-    assert str(exc.value) == error
-    assert _state(batch_rep) == _state(loop_rep)
+    batches = [(batch_rep, xs)]
+    if bad == params.universe:
+        batches.append((array_rep, np.array(xs, dtype=np.uint64)))
+    for rep, batch in batches:
+        with pytest.raises(ValueError) as exc:
+            rep.query_many(batch)
+        assert str(exc.value) == error
+        assert _state(rep) == _state(loop_rep)
 
 
 @pytest.mark.parametrize("kind,shielded", CASES)
