@@ -37,7 +37,7 @@ import numpy as np
 
 DEFAULT_SEED = 20260808
 
-# toy steady filter searched exhaustively by the consistency attack
+# toy steady filter inverted by the consistency attack
 TOY_PARAMS = FilterParams(n=4, eps=2 ** -4, t=51200, u_bits=10)
 TOY_BLOOM_BITS = 16
 

@@ -183,19 +183,19 @@ class SeedExposedAttack:
 
 
 class ConsistencySearchAttack:
-    """Label every sampled point via the oracle, invert by exhaustion, then
+    """Label every sampled point via the oracle, invert the labels, then
     predict a false positive from the recovered model.
 
     The inverter is the enumerator's `first_consistent(xs, ys)`, fed the
     sampled points and the oracle's answers as they come: the least
     representation id consistent with every label is taken as the model M'
-    (an exhaustive search, feasible only for toy filters with ~2^20
-    candidate states; the Bloom space enumerates only the arrays holding
-    every positive label's positions).  M' is itself a filter, the
-    enumerator's `model(id)`: the attack re-checks every label with one
-    `query_many` of it, then samples for a fresh element M' answers
-    positive on.  Since the model approximates the oracle on all of U, such
-    an element is a true false positive with high probability.
+    (only toy filters have an enumerator; the Bloom space answers in
+    closed form, the OR of the positive labels' position masks).  M' is
+    itself a filter, the enumerator's `model(id)`: the attack re-checks
+    every label with one `query_many` of it, then samples for a fresh
+    element M' answers positive on.  Since the model approximates the
+    oracle on all of U, such an element is a true false positive with high
+    probability.
 
     The query budget is c*m/eps0; the default c = 200 is sized for the
     regime where the universe dwarfs the budget, so at desk scale the

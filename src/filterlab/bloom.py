@@ -42,32 +42,16 @@ def index_count(m: int, n: int) -> int:
 
 
 def enumerable(m: int, u_bits: int) -> bool:
-    """Whether the m-bit arrays over a u_bits universe can be searched
-    exhaustively: at most 2^20 arrays, and a position mask for each of at
-    most 2^16 elements."""
+    """Whether a filter gets a representation space: m <= 20 bits over a
+    u_bits <= 16 universe.  The inversion is closed-form and searches
+    nothing; the rule stays as the desk-scale bound that configs are
+    checked against, and it keeps the mask table at 2^16 entries."""
     return m <= 20 and u_bits <= 16
 
 
-def supersets(need: int, m: int) -> np.ndarray:
-    """Every m-bit id holding the bits of `need`, ascending (uint32).
-
-    The free bits are added lowest first, each doubling the list with a
-    copy that has the bit set: every id of the copy exceeds every id before
-    it, so the list stays ascending.
-    """
-    ids = np.empty(1 << (m - need.bit_count()), dtype=np.uint32)
-    ids[0] = need
-    size = 1
-    for b in range(m):
-        if not need >> b & 1:
-            ids[size:2 * size] = ids[:size] | np.uint32(1 << b)
-            size *= 2
-    return ids
-
-
 class BloomRepSpace:
-    """Exhaustive space of m-bit arrays under a filter's published hash
-    structure (its index seeds over a u_bits universe).
+    """Space of m-bit arrays under a filter's published hash structure (its
+    index seeds over a u_bits universe).
 
     A representation id is the array read as an integer, bit p for
     position p; `model(rep_id)` is the filter with that array.  The space
@@ -91,26 +75,19 @@ class BloomRepSpace:
     def first_consistent(self, xs: np.ndarray, ys: list[bool]) -> int | None:
         """Least id answering ys[i] on every xs[i], or None.
 
-        An array answers every label exactly when it holds `need`, the OR
-        of the positive labels' masks, and none of the negative labels'
-        masks.  So only the supersets of `need` are enumerated, in ascending
-        order: `need` plus every subset of the other bits, 2^(m - |need|)
-        ids.  A negative mask is tested on its bits outside `need` only,
-        which leaves few distinct masks; one that is empty there rules out
-        every superset, and the survivors are filtered once per other mask.
+        An array answers (x, y) exactly when "it holds x's mask" equals y.
+        So every consistent array holds `need`, the OR of the positive
+        labels' masks, and `need` is the least id that does.  `need` holds a
+        negative label's mask only when that mask lies inside `need`, and
+        then so does every array holding `need`: `need` is the answer unless
+        some negative mask is empty outside it, and then there is none.
         """
         masks = self.masks[xs]
         positive = np.array(ys, dtype=bool)
         need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
-        negatives = set((masks[~positive] & ~need).tolist())
-        if 0 in negatives:
+        if ((masks[~positive] & ~need) == 0).any():
             return None
-        ids = supersets(int(need), self.m)
-        for mk in negatives:
-            ids = ids[(ids & mk) != mk]
-            if not ids.size:
-                return None
-        return int(ids[0])
+        return int(need)
 
     def model(self, rep_id: int) -> "BloomFilterRep":
         """The filter whose array is rep_id."""

@@ -71,6 +71,8 @@ class FilterParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
             raise ParamError("eps", f"eps must be a probability in (0,1), got {self.eps}")
+        if not math.isfinite(1.0 / self.eps):
+            raise ParamError("eps", f"eps {self.eps} is too small: 1/eps overflows a float")
         if self.n < 1:
             raise ParamError("n", "n must be >= 1")
         if self.t < 0:

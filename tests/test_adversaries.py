@@ -5,7 +5,6 @@ import re
 from functools import partial
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from filterlab import FilterParams, build_bloom, build_exact_set, sample_set
@@ -21,7 +20,7 @@ from filterlab.adversaries import (
     fresh_element,
     mu_estimate,
 )
-from filterlab.bloom import BloomFilterRep, BloomRepSpace, supersets
+from filterlab.bloom import BloomFilterRep, BloomRepSpace
 from filterlab.core import (
     AdversaryContext,
     ExactSetRepSpace,
@@ -445,13 +444,6 @@ def test_first_consistent_at_twenty_bits():
     assert _check_against_scan(enum, labels + [(xs[0], True)]) is None
 
 
-@pytest.mark.parametrize("m", [1, 5, 12])
-def test_supersets_ascend_through_every_superset(m):
-    rng = random.Random(m)
-    for need in (0, 1, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m)):
-        assert supersets(need, m).tolist() == [i for i in range(1 << m) if i & need == need]
-
-
 @pytest.mark.parametrize("m", [2, 7, 12])
 def test_first_consistent_matches_scan_on_superset_edges(m):
     for case in range(8):
@@ -489,7 +481,26 @@ def test_first_consistent_at_twenty_bits_without_positives():
     xs = random.Random(42).sample(range(1 << 10), 200)
     assert _check_against_scan(enum, []) == 0
     assert _check_against_scan(enum, [(x, False) for x in xs]) == 0
-    assert np.array_equal(supersets(0, 20), np.arange(1 << 20, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("m", [1, 5, 12])
+def test_first_consistent_is_the_or_of_positive_masks(m):
+    # labels from a true array: the answer is the positive masks' OR, it lies
+    # inside the truth, and its model answers every label as the truth does
+    for case in range(6):
+        enum = _bloom_space(m, split_seed(43, m, case), k_h=1 + case % 3)
+        rng = random.Random(split_seed(44, m, case))
+        truth = rng.getrandbits(m)
+        xs = rng.sample(range(1 << 10), rng.choice((1, 8, 64, 1 << 10)))
+        answer = _rule(enum)
+        ys = [answer(truth, x) for x in xs]
+        need = 0
+        for x, y in zip(xs, ys):
+            if y:
+                need |= int(enum.masks[x])
+        assert enum.first_consistent(xs, ys) == need
+        assert need & ~truth == 0
+        assert enum.model(need).query_many(xs) == ys
 
 
 def test_first_consistent_on_exact_set():

@@ -282,7 +282,7 @@ def _with_line(line):
 
 @pytest.mark.parametrize("line,message", [
     ("eps = 3.0", "eps must be a probability"), ("t = -1", "t must be >= 0"),
-    ("m = 0", "m must be >= 1"),
+    ("m = 0", "m must be >= 1"), ("eps = 1e-320", "1/eps overflows a float"),
 ])
 def test_out_of_range_filter_value_reported_at_its_line(tmp_path, capsys, line, message):
     key = line.split()[0]
@@ -424,6 +424,14 @@ def test_audit_memory_rejects_bad_params(capsys):
                "--t", "1", "--u-bits", "70"])
     assert rc == 2
     assert "u_bits must be <= 64" in capsys.readouterr().err
+
+
+def test_audit_memory_rejects_a_subnormal_eps(capsys):
+    rc = main(["audit-memory", "--filter", "baseline_bloom", "--n", "4", "--eps", "1e-320",
+               "--t", "1", "--u-bits", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "1/eps overflows a float" in err and "Traceback" not in err
 
 
 def test_audit_memory_rejects_a_negative_seed(capsys):
