@@ -1,12 +1,13 @@
 """Query-resilient filter: cuckoo-placed fingerprints compared bit-serially.
 
 Elements are placed by standard cuckoo hashing on the raw element (two
-tables of r = ceil(1.1 n) cells, keyed by `hashing.positions`), then every
-stored element is replaced by its ell-bit fingerprint g(x) from the k-wise
+tables of r = ceil(1.1 n) cells, keyed by `hashing.positions`), and every
+stored element stands for its ell-bit fingerprint g(x) from the k-wise
 independent family G.  A lookup compares g(x) against at most two cells.
 The cells are one flat list of 2r slots, table 1 then table 2, each holding
-a fingerprint or None when empty, with one cursor per slot beside it, and a
-bool mask of the full slots, which never change after the build.
+a fingerprint, or None when empty or still pending (below), with one cursor
+per slot beside it, and a bool mask of the full slots, which never change
+after the build.
 
 A build hashes the members once, as one uint64 array in the iteration
 order of `frozenset(check_members(S))`, which numbers them.  Placement
@@ -14,8 +15,18 @@ order of `frozenset(check_members(S))`, which numbers them.  Placement
 empty is placed at once, and only a member that finds its cell full enters
 the kick loop, the one sequential step.  It returns the member index of
 every cell (-1 when empty); the mask is that index array's non-negative
-entries, and the members it places go to `GFamily.fingerprints` as one
-uint64 array, whose fingerprints fill the full slots in cell order.
+entries, and the build keeps each full cell's occupant, its uint64 point,
+and fingerprints none of them.
+
+A full cell is pending until something reads it, and the reader fills it
+with its occupant's fingerprint, once: a batch pass adds the occupants of
+the pending cells it reads to its one `GFamily.fingerprints` call, a
+scalar probe fills the one cell it reads, and `slots` and `write` fill
+every cell still pending in one call.  A game of t queries reads at most
+2(t + 1) cells, so at n >> t most fingerprints are never computed.  The
+fill changes no answer, counter, cursor or load, and `bits` counts the
+payload alone; `deserialize` reads every fingerprint, so nothing is
+pending there.
 
 Comparisons are bit-serial and cyclic: each cell keeps a cursor marking
 where the last comparison stopped, the next comparison resumes there, and a
@@ -38,9 +49,10 @@ accounting).
 A batch of points chosen in advance (`query_many`) leaves the answers, the
 counters, the cursors and the loads exactly as one `query` per point
 would.  The fingerprints of the batch come from one `GFamily.fingerprints`
-call on its distinct points (`_distinct`, one sort), each query's two cells
-and fingerprint are gathered from those into lists, and the queries are
-then taken in order, each probe in closed form:
+call on its distinct points and the occupants of the pending cells they
+read (`_distinct`, one sort, so a queried member is fingerprinted once),
+each query's two cells and fingerprint are gathered from those into lists,
+and the queries are then taken in order, each probe in closed form:
 rotate `diff = fp XOR cell` right by the cell's cursor c0 within ell bits;
 the comparison count n is the index of its lowest set bit plus 1 (ell when
 diff is 0, a full match), the probe compares the bits in the cyclic span
@@ -51,11 +63,12 @@ A batch may carry a stop predicate, stop(i, y): it then ends right after
 the first answer that holds it, exactly as the loop that breaks there, so
 the counters, cursors and loads cover the answered prefix alone.  The
 queries run in passes of QUERY_CHUNK points, and a pass fingerprints every
-distinct point of it with a full cell before its first query.  So a
-stopped pass may already have built the X-vectors of its points after the
-stop; they stay in the X-cache at the table widths and change no answer or
-counter.  A point whose two cells are empty is never fingerprinted, since
-its probes compare nothing.
+distinct point of it with a full cell, and fills the pending cells those
+points read, before its first query.  So a stopped pass may already have
+built the X-vectors of its points after the stop and filled their cells;
+the vectors stay in the X-cache at the table widths, and neither changes
+an answer or counter.  A point whose two cells are empty is never
+fingerprinted, since its probes compare nothing.
 """
 
 from __future__ import annotations
@@ -95,20 +108,40 @@ def cursor_bits(ell: int) -> int:
 class CuckooFilterRep(Representation):
     def __init__(self, params: FilterParams, gfam: GFamily, seeds: tuple[int, int],
                  slots: list[int | None], cursors: list[int], cursors_enabled: bool,
-                 full: np.ndarray):
+                 full: np.ndarray, occupants: np.ndarray | None):
         self.params = params
         self.ell = gfam.ell
         self.gfam = gfam
         self.seeds = seeds
         self.r = len(slots) // 2
-        self.slots = slots  # table 1 then table 2; a fingerprint, or None when empty
-        self._full = full  # bool per slot, fp is not None; slots never change
+        self._slots = slots  # table 1 then table 2; a fingerprint, None when empty or pending
+        self._full = full  # bool per slot, True where a member sits; placement never changes
+        # the uint64 point in each slot, every full slot pending until a read
+        # fills it; None when slots holds every fingerprint
+        self._occupants = occupants
+        self._pending = full.copy() if occupants is not None else np.zeros_like(full)
+        self._unfilled = int(np.count_nonzero(self._pending))
         self.cursors = cursors  # one per slot
         self.cursors_enabled = cursors_enabled
         self.cursor_width = cursor_bits(self.ell) if cursors_enabled else 0
         self.bit_comparisons = 0
         self.query_count = 0
         self.participation = [0] * self.ell  # per g_j, the queries it was compared in
+
+    @property
+    def slots(self) -> list[int | None]:
+        """Each cell's fingerprint, None when empty; fills every pending cell."""
+        if self._unfilled:
+            cells = np.flatnonzero(self._pending)
+            self._store(cells, self.gfam.fingerprints(self._occupants[cells]))
+        return self._slots
+
+    def _store(self, cells: np.ndarray, fps: Iterable[int]) -> None:
+        """Fill the pending cells with their occupants' fingerprints, in order."""
+        for i, fp in zip(cells.tolist(), fps):
+            self._slots[i] = fp
+        self._pending[cells] = False
+        self._unfilled = int(np.count_nonzero(self._pending))
 
     @property
     def bits(self) -> int:
@@ -120,11 +153,14 @@ class CuckooFilterRep(Representation):
 
         Advances the cell cursor past the last compared bit.  A bit still
         -1 in `bits` is first compared in this query, so evaluating it is
-        where its function's load is counted.
+        where its function's load is counted.  A pending cell is filled
+        first (`_fill`), which counts no load.
         """
-        fp = self.slots[i]
+        fp = self._slots[i]
         if fp is None:
-            return False, 0
+            if not self._pending[i]:
+                return False, 0
+            fp = self._fill(i)
         ell = self.ell
         packed = self.gfam.packed
         load = self.participation
@@ -141,6 +177,16 @@ class CuckooFilterRep(Representation):
         if self.cursors_enabled:
             self.cursors[i] = j
         return same, n
+
+    def _fill(self, i: int) -> int:
+        """Fill pending cell i with its occupant's fingerprint, each bit by
+        the parity `_probe` evaluates a query's bits by."""
+        X = self.gfam.provider.get(int(self._occupants[i]))
+        fp = sum(((p & X).bit_count() & 1) << j for j, p in enumerate(self.gfam.packed))
+        self._slots[i] = fp
+        self._pending[i] = False
+        self._unfilled -= 1
+        return fp
 
     def query(self, x: int) -> bool:
         self.params.check_element(x)
@@ -166,17 +212,19 @@ class CuckooFilterRep(Representation):
     def _query_pass(self, xs: np.ndarray, start: int, stop: Stop | None) -> list[bool]:
         """One pass over xs, which sit at start, start + 1, ... of the batch
         `stop` indexes: every distinct point is hashed and, when one of its
-        cells is full, fingerprinted up front; each query's two cells and
-        fingerprint are then gathered into lists, and the queries run in
-        order, both probes inline, and end at a stop."""
+        cells is full, fingerprinted up front, in one call with the
+        occupants of the pending cells those points read (`_fingerprints`);
+        each query's two cells and fingerprint are then gathered into lists,
+        and the queries run in order, both probes inline, and end at a
+        stop."""
         ell, r = self.ell, self.r
         pts, inverse = _distinct(xs)
         c1, c2 = positions(self.seeds, pts, r)
         c2 += np.uint64(r)  # table 2 follows table 1
         need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare
         fps = np.zeros(len(pts), dtype=object)
-        fps[need] = self.gfam.fingerprints(pts[need])
-        slots, cursors, moves = self.slots, self.cursors, self.cursors_enabled
+        fps[need] = self._fingerprints(pts[need], c1[need], c2[need])
+        slots, cursors, moves = self._slots, self.cursors, self.cursors_enabled
         mask = (1 << ell) - 1
         count = 0
         loads, answers = [], []
@@ -218,6 +266,23 @@ class CuckooFilterRep(Representation):
         self.query_count += len(answers)
         return answers
 
+    def _fingerprints(self, pts: np.ndarray, c1: np.ndarray,
+                      c2: np.ndarray) -> list[int] | np.ndarray:
+        """The fingerprints of the distinct pts, whose cells are c1 and c2,
+        from one `GFamily.fingerprints` call that also fills the pending
+        cells among these: their occupants join pts, deduplicated by
+        `_distinct`, so a queried member is fingerprinted once.  With no
+        such cell it is the call on pts alone."""
+        if self._unfilled:
+            cells = np.concatenate((c1, c2))
+            cells = cells[self._pending[cells]]  # a cell two points read appears twice
+            if len(cells):
+                both, inverse = _distinct(np.concatenate((pts, self._occupants[cells])))
+                fps = np.array(self.gfam.fingerprints(both), dtype=object)[inverse]
+                self._store(cells, fps[len(pts):].tolist())
+                return fps[:len(pts)]
+        return self.gfam.fingerprints(pts)
+
     @property
     def mean_bit_comparisons(self) -> float:
         return self.bit_comparisons / self.query_count if self.query_count else 0.0
@@ -237,7 +302,8 @@ class CuckooFilterRep(Representation):
     def deserialize(cls, params: FilterParams, ell: int, k: int, field_width: int,
                     r: int, cursors_enabled: bool, data: bytes,
                     bit_length: int) -> "CuckooFilterRep":
-        """The filter `write` wrote; a payload of any other length raises ValueError."""
+        """The filter `write` wrote, every fingerprint read, so no cell is
+        pending; a payload of any other length raises ValueError."""
         rd = BitReader(data, bit_length)
         seeds = (rd.read(SEED_BITS), rd.read(SEED_BITS))
         cb = cursor_bits(ell) if cursors_enabled else 0
@@ -252,7 +318,7 @@ class CuckooFilterRep(Representation):
         if rd.remaining:
             raise ValueError(f"{rd.remaining} bits past the payload")
         full = np.array([fp is not None for fp in slots], dtype=bool)
-        return cls(params, gfam, seeds, slots, cursors, cursors_enabled, full)
+        return cls(params, gfam, seeds, slots, cursors, cursors_enabled, full, None)
 
 
 def _distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,6 +366,9 @@ def _place_all(members: np.ndarray, seeds: tuple[int, int], r: int,
 
 def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
            ell: int, k: int, cursors_enabled: bool) -> CuckooFilterRep:
+    """Sample the family, place the members (rebuilding on a failed
+    placement), and keep each full cell's occupant: no fingerprint is
+    computed here, each full cell is pending until a read fills it."""
     members = frozenset(params.check_members(S))
     xs = np.fromiter(members, dtype=np.uint64, count=len(members))
     field_width = gf2.width_for(params.u_bits)
@@ -319,10 +388,10 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
         raise BuildError(f"cuckoo placement failed after {REBUILD_LIMIT} rebuilds")
 
     full = cells >= 0
-    slots = np.full(2 * r, None, dtype=object)
-    slots[full] = gfam.fingerprints(xs[cells[full]])
-    return CuckooFilterRep(params, gfam, seeds, slots.tolist(), [0] * (2 * r),
-                           cursors_enabled, full)
+    occupants = np.zeros(2 * r, dtype=np.uint64)
+    occupants[full] = xs[cells[full]]
+    return CuckooFilterRep(params, gfam, seeds, [None] * (2 * r), [0] * (2 * r),
+                           cursors_enabled, full, occupants)
 
 
 def build_cuckoo(S: Iterable[int], params: FilterParams, rng_seed: int) -> CuckooFilterRep:

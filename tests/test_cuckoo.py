@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from filterlab import FilterParams, build_cuckoo, build_cuckoo_random_query, sam
 from filterlab.adversaries import MutatePositivesAttack, RandomProbeAttack
 from filterlab.core import SEED_BITS, BuildError, run_challenge
 from filterlab.cuckoo import CuckooFilterRep, _place_all, cursor_bits, max_kicks, table_size
+from filterlab.gfamily import GFamily
 from filterlab.hashing import mix64
+from filterlab.shield import build_shield
 
 SMALL = FilterParams(n=64, eps=2 ** -3, t=256, u_bits=12)
 
@@ -381,3 +384,152 @@ def test_cursor_bits_formula():
     assert cursor_bits(16) == 4
     assert cursor_bits(12) == 4
     assert cursor_bits(4) == 2
+
+
+# The same fields as GOLDEN_DIGEST, through `query_many` alone: a uniform
+# block, a block that stops at its first True from index 100 on, then every
+# member as one batch, on fresh filters of both builders and a shielded one.
+GOLDEN_BATCH_DIGEST = "9e037066e3bd404b435e6e8c2e4fe538a8a75babe26501e68971d47e0b9c9f12"
+
+
+def test_golden_batches_are_unchanged():
+    h = hashlib.sha256()
+    for u_bits in (13, 32):
+        p = FilterParams(n=64, eps=2 ** -3, t=64, u_bits=u_bits)
+        S = sample_set(p, random.Random(50 + u_bits))
+        members = sorted(S)
+        for build in (build_cuckoo, build_cuckoo_random_query,
+                      partial(build_shield, build_cuckoo)):
+            rep = build(S, p, 60 + u_bits)
+            inner = rep.unshielded
+            rng = random.Random(70 + u_bits)
+            uniform = [rng.randrange(p.universe) for _ in range(300)]
+            mixed = [rng.randrange(p.universe) for _ in range(120)] + members[:20]
+            answers = rep.query_many(uniform)
+            answers += rep.query_many(mixed, lambda i, y: y and i >= 100)
+            assert len(answers) < 440  # the stop ended the second block
+            answers += rep.query_many(members)
+            data, nbits = rep.serialize()
+            h.update(repr((bytes(answers), inner.bit_comparisons, inner.query_count,
+                           inner.cursors, inner.participation, rep.bits, nbits)).encode())
+            h.update(data)
+    assert h.hexdigest() == GOLDEN_BATCH_DIGEST
+
+
+@pytest.fixture
+def fingerprinted(monkeypatch):
+    """The points of each `GFamily.fingerprints` call, one list per call."""
+    calls = []
+    real = GFamily.fingerprints
+
+    def spy(self, xs):
+        calls.append([int(x) for x in xs])
+        return real(self, xs)
+
+    monkeypatch.setattr(GFamily, "fingerprints", spy)
+    return calls
+
+
+def _cells(rep, x):
+    s1, s2 = rep.seeds
+    return mix64(s1, x) % rep.r, rep.r + mix64(s2, x) % rep.r
+
+
+def _pending(rep):
+    return {i for i in range(2 * rep.r) if rep._pending[i]}
+
+
+LAZY = FilterParams(n=64, eps=2 ** -6, t=64, u_bits=13)
+
+
+@pytest.mark.parametrize("build", [build_cuckoo, build_cuckoo_random_query])
+def test_a_build_fingerprints_nothing(build, fingerprinted):
+    S = sample_set(LAZY, random.Random(40))
+    rep = build(S, LAZY, rng_seed=41)
+    assert rep.bits > 0
+    assert fingerprinted == []
+    assert len(_pending(rep)) == LAZY.n
+    assert {int(rep._occupants[i]) for i in _pending(rep)} == S
+
+
+def test_a_batch_fingerprints_the_occupants_of_the_pending_cells_it_reads(fingerprinted):
+    S = sample_set(LAZY, random.Random(42))
+    rep = build_cuckoo(S, LAZY, rng_seed=43)
+    rng = random.Random(44)
+    members = sorted(S)
+    xs = [rng.randrange(LAZY.universe) for _ in range(40)] + members[:8] + members[:3]
+    read = {i for x in xs for i in _cells(rep, x) if rep._full[i]}
+    points = {x for x in xs if any(rep._full[i] for i in _cells(rep, x))}
+    want = points | {int(rep._occupants[i]) for i in read}
+    assert not want <= set(xs)  # some occupant is no point of the batch
+    rep.query_many(xs)
+    assert len(fingerprinted) == 1
+    assert sorted(fingerprinted[0]) == sorted(want)  # each point once
+    assert _pending(rep) == {i for i in range(2 * rep.r) if rep._full[i]} - read
+    # the same points again read no pending cell: the pass fingerprints them alone
+    rep.query_many(xs)
+    assert sorted(fingerprinted[1]) == sorted(points)
+
+
+def test_a_scalar_read_fills_only_the_cells_it_reads(fingerprinted):
+    S = sample_set(LAZY, random.Random(45))
+    rep = build_cuckoo(S, LAZY, rng_seed=46)
+    rng = random.Random(47)
+    left = _pending(rep)
+    for x in sorted(S)[:5] + [rng.randrange(LAZY.universe) for _ in range(20)]:
+        rep.query(x)
+        left -= set(_cells(rep, x))
+        assert _pending(rep) == left
+    assert fingerprinted == []  # a scalar fill evaluates the bits it needs itself
+    assert 0 < len(left) < LAZY.n
+
+
+def test_slots_and_serialize_fill_the_rest(fingerprinted):
+    S = sample_set(LAZY, random.Random(48))
+    rep = build_cuckoo(S, LAZY, rng_seed=49)
+    rep.query_many(sorted(S)[:10])
+    left = _pending(rep)
+    want = sorted(int(rep._occupants[i]) for i in left)
+    assert rep.slots.count(None) == 2 * rep.r - LAZY.n
+    assert [sorted(c) for c in fingerprinted[1:]] == [want]
+    assert _pending(rep) == set()
+    rep.serialize()
+    assert len(fingerprinted) == 2  # nothing left to fill
+    fresh = build_cuckoo(S, LAZY, rng_seed=49)
+    data, bits = fresh.serialize()
+    assert sorted(fingerprinted[2]) == sorted(S)
+    back = CuckooFilterRep.deserialize(LAZY, fresh.ell, fresh.gfam.k, fresh.gfam.field_width,
+                                       fresh.r, fresh.cursors_enabled, data, bits)
+    assert _pending(back) == set()
+
+
+@pytest.mark.parametrize("u_bits", [13, 32])
+@pytest.mark.parametrize("eps, ell", [(2 ** -6, 24), (2 ** -17, 68)])
+def test_a_lazy_filter_plays_as_its_eager_twin(u_bits, eps, ell):
+    p = FilterParams(n=64, eps=eps, t=64, u_bits=u_bits)
+    S = sample_set(p, random.Random(u_bits + ell))
+    lazy = build_cuckoo(S, p, rng_seed=ell)
+    eager = build_cuckoo(S, p, rng_seed=ell)
+    assert eager.slots.count(None) == 2 * eager.r - p.n  # every cell filled
+    assert lazy.ell == ell and _pending(lazy) and not _pending(eager)
+    rng = random.Random(ell + 1)
+    members = sorted(S)
+
+    def block(size):
+        return [rng.choice(members) if rng.random() < 0.3 else rng.randrange(p.universe)
+                for _ in range(size)]
+
+    got = []
+    for rep in (lazy, eager):
+        rng.seed(ell + 1)
+        ys = [rep.query(x) for x in block(10)]
+        ys += rep.query_many(block(30))
+        ys += [rep.query(x) for x in block(10)]
+        ys += rep.query_many(block(60), lambda i, y: y and i >= 20)
+        ys += rep.query_many(block(1))
+        ys += [rep.query(x) for x in members[::2]]
+        ys += rep.query_many(members)
+        got.append((ys, rep.bit_comparisons, rep.query_count, rep.cursors,
+                    rep.participation, rep.serialize()))
+    assert got[0] == got[1]
+    assert all(got[0][0][-p.n:])
