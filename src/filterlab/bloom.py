@@ -83,10 +83,7 @@ class BloomRepSpace:
         some negative mask is empty outside it, and then there is none.
         """
         masks = self.masks[xs]
-        try:  # a bool a byte, as numpy stores it: half the time of np.array
-            positive = np.frombuffer(bytes(ys), dtype=bool)
-        except TypeError:  # numpy bools, which bytes() refuses
-            positive = np.array(ys, dtype=bool)
+        positive = np.frombuffer(bytes(ys), dtype=bool)  # a bool a byte, as numpy stores it
         need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
         if ((masks[~positive] & ~need) == 0).any():
             return None

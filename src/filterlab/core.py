@@ -321,7 +321,7 @@ class QueryOracle:
         first answer that holds it (see `Representation.query_many`): only
         that prefix is answered and recorded, and a stop before the budget
         is no overrun.  The filter may still have built X-vectors for points
-        of the batch after the stop (a cuckoo pass fingerprints all of its
+        of the batch after the stop (a cuckoo batch fingerprints all of its
         points first); that fills a cache and changes no answer or counter.
         A point outside the universe raises after the filter has answered
         the points before it; the oracle then records none of the batch, as

@@ -19,14 +19,14 @@ entries, and the build keeps each full cell's occupant, its uint64 point,
 and fingerprints none of them.
 
 A full cell is pending until something reads it, and the reader fills it
-with its occupant's fingerprint, once: a batch pass adds the occupants of
-the pending cells it reads to its one `GFamily.fingerprints` call, a
-scalar probe fills the one cell it reads, and `slots` and `write` fill
-every cell still pending in one call.  A game of t queries reads at most
-2(t + 1) cells, so at n >> t most fingerprints are never computed.  The
-fill changes no answer, counter, cursor or load, and `bits` counts the
-payload alone; `deserialize` reads every fingerprint, so nothing is
-pending there.
+with its occupant's fingerprint, once: a batch adds the occupants of the
+pending cells it reads to its one `GFamily.fingerprints` call, a scalar
+query fills its two cells before it probes them, and `slots` and `write`
+fill every cell still pending in one call.  A game of t queries reads at
+most 2(t + 1) cells, so at n >> t most fingerprints are never computed.
+The fill changes no answer, counter, cursor or load, and `bits` counts
+the payload alone; `deserialize` fills every cell from the fingerprints
+it reads, so nothing is pending there.
 
 Comparisons are bit-serial and cyclic: each cell keeps a cursor marking
 where the last comparison stopped, the next comparison resumes there, and a
@@ -51,8 +51,8 @@ counters, the cursors and the loads exactly as one `query` per point
 would.  The fingerprints of the batch come from one `GFamily.fingerprints`
 call on its distinct points and the occupants of the pending cells they
 read (`_distinct`, one sort, so a queried member is fingerprinted once),
-each query's two cells and fingerprint are gathered from those into lists,
-and the queries are then taken in order, each probe in closed form:
+each query's two cells and fingerprint are gathered into lists, and the
+queries are then taken in order, each probe in closed form:
 rotate `diff = fp XOR cell` right by the cell's cursor c0 within ell bits;
 the comparison count n is the index of its lowest set bit plus 1 (ell when
 diff is 0, a full match), the probe compares the bits in the cyclic span
@@ -62,13 +62,12 @@ on g_j counts once when bit j lies in the span of either of its probes.
 A batch may carry a stop predicate, stop(i, y): it then ends right after
 the first answer that holds it, exactly as the loop that breaks there, so
 the counters, cursors and loads cover the answered prefix alone.  The
-queries run in passes of QUERY_CHUNK points, and a pass fingerprints every
-distinct point of it with a full cell, and fills the pending cells those
-points read, before its first query.  So a stopped pass may already have
-built the X-vectors of its points after the stop and filled their cells;
-the vectors stay in the X-cache at the table widths, and neither changes
-an answer or counter.  A point whose two cells are empty is never
-fingerprinted, since its probes compare nothing.
+batch fingerprints every point with a full cell, and fills the pending
+cells those points read, before its first query.  So a stopped batch may
+already have built the X-vectors of its points after the stop and filled
+their cells; the vectors stay in the X-cache at the table widths, and
+neither changes an answer or counter.  A point whose two cells are empty
+is never fingerprinted, since its probes compare nothing.
 """
 
 from __future__ import annotations
@@ -82,15 +81,11 @@ import numpy as np
 
 from . import gf2
 from .bitio import BitReader, BitWriter
-from .core import SEED_BITS, BuildError, FilterParams, Representation, Stop, stopped
+from .core import SEED_BITS, BuildError, FilterParams, Representation, Stop
 from .gfamily import GFamily, g_sample
 from .hashing import mix64, positions
 
 REBUILD_LIMIT = 20
-
-# Queries per pass of a batch: a pass holds a byte per fingerprint bit of
-# each of its queries, so a larger batch goes in passes.
-QUERY_CHUNK = 1 << 14
 
 
 def table_size(n: int) -> int:
@@ -107,20 +102,18 @@ def cursor_bits(ell: int) -> int:
 
 class CuckooFilterRep(Representation):
     def __init__(self, params: FilterParams, gfam: GFamily, seeds: tuple[int, int],
-                 slots: list[int | None], cursors: list[int], cursors_enabled: bool,
-                 full: np.ndarray, occupants: np.ndarray | None):
+                 cursors: list[int], cursors_enabled: bool, full: np.ndarray,
+                 occupants: np.ndarray):
         self.params = params
         self.ell = gfam.ell
         self.gfam = gfam
         self.seeds = seeds
-        self.r = len(slots) // 2
-        self._slots = slots  # table 1 then table 2; a fingerprint, None when empty or pending
+        self.r = len(full) // 2
+        # table 1 then table 2: a fingerprint, None when empty or pending
+        self._slots: list[int | None] = [None] * len(full)
         self._full = full  # bool per slot, True where a member sits; placement never changes
-        # the uint64 point in each slot, every full slot pending until a read
-        # fills it; None when slots holds every fingerprint
-        self._occupants = occupants
-        self._pending = full.copy() if occupants is not None else np.zeros_like(full)
-        self._unfilled = int(np.count_nonzero(self._pending))
+        self._occupants = occupants  # the uint64 point in each slot, 0 when empty
+        self._pending = full.copy()  # a full slot whose fingerprint no read has filled yet
         self.cursors = cursors  # one per slot
         self.cursors_enabled = cursors_enabled
         self.cursor_width = cursor_bits(self.ell) if cursors_enabled else 0
@@ -131,17 +124,16 @@ class CuckooFilterRep(Representation):
     @property
     def slots(self) -> list[int | None]:
         """Each cell's fingerprint, None when empty; fills every pending cell."""
-        if self._unfilled:
-            cells = np.flatnonzero(self._pending)
+        cells = np.flatnonzero(self._pending)
+        if len(cells):
             self._store(cells, self.gfam.fingerprints(self._occupants[cells]))
         return self._slots
 
     def _store(self, cells: np.ndarray, fps: Iterable[int]) -> None:
-        """Fill the pending cells with their occupants' fingerprints, in order."""
+        """Fill the pending cells with their fingerprints, in order."""
         for i, fp in zip(cells.tolist(), fps):
             self._slots[i] = fp
         self._pending[cells] = False
-        self._unfilled = int(np.count_nonzero(self._pending))
 
     @property
     def bits(self) -> int:
@@ -149,18 +141,16 @@ class CuckooFilterRep(Representation):
         return 2 * self.r * cell + 2 * SEED_BITS + self.gfam.rep_bits
 
     def _probe(self, i: int, X: int, bits: list[int]) -> tuple[bool, int]:
-        """Bit-serial comparison against cell i: (matched, comparisons).
+        """Bit-serial comparison against cell i, empty or filled: (matched,
+        comparisons).
 
         Advances the cell cursor past the last compared bit.  A bit still
         -1 in `bits` is first compared in this query, so evaluating it is
-        where its function's load is counted.  A pending cell is filled
-        first (`_fill`), which counts no load.
+        where its function's load is counted.
         """
         fp = self._slots[i]
         if fp is None:
-            if not self._pending[i]:
-                return False, 0
-            fp = self._fill(i)
+            return False, 0
         ell = self.ell
         packed = self.gfam.packed
         load = self.participation
@@ -178,59 +168,57 @@ class CuckooFilterRep(Representation):
             self.cursors[i] = j
         return same, n
 
-    def _fill(self, i: int) -> int:
+    def _fill(self, i: int, x: int, X: int) -> None:
         """Fill pending cell i with its occupant's fingerprint, each bit by
-        the parity `_probe` evaluates a query's bits by."""
-        X = self.gfam.provider.get(int(self._occupants[i]))
-        fp = sum(((p & X).bit_count() & 1) << j for j, p in enumerate(self.gfam.packed))
-        self._slots[i] = fp
+        the parity `_probe` evaluates a query's bits by; X is X(x), reused
+        when x is the occupant."""
+        occupant = int(self._occupants[i])
+        if occupant != x:
+            X = self.gfam.provider.get(occupant)
+        self._slots[i] = sum(((p & X).bit_count() & 1) << j
+                             for j, p in enumerate(self.gfam.packed))
         self._pending[i] = False
-        self._unfilled -= 1
-        return fp
 
     def query(self, x: int) -> bool:
         self.params.check_element(x)
         X = self.gfam.provider.get(x)
         r = self.r
         s1, s2 = self.seeds
+        cells = (mix64(s1, x) % r, r + mix64(s2, x) % r)
+        for i in cells:
+            if self._pending[i]:
+                self._fill(i, x, X)
         bits = [-1] * self.ell
-        m1, n1 = self._probe(mix64(s1, x) % r, X, bits)
-        m2, n2 = self._probe(r + mix64(s2, x) % r, X, bits)
+        m1, n1 = self._probe(cells[0], X, bits)
+        m2, n2 = self._probe(cells[1], X, bits)
         self.bit_comparisons += n1 + n2
         self.query_count += 1
         return m1 or m2
 
     def _query_batch(self, xs: np.ndarray, stop: Stop | None = None) -> list[bool]:
-        """`query` for every x, QUERY_CHUNK a pass, each probe in closed form."""
-        ys: list[bool] = []
-        for i in range(0, len(xs), QUERY_CHUNK):
-            ys += self._query_pass(xs[i:i + QUERY_CHUNK], i, stop)
-            if stopped(ys, stop):
-                break
-        return ys
-
-    def _query_pass(self, xs: np.ndarray, start: int, stop: Stop | None) -> list[bool]:
-        """One pass over xs, which sit at start, start + 1, ... of the batch
-        `stop` indexes: every distinct point is hashed and, when one of its
-        cells is full, fingerprinted up front, in one call with the
-        occupants of the pending cells those points read (`_fingerprints`);
-        each query's two cells and fingerprint are then gathered into lists,
-        and the queries run in order, both probes inline, and end at a
-        stop."""
+        """`query` for every x, in one pass: every query is hashed, and each
+        one with a full cell is fingerprinted up front, in one call with the
+        occupants of the pending cells those queries read, deduplicated by
+        `_distinct`, so a point is fingerprinted once; the queries then run
+        in order, both probes inline in closed form, and end at a stop."""
         ell, r = self.ell, self.r
-        pts, inverse = _distinct(xs)
-        c1, c2 = positions(self.seeds, pts, r)
+        c1, c2 = positions(self.seeds, xs, r)
         c2 += np.uint64(r)  # table 2 follows table 1
-        need = np.flatnonzero(self._full[c1] | self._full[c2])  # points with a cell to compare
-        fps = np.zeros(len(pts), dtype=object)
-        fps[need] = self._fingerprints(pts[need], c1[need], c2[need])
+        need = np.flatnonzero(self._full[c1] | self._full[c2])  # queries with a cell to compare
+        cells = np.concatenate((c1, c2))
+        cells = cells[self._pending[cells]]  # a cell read twice appears twice
+        pts, inverse = _distinct(np.concatenate((xs[need], self._occupants[cells])))
+        both = np.array(self.gfam.fingerprints(pts), dtype=object)[inverse]
+        self._store(cells, both[len(need):].tolist())
+        fps = np.zeros(len(xs), dtype=object)
+        fps[need] = both[:len(need)]
         slots, cursors, moves = self._slots, self.cursors, self.cursors_enabled
         mask = (1 << ell) - 1
         count = 0
         loads, answers = [], []
         # an empty cell costs 0 and keeps its cursor; a full one is probed
         # in closed form (module docstring)
-        for a, b, fp in zip(c1[inverse].tolist(), c2[inverse].tolist(), fps[inverse].tolist()):
+        for a, b, fp in zip(c1.tolist(), c2.tolist(), fps.tolist()):
             load, hit = 0, False
             cell = slots[a]
             if cell is not None:
@@ -256,7 +244,7 @@ class CuckooFilterRep(Representation):
                 hit = hit or not diff
             loads.append(load)
             answers.append(hit)
-            if stop is not None and stop(start + len(answers) - 1, hit):
+            if stop is not None and stop(len(answers) - 1, hit):
                 break
         for load, times in Counter(loads).items():  # few distinct masks
             while load:  # each set bit, lowest first
@@ -265,23 +253,6 @@ class CuckooFilterRep(Representation):
         self.bit_comparisons += count
         self.query_count += len(answers)
         return answers
-
-    def _fingerprints(self, pts: np.ndarray, c1: np.ndarray,
-                      c2: np.ndarray) -> list[int] | np.ndarray:
-        """The fingerprints of the distinct pts, whose cells are c1 and c2,
-        from one `GFamily.fingerprints` call that also fills the pending
-        cells among these: their occupants join pts, deduplicated by
-        `_distinct`, so a queried member is fingerprinted once.  With no
-        such cell it is the call on pts alone."""
-        if self._unfilled:
-            cells = np.concatenate((c1, c2))
-            cells = cells[self._pending[cells]]  # a cell two points read appears twice
-            if len(cells):
-                both, inverse = _distinct(np.concatenate((pts, self._occupants[cells])))
-                fps = np.array(self.gfam.fingerprints(both), dtype=object)[inverse]
-                self._store(cells, fps[len(pts):].tolist())
-                return fps[:len(pts)]
-        return self.gfam.fingerprints(pts)
 
     @property
     def mean_bit_comparisons(self) -> float:
@@ -302,23 +273,26 @@ class CuckooFilterRep(Representation):
     def deserialize(cls, params: FilterParams, ell: int, k: int, field_width: int,
                     r: int, cursors_enabled: bool, data: bytes,
                     bit_length: int) -> "CuckooFilterRep":
-        """The filter `write` wrote, every fingerprint read, so no cell is
-        pending; a payload of any other length raises ValueError."""
+        """The filter `write` wrote, every fingerprint read and stored, so
+        no cell is pending; a payload of any other length raises ValueError."""
         rd = BitReader(data, bit_length)
         seeds = (rd.read(SEED_BITS), rd.read(SEED_BITS))
         cb = cursor_bits(ell) if cursors_enabled else 0
-        slots: list[int | None] = []
-        cursors = []
+        full, fps, cursors = [], [], []
         for _ in range(2 * r):
-            full = rd.read(1)
+            full.append(rd.read(1))
             fp = rd.read(ell)
-            slots.append(fp if full else None)
+            if full[-1]:
+                fps.append(fp)
             cursors.append(rd.read(cb) if cb else 0)
         gfam = GFamily.read(rd, ell, k, field_width)
         if rd.remaining:
             raise ValueError(f"{rd.remaining} bits past the payload")
-        full = np.array([fp is not None for fp in slots], dtype=bool)
-        return cls(params, gfam, seeds, slots, cursors, cursors_enabled, full, None)
+        full = np.array(full, dtype=bool)
+        rep = cls(params, gfam, seeds, cursors, cursors_enabled, full,
+                  np.zeros(2 * r, dtype=np.uint64))
+        rep._store(np.flatnonzero(full), fps)
+        return rep
 
 
 def _distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +364,8 @@ def _build(S: Iterable[int], params: FilterParams, rng_seed: int,
     full = cells >= 0
     occupants = np.zeros(2 * r, dtype=np.uint64)
     occupants[full] = xs[cells[full]]
-    return CuckooFilterRep(params, gfam, seeds, [None] * (2 * r), [0] * (2 * r),
-                           cursors_enabled, full, occupants)
+    return CuckooFilterRep(params, gfam, seeds, [0] * (2 * r), cursors_enabled, full,
+                           occupants)
 
 
 def build_cuckoo(S: Iterable[int], params: FilterParams, rng_seed: int) -> CuckooFilterRep:

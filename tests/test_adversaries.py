@@ -439,7 +439,7 @@ def test_first_consistent_at_twenty_bits():
     answer = _rule(enum)
     assert _check_against_scan(enum, [(x, answer(truth, x)) for x in xs]) == truth
     full = (1 << 20) - 1
-    labels = [(x, answer(full ^ enum.masks[xs[0]], x)) for x in xs]
+    labels = [(x, answer(full ^ int(enum.masks[xs[0]]), x)) for x in xs]
     assert _check_against_scan(enum, labels) is not None
     assert _check_against_scan(enum, labels + [(xs[0], True)]) is None
 

@@ -10,7 +10,7 @@ from filterlab import FilterParams, build_cuckoo, build_cuckoo_random_query, sam
 from filterlab.adversaries import MutatePositivesAttack, RandomProbeAttack
 from filterlab.core import SEED_BITS, BuildError, run_challenge
 from filterlab.cuckoo import CuckooFilterRep, _place_all, cursor_bits, max_kicks, table_size
-from filterlab.gfamily import GFamily
+from filterlab.gfamily import GFamily, XProvider
 from filterlab.hashing import mix64
 from filterlab.shield import build_shield
 
@@ -346,6 +346,28 @@ def test_serialize_roundtrip_preserves_answers_and_cursors(build):
 
 @pytest.mark.parametrize("u_bits", [13, 32])
 @pytest.mark.parametrize("build", [build_cuckoo, build_cuckoo_random_query])
+def test_a_deserialized_batch_equals_the_original_scalar_loop(build, u_bits):
+    p = FilterParams(n=64, eps=2 ** -6, t=256, u_bits=u_bits)
+    S = sample_set(p, random.Random(u_bits))
+    rep = build(S, p, rng_seed=27 + u_bits)
+    rng = random.Random(28 + u_bits)
+    for _ in range(100):
+        rep.query(rng.randrange(p.universe))
+    back = CuckooFilterRep.deserialize(p, rep.ell, rep.gfam.k, rep.gfam.field_width,
+                                       rep.r, rep.cursors_enabled, *rep.serialize())
+    before = rep.bit_comparisons, rep.query_count, rep.participation[:]
+    members = sorted(S)
+    seq = [rng.randrange(p.universe) for _ in range(600)] + members + members[::3]
+    assert back.query_many(seq) == [rep.query(x) for x in seq]
+    assert back.bit_comparisons == rep.bit_comparisons - before[0]
+    assert back.query_count == rep.query_count - before[1] == len(seq)
+    assert back.participation == [a - b for a, b in zip(rep.participation, before[2])]
+    assert back.cursors == rep.cursors
+    assert back.serialize() == rep.serialize()
+
+
+@pytest.mark.parametrize("u_bits", [13, 32])
+@pytest.mark.parametrize("build", [build_cuckoo, build_cuckoo_random_query])
 def test_full_mask_follows_the_slots(build, u_bits):
     # the build takes the mask from its placement and a read from the slots
     # it reads; either way it marks exactly the slots holding a fingerprint
@@ -469,6 +491,48 @@ def test_a_batch_fingerprints_the_occupants_of_the_pending_cells_it_reads(finger
     # the same points again read no pending cell: the pass fingerprints them alone
     rep.query_many(xs)
     assert sorted(fingerprinted[1]) == sorted(points)
+
+
+@pytest.mark.parametrize("build", [build_cuckoo, build_cuckoo_random_query])
+def test_a_long_batch_makes_one_fingerprint_call(build, fingerprinted):
+    # 2^14 + 100 points, repeats and members among them, in one call and
+    # one pass: the same answers, counters, cursors and loads as the loop
+    S = sample_set(LAZY, random.Random(50))
+    batch, loop = build(S, LAZY, rng_seed=51), build(S, LAZY, rng_seed=51)
+    rng = random.Random(52)
+    members = sorted(S)
+    xs = [rng.choice(members) if rng.random() < 0.1 else rng.randrange(LAZY.universe)
+          for _ in range((1 << 14) + 100)]
+    ys = batch.query_many(xs)
+    assert len(fingerprinted) == 1
+    assert ys == [loop.query(x) for x in xs]
+    for rep in (batch, loop):
+        assert rep.query_count == len(xs)
+    assert batch.bit_comparisons == loop.bit_comparisons
+    assert batch.cursors == loop.cursors
+    assert batch.participation == loop.participation
+    assert batch.serialize() == loop.serialize()
+
+
+def test_a_first_member_query_builds_its_x_vector_once(monkeypatch):
+    # at u_bits=32 nothing is cached, so each `get` builds: a member's query
+    # fills its own pending cell from the X-vector it already built
+    p = FilterParams(n=64, eps=2 ** -6, t=64, u_bits=32)
+    S = sample_set(p, random.Random(53))
+    rep = build_cuckoo(S, p, rng_seed=54)
+    built = []
+    real = XProvider.get
+
+    def spy(self, x):
+        built.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(XProvider, "get", spy)
+    for x in sorted(S):
+        built.clear()
+        assert rep.query(x)
+        assert built.count(x) == 1
+        assert len(built) <= 2  # at most the occupant of its other cell besides
 
 
 def test_a_scalar_read_fills_only_the_cells_it_reads(fingerprinted):

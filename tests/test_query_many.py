@@ -23,7 +23,6 @@ import filterlab
 from filterlab import FilterParams, GameConfig, run_challenge, sample_set
 from filterlab.adversaries import MutatePositivesAttack
 from filterlab.core import QueryBudgetExceeded, QueryOracle
-from filterlab import cuckoo
 from filterlab.cuckoo import CuckooFilterRep
 from filterlab.experiments import FILTERS, build_filter
 from filterlab.hashing import mix64
@@ -123,14 +122,13 @@ def test_query_many_equals_the_scalar_loop(kind, shielded, u_bits, eps, stop):
 
 
 @pytest.mark.parametrize("kind", ["cuckoo_random_query", "cuckoo_resilient"])
-def test_a_batch_in_several_passes_equals_the_scalar_loop(monkeypatch, kind):
-    # a batch longer than QUERY_CHUNK goes through numpy in passes, each one
-    # starting from the cursors the pass before it left
-    monkeypatch.setattr(cuckoo, "QUERY_CHUNK", 7)
+def test_a_batch_in_several_passes_equals_the_scalar_loop(kind):
+    # every stream in one pass, rejected at point 300, then the rest of it
+    # in a second pass, which starts from the cursors the first one left
     params = _params(13, 2 ** -6)
     cfg, S, loop_rep, batch_rep = _pair(kind, False, params, 11)
     xs = [x for stream in _streams(cfg, S, 12).values() for x in stream]
-    xs.insert(300, params.universe)  # rejected after 42 passes and 6 points
+    xs.insert(300, params.universe)
     answers, error = _answers_until_error(loop_rep.query, xs)
     assert len(answers) == 300
     with pytest.raises(ValueError) as exc:
@@ -144,11 +142,10 @@ def test_a_batch_in_several_passes_equals_the_scalar_loop(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["cuckoo_random_query", "cuckoo_resilient"])
 @pytest.mark.parametrize("at", [0, 6, 7, 13, 14, 20])
-def test_a_stop_across_passes_equals_the_scalar_loop(monkeypatch, kind, at):
-    # passes of 7 points: a stop on the first, the last or a middle point of
-    # a pass ends the batch there, and the points after it are never
-    # queried, so a point outside the universe among them raises nothing
-    monkeypatch.setattr(cuckoo, "QUERY_CHUNK", 7)
+def test_a_stop_across_passes_equals_the_scalar_loop(kind, at):
+    # a stop on the first or a later point ends the batch there, and the
+    # points after it are never queried, so a point outside the universe
+    # among them raises nothing
     params = _params(13, 2 ** -6)
     cfg, S, loop_rep, batch_rep = _pair(kind, False, params, 14)
     xs = _streams(cfg, S, 15)["repeats"][:40]
