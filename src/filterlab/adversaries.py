@@ -189,8 +189,8 @@ class ConsistencySearchAttack:
     The inverter is the enumerator's `first_consistent(xs, ys)`, fed the
     sampled points and the oracle's answers as they come: the least
     representation id consistent with every label is taken as the model M'
-    (only toy filters have an enumerator; the Bloom space answers in
-    closed form, the OR of the positive labels' position masks).  M' is
+    (the Bloom space answers in closed form at any m: the array holding
+    exactly the positive labels' positions).  M' is
     itself a filter, the enumerator's `model(id)`: the attack re-checks
     every label with one `query_many` of it, then samples for a fresh
     element M' answers positive on.  Since the model approximates the
@@ -218,7 +218,7 @@ class ConsistencySearchAttack:
         if enum is None:
             raise InconsistentOracleError(
                 "consistency search needs a representation-space enumerator "
-                "(published structure on an enumerable toy filter)")
+                "(published structure on a Bloom filter or the exact set)")
         u = params.universe
         m = enum.memory_bits
         eps0 = minimal_error(m, params.n)

@@ -3,7 +3,8 @@
 The non-resilient baseline: k_h keyed index hashes into an m-bit array.
 Index seeds are secret by default; debug exposure policies hand out the
 space of arrays under the hash structure (for representation-space search
-attacks) or the full state (for white-box search attacks).
+attacks, which invert labels in closed form at any m) or the full state
+(for white-box search attacks).
 
 The array is m bytes, byte p being 1 when position p is set: x sets
 mix64(seed, x) % m under each seed (`hashing.positions`).  Only the
@@ -41,31 +42,19 @@ def index_count(m: int, n: int) -> int:
     return max(1, round(math.log(2) * m / n))
 
 
-def enumerable(m: int, u_bits: int) -> bool:
-    """Whether a filter gets a representation space: m <= 20 bits over a
-    u_bits <= 16 universe.  The inversion is closed-form and searches
-    nothing; the rule stays as the desk-scale bound that configs are
-    checked against, and it keeps the mask table at 2^16 entries."""
-    return m <= 20 and u_bits <= 16
-
-
 class BloomRepSpace:
     """Space of m-bit arrays under a filter's published hash structure (its
-    index seeds over a u_bits universe).
+    index seeds), for a Bloom filter of any size.
 
     A representation id is the array read as an integer, bit p for
     position p; `model(rep_id)` is the filter with that array.  The space
-    keeps the filter's seeds, never its array, and `masks[x]`, x's
-    positions as bits (uint32, as m <= 20), which an array answering x holds.
+    keeps the filter's seeds, never its array, and works from the labels'
+    own positions: an array answers x exactly when it holds every position
+    of x.
     """
 
     def __init__(self, rep: "BloomFilterRep"):
-        u_bits = rep.params.u_bits
-        if not enumerable(rep.m, u_bits):
-            raise ValueError("representation space too large to enumerate")
         self.params, self.seeds, self.m = rep.params, rep.seeds, rep.m
-        bits = np.uint64(1) << positions(self.seeds, np.arange(1 << u_bits), self.m)
-        self.masks = np.bitwise_or.reduce(bits, axis=0).astype(np.uint32)
 
     @property
     def memory_bits(self) -> int:
@@ -75,24 +64,26 @@ class BloomRepSpace:
     def first_consistent(self, xs: np.ndarray, ys: list[bool]) -> int | None:
         """Least id answering ys[i] on every xs[i], or None.
 
-        An array answers (x, y) exactly when "it holds x's mask" equals y.
-        So every consistent array holds `need`, the OR of the positive
-        labels' masks, and `need` is the least id that does.  `need` holds a
-        negative label's mask only when that mask lies inside `need`, and
-        then so does every array holding `need`: `need` is the answer unless
-        some negative mask is empty outside it, and then there is none.
+        Every consistent array holds `need`, the positions of the positive
+        labels, and `need` is the least id that does.  `need` answers a
+        negative label True only when all that label's positions lie inside
+        `need`, and then so does every array holding `need`: `need` is the
+        answer unless some negative label is so covered, and then there is
+        none.
         """
-        masks = self.masks[xs]
+        pos = positions(self.seeds, xs, self.m).view(np.int64)  # every one < m
         positive = np.frombuffer(bytes(ys), dtype=bool)  # a bool a byte, as numpy stores it
-        need = np.bitwise_or.reduce(masks[positive], initial=np.uint32(0))
-        if ((masks[~positive] & ~need) == 0).any():
+        need = np.zeros(self.m, dtype=bool)
+        need[np.compress(positive, pos, axis=1)] = True
+        if (need[pos].all(axis=0) > positive).any():
             return None
-        return int(need)
+        return int.from_bytes(np.packbits(need, bitorder="little").tobytes(), "little")
 
     def model(self, rep_id: int) -> "BloomFilterRep":
         """The filter whose array is rep_id."""
-        return BloomFilterRep(self.params, self.seeds,
-                              bytearray(rep_id >> p & 1 for p in range(self.m)))
+        packed = np.frombuffer(rep_id.to_bytes((self.m + 7) // 8, "little"), dtype=np.uint8)
+        return BloomFilterRep(self.params, self.seeds, bytearray(
+            np.unpackbits(packed, count=self.m, bitorder="little")))
 
 
 class BloomFilterRep(Representation):
@@ -128,7 +119,7 @@ class BloomFilterRep(Representation):
         return ys
 
     def rep_space_enumerator(self):
-        return BloomRepSpace(self) if enumerable(self.m, self.params.u_bits) else None
+        return BloomRepSpace(self)
 
     def write(self, w: BitWriter) -> None:
         for s in self.seeds:

@@ -258,10 +258,11 @@ class Representation:
         return self
 
     def rep_space_enumerator(self):
-        """Enumerator over candidate representations, when desk-scale small.
+        """Enumerator over candidate representations, or None.
 
-        The game hands it over under expose="structure" or "full"; None when
-        the representation space is not enumerable.
+        The game hands it over under expose="structure" or "full".  The
+        Bloom filter and the exact set have one at any size; a keyed
+        filter has none.
         """
         return None
 

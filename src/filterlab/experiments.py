@@ -84,19 +84,12 @@ class GameConfig:
         if self.adversary_kind == "consistency_search":
             if self.expose == "none":
                 raise ParamError("expose", "consistency_search needs expose = structure or full")
-            if not self._enumerable():
+            # the filters with an enumerator (`Representation.rep_space_enumerator`);
+            # a shield exposes its inner filter's
+            if self.filter_kind not in ("baseline_bloom", "exact_set"):
                 raise ParamError("filter_kind", f"consistency_search cannot enumerate "
                                  f"{self.filter_kind}: only exact_set and baseline_bloom "
-                                 "with m <= 20 and u_bits <= 16 have an enumerator")
-
-    def _enumerable(self) -> bool:
-        """Whether the filter has a representation-space enumerator (see
-        `Representation.rep_space_enumerator`); a shield exposes its inner
-        filter's."""
-        if self.filter_kind == "baseline_bloom":
-            return bloom.enumerable(bloom.array_bits(self.params, self.bloom_bits),
-                                    self.params.u_bits)
-        return self.filter_kind == "exact_set"
+                                 "have an enumerator")
 
 
 def build_filter(cfg: GameConfig, S: Iterable[int], params: FilterParams,

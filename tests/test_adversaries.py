@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import re
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -30,8 +30,9 @@ from filterlab.core import (
     stopped,
 )
 from filterlab.experiments import (ADVERSARIES, GameConfig, build_filter,
-                                   make_adversary, play_game)
+                                   count_wins, make_adversary, play_game)
 from filterlab.hashing import split_seed
+from test_bloom import position_mask
 from test_query_many import _state
 
 TOY = FilterParams(n=4, eps=2 ** -4, t=51200, u_bits=10)
@@ -356,14 +357,18 @@ def test_recovered_model_approximates_the_oracle():
     assert good / runs >= 0.95
 
 
+def _mask(enum, x):
+    return position_mask(enum.seeds, enum.m, x)
+
+
 def _rule(enum):
     """(rid, x) -> how id rid answers x, by the reference mask rule: array
     rid answers x iff it holds x's OR-mask.  The exact set's one id
     answers as the set."""
     if isinstance(enum, ExactSetRepSpace):
         return lambda rid, x: enum.model(rid).query(x)
-    masks = enum.masks.tolist()
-    return lambda rid, x: (rid & masks[x]) == masks[x]
+    mask = cache(partial(_mask, enum))
+    return lambda rid, x: (rid & mask(x)) == mask(x)
 
 
 def _scan(enum, ids, labels):
@@ -416,12 +421,12 @@ def test_first_consistent_edge_label_sets():
     positives = [(x, True) for x in xs]
     need = 0
     for x in xs:
-        need |= enum.masks[x]
+        need |= _mask(enum, x)
     assert _check_against_scan(enum, positives) == need
     assert _check_against_scan(enum, [(x, False) for x in xs]) == 0
     assert _check_against_scan(enum, [(5, True), (7, False), (5, False)]) is None
     # a negative whose mask lies inside a positive's leaves no array
-    x = next(x for x in range(1, 1 << 10) if enum.masks[x] & ~enum.masks[0] == 0)
+    x = next(x for x in range(1, 1 << 10) if _mask(enum, x) & ~_mask(enum, 0) == 0)
     assert _check_against_scan(enum, [(0, True), (x, False)]) is None
 
 
@@ -439,7 +444,7 @@ def test_first_consistent_at_twenty_bits():
     answer = _rule(enum)
     assert _check_against_scan(enum, [(x, answer(truth, x)) for x in xs]) == truth
     full = (1 << 20) - 1
-    labels = [(x, answer(full ^ int(enum.masks[xs[0]]), x)) for x in xs]
+    labels = [(x, answer(full ^ _mask(enum, xs[0]), x)) for x in xs]
     assert _check_against_scan(enum, labels) is not None
     assert _check_against_scan(enum, labels + [(xs[0], True)]) is None
 
@@ -457,19 +462,19 @@ def test_first_consistent_matches_scan_on_superset_edges(m):
         assert _check_against_scan(enum, labels + labels[::2]) <= truth  # duplicates
         need = 0
         for x in xs:
-            need |= enum.masks[x]
+            need |= _mask(enum, x)
         assert _check_against_scan(enum, [(x, True) for x in xs]) == need
         # positives until `need` covers all m bits: the one superset is all ones
         full, covered, covering = (1 << m) - 1, 0, []
         for x in range(1 << 10):
             covering.append((x, True))
-            covered |= enum.masks[x]
+            covered |= _mask(enum, x)
             if covered == full:
                 break
         assert _check_against_scan(enum, covering) == full
         assert _check_against_scan(enum, covering + [(xs[0], False)]) is None
         # a negative whose mask lies inside `need` leaves no superset
-        inside = next(x for x in range(1 << 10) if enum.masks[x] & ~need == 0)
+        inside = next(x for x in range(1 << 10) if _mask(enum, x) & ~need == 0)
         assert _check_against_scan(enum, [(x, True) for x in xs] + [(inside, False)]) is None
         noisy = [(x, rng.random() < 0.3) for x in xs]
         _check_against_scan(enum, noisy + noisy[:5])
@@ -483,7 +488,7 @@ def test_first_consistent_at_twenty_bits_without_positives():
     assert _check_against_scan(enum, [(x, False) for x in xs]) == 0
 
 
-@pytest.mark.parametrize("m", [1, 5, 12])
+@pytest.mark.parametrize("m", [1, 5, 12, 100, 8_864])
 def test_first_consistent_is_the_or_of_positive_masks(m):
     # labels from a true array: the answer is the positive masks' OR, it lies
     # inside the truth, and its model answers every label as the truth does
@@ -497,7 +502,7 @@ def test_first_consistent_is_the_or_of_positive_masks(m):
         need = 0
         for x, y in zip(xs, ys):
             if y:
-                need |= int(enum.masks[x])
+                need |= _mask(enum, x)
         assert enum.first_consistent(xs, ys) == need
         assert need & ~truth == 0
         assert enum.model(need).query_many(xs) == ys
@@ -534,6 +539,22 @@ def test_first_consistent_matches_scan_in_played_games(shielded):
         attack.run(ctx)
         assert attack.last_consistent_rep == _scan(enum, range(1 << 16), oracle.queries)
         assert (attack.last_consistent_rep is None) == shielded
+
+
+def test_steady_bloom_falls_to_consistency_search_at_production_shape():
+    # the paper's first contrast at n = 1024, eps = 2^-6, u_bits = 32 and the
+    # standard m = 8,864: a plain filter whose seeds are published falls to
+    # 32,000 labels, while behind the shield's keyed permutation the labels
+    # no longer follow the published positions
+    wins = {}
+    for shielded in (False, True):
+        params = FilterParams(n=1024, eps=2 ** -6, t=32_000, u_bits=32)
+        cfg = GameConfig("baseline_bloom", "consistency_search", params,
+                         shielded=shielded, expose="structure",
+                         adversary_opts={"strict": not shielded})
+        wins[shielded] = count_wins(cfg, 12, 3)
+    assert wins[False] >= 8
+    assert wins[True] <= 2
 
 
 def test_inversion_games_are_unchanged():

@@ -1,9 +1,9 @@
 import hashlib
+import itertools
 import random
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from filterlab import FilterParams, build_bloom, build_shield, sample_set
@@ -190,19 +190,20 @@ def test_a_corrupt_array_does_not_serialize():
         rep.serialize()
 
 
-def test_enumerator_only_at_toy_scale():
+def test_enumerator_at_any_size():
     toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
     rep = build_bloom([1, 2, 3, 4], toy, rng_seed=21, m=16)
     space = rep.rep_space_enumerator()
     assert space is not None and space.memory_bits == 16
     big = build_bloom(sample_set(PARAMS, random.Random(22)), PARAMS, rng_seed=22)
-    assert big.rep_space_enumerator() is None
+    assert big.m == standard_bloom_bits(PARAMS.n, PARAMS.eps)
+    assert big.rep_space_enumerator().memory_bits == big.m
 
 
 def test_model_of_a_filters_own_id_is_that_filter():
     toy = FilterParams(n=4, eps=2 ** -4, t=16, u_bits=10)
-    for seed in range(4):
-        rep = build_bloom([1, 2, 3, 4], toy, rng_seed=seed, m=16)
+    for m, seed in itertools.product((16, 100), range(4)):
+        rep = build_bloom([1, 2, 3, 4], toy, rng_seed=seed, m=m)
         rep_id = sum(b << p for p, b in enumerate(rep.array))
         model = rep.rep_space_enumerator().model(rep_id)
         assert type(model) is BloomFilterRep
@@ -218,33 +219,32 @@ def test_model_of_the_exact_set_is_the_exact_set():
     assert rep.rep_space_enumerator().model(0) is rep
 
 
+def position_mask(seeds, m, x):
+    """x's positions under seeds as one int, bit p for position p, from the
+    scalar `mix64`: the reference for the Bloom space's answer rule."""
+    mask = 0
+    for s in seeds:
+        mask |= 1 << mix64(s, x) % m
+    return mask
+
+
 def _filter_with_seeds(u_bits, m, seeds):
     params = FilterParams(n=4, eps=2 ** -4, t=0, u_bits=u_bits)
     return BloomFilterRep(params, seeds, bytearray(m))
 
 
-@pytest.mark.parametrize("m", [1, 16, 20])
+@pytest.mark.parametrize("m", [1, 16, 20, 100, 8_864])
 @pytest.mark.parametrize("u_bits", [10, 16])
 def test_position_masks_match_scalar_positions(u_bits, m):
-    # seed 2^64-1 makes x + seed wrap for every x > 0
+    # one positive label inverts to exactly its positions: 1,025 points
+    # spread over the universe, its last point included.  Seed 2^64-1
+    # makes x + seed wrap for every x > 0
     rng = random.Random(u_bits * 100 + m)
     seeds = (0, (1 << 64) - 1) + tuple(rng.getrandbits(64) for _ in range(2))
-    masks = BloomRepSpace(_filter_with_seeds(u_bits, m, seeds)).masks
-    assert masks.dtype == np.uint32 and len(masks) == 1 << u_bits
-    expected = []
-    for x in range(1 << u_bits):
-        mk = 0
-        for s in seeds:
-            mk |= 1 << mix64(s, x) % m
-        expected.append(mk)
-    assert masks.tolist() == expected
-
-
-def test_rep_space_refuses_unenumerable_shapes():
-    with pytest.raises(ValueError, match="too large"):
-        BloomRepSpace(_filter_with_seeds(10, 21, (1,)))
-    with pytest.raises(ValueError, match="too large"):
-        BloomRepSpace(_filter_with_seeds(17, 16, (1,)))
+    space = BloomRepSpace(_filter_with_seeds(u_bits, m, seeds))
+    xs = list(range(0, 1 << u_bits, 1 << (u_bits - 10))) + [(1 << u_bits) - 1]
+    assert ([space.first_consistent([x], [True]) for x in xs]
+            == [position_mask(seeds, m, x) for x in xs])
 
 
 @pytest.mark.parametrize("u_bits", [10, 32, 64])

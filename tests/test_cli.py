@@ -208,22 +208,27 @@ UNPLAYABLE = [
                                                      "kind = cuckoo_resilient")
      .replace("kind = random_probe", "kind = consistency_search\nexpose = structure"),
      "consistency_search cannot enumerate cuckoo_resilient"),
-    # the standard sizing at n = 1000 is m = 8,657 bits
-    ("kind = baseline_bloom", BASIC_CONFIG.replace(
-        "kind = random_probe", "kind = consistency_search\nexpose = full"),
-     "consistency_search cannot enumerate baseline_bloom"),
 ]
 
 
 @pytest.mark.parametrize("prefix,text,message", UNPLAYABLE,
-                         ids=["random_probe", "consistency_search", "cuckoo_space",
-                              "wide_bloom_space"])
+                         ids=["random_probe", "consistency_search", "cuckoo_space"])
 def test_unplayable_config_reported_at_its_line(tmp_path, capsys, prefix, text, message):
     rc, err = _config_error(tmp_path, capsys, text)
     assert rc == 2
     assert f"bad.ini:{_line_of(text, prefix)}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_consistency_search_plays_a_wide_bloom_space(tmp_path):
+    # the standard sizing at n = 1000 is m = 8,657 bits
+    text = (BASIC_CONFIG.replace("trials = 100", "trials = 4").replace("t = 0", "t = 4000")
+            .replace("kind = random_probe", "kind = consistency_search\nexpose = full"))
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    row = dict(zip(RESULT_COLUMNS, out.read_text().splitlines()[1].split(",")))
+    assert row["adversary"] == "consistency_search" and row["trials"] == "4"
 
 
 TINY_UNIVERSE = """\

@@ -69,19 +69,30 @@ def test_unknown_names_rejected():
                          expose="structure")),
     ("filter_kind", dict(filter_kind="cuckoo_random_query", shielded=True,
                          adversary_kind="consistency_search", expose="full")),
-    ("filter_kind", dict(filter_kind="baseline_bloom", adversary_kind="consistency_search",
-                         expose="structure")),  # the standard m = 139 at n = 32
-    ("filter_kind", dict(filter_kind="baseline_bloom", bloom_bits=21,
-                         adversary_kind="consistency_search", expose="structure")),
-    ("filter_kind", dict(filter_kind="baseline_bloom", bloom_bits=16,
-                         params=FilterParams(n=4, eps=2 ** -4, t=64, u_bits=17),
-                         adversary_kind="consistency_search", expose="structure")),
 ])
 def test_config_errors_name_their_field(key, kwargs):
     with pytest.raises(ParamError) as err:
         GameConfig(**{**dict(filter_kind="exact_set", adversary_kind="random_probe",
                              params=P_SMALL), **kwargs})
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),  # the standard m = 139 at n = 32
+    dict(bloom_bits=21),
+    dict(bloom_bits=16, params=FilterParams(n=4, eps=2 ** -4, t=64, u_bits=17)),
+], ids=["standard_m", "m21", "u17"])
+def test_consistency_search_plays_a_bloom_filter_of_any_shape(kwargs):
+    # no size ceiling: a standard m, m above 20 and a universe above 2^16
+    for shielded in (False, True):
+        for expose in ("structure", "full"):
+            cfg = GameConfig(**{**dict(filter_kind="baseline_bloom",
+                                       adversary_kind="consistency_search", params=P_SMALL,
+                                       shielded=shielded, expose=expose,
+                                       adversary_opts={"strict": not shielded}), **kwargs})
+            rep = build_filter(cfg, sample_set(cfg.params, random.Random(3)), cfg.params, 4)
+            assert rep.unshielded.rep_space_enumerator().memory_bits == rep.unshielded.m
+            assert play_game(cfg, 5).valid
 
 
 def test_bloom_bits_below_one_refused_when_the_config_is_made():
