@@ -50,14 +50,19 @@ A batch of points chosen in advance (`query_many`) leaves the answers, the
 counters, the cursors and the loads exactly as one `query` per point
 would.  The fingerprints of the batch come from one `GFamily.fingerprints`
 call on its distinct points and the occupants of the pending cells they
-read (`_distinct`, one sort, so a queried member is fingerprinted once),
-each query's two cells and fingerprint are gathered into lists, and the
-queries are then taken in order, each probe in closed form:
-rotate `diff = fp XOR cell` right by the cell's cursor c0 within ell bits;
-the comparison count n is the index of its lowest set bit plus 1 (ell when
-diff is 0, a full match), the probe compares the bits in the cyclic span
-[c0, c0 + n), and the cursor moves on to (c0 + n) mod ell.  A query's load
-on g_j counts once when bit j lies in the span of either of its probes.
+read (each such cell taken once, from a mask over the 2r cells;
+`_distinct`, one sort, so a queried member is fingerprinted once), each
+query's two cells and fingerprint are gathered into lists, and the queries
+are then taken in order, each probe in closed form.  With
+`diff = fp XOR cell` and the cell's cursor c0, the probe compares from c0
+up to the first mismatching bit, wrapping at ell: the comparison count n
+is the index of the lowest set bit of `diff >> c0` plus 1 when that is
+nonzero; else every set bit of diff lies below c0, and n is ell - c0 plus
+the same count for diff; and n is ell when diff is 0, a full match.  The
+probe compares the bits in the cyclic span [c0, c0 + n), and the cursor
+moves on to (c0 + n) mod ell; the span's mask and the next cursor are read
+from two tables built once per ell (`_probe_tables`).  A query's load on
+g_j counts once when bit j lies in the span of either of its probes.
 
 A batch may carry a stop predicate, stop(i, y): it then ends right after
 the first answer that holds it, exactly as the loop that breaks there, so
@@ -72,6 +77,7 @@ is never fingerprinted, since its probes compare nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -198,22 +204,27 @@ class CuckooFilterRep(Representation):
     def _query_batch(self, xs: np.ndarray, stop: Stop | None = None) -> list[bool]:
         """`query` for every x, in one pass: every query is hashed, and each
         one with a full cell is fingerprinted up front, in one call with the
-        occupants of the pending cells those queries read, deduplicated by
-        `_distinct`, so a point is fingerprinted once; the queries then run
-        in order, both probes inline in closed form, and end at a stop."""
+        occupants of the pending cells those queries read, each such cell
+        taken once, deduplicated by `_distinct`, so a point is fingerprinted
+        once; the queries then run in order, both probes inline in closed
+        form, their loads and next cursors read from `_probe_tables`, and end
+        at a stop."""
         ell, r = self.ell, self.r
-        c1, c2 = positions(self.seeds, xs, r)
-        c2 += np.uint64(r)  # table 2 follows table 1
+        c1, c2 = positions(self.seeds, xs, r).view(np.int64)  # every one < r; int64 indexes uncast
+        c2 += r  # table 2 follows table 1
         need = np.flatnonzero(self._full[c1] | self._full[c2])  # queries with a cell to compare
-        cells = np.concatenate((c1, c2))
-        cells = cells[self._pending[cells]]  # a cell read twice appears twice
+        read = np.zeros(2 * r, dtype=bool)
+        read[c1] = True
+        read[c2] = True
+        cells = np.flatnonzero(read & self._pending)  # each pending cell read, once
         pts, inverse = _distinct(np.concatenate((xs[need], self._occupants[cells])))
         both = np.array(self.gfam.fingerprints(pts), dtype=object)[inverse]
         self._store(cells, both[len(need):].tolist())
         fps = np.zeros(len(xs), dtype=object)
         fps[need] = both[:len(need)]
         slots, cursors, moves = self._slots, self.cursors, self.cursors_enabled
-        mask = (1 << ell) - 1
+        spans, ahead = _probe_tables(ell)
+        width = ell + 1
         count = 0
         loads, answers = [], []
         # an empty cell costs 0 and keeps its cursor; a full one is probed
@@ -223,25 +234,31 @@ class CuckooFilterRep(Representation):
             cell = slots[a]
             if cell is not None:
                 diff, c0 = fp ^ cell, cursors[a]
-                diff = (diff >> c0 | diff << (ell - c0)) & mask
-                n = (diff & -diff).bit_length() if diff else ell
-                span = ((1 << n) - 1) << c0
-                load = (span | span >> ell) & mask
+                h = diff >> c0
+                if h:
+                    n = (h & -h).bit_length()
+                elif diff:
+                    n = ell - c0 + (diff & -diff).bit_length()
+                else:
+                    n, hit = ell, True
+                load = spans[c0 * width + n]
                 if moves:
-                    cursors[a] = (c0 + n) % ell
+                    cursors[a] = ahead[c0 + n]
                 count += n
-                hit = not diff
             cell = slots[b]
             if cell is not None:
                 diff, c0 = fp ^ cell, cursors[b]
-                diff = (diff >> c0 | diff << (ell - c0)) & mask
-                n = (diff & -diff).bit_length() if diff else ell
-                span = ((1 << n) - 1) << c0
-                load |= (span | span >> ell) & mask
+                h = diff >> c0
+                if h:
+                    n = (h & -h).bit_length()
+                elif diff:
+                    n = ell - c0 + (diff & -diff).bit_length()
+                else:
+                    n, hit = ell, True
+                load |= spans[c0 * width + n]
                 if moves:
-                    cursors[b] = (c0 + n) % ell
+                    cursors[b] = ahead[c0 + n]
                 count += n
-                hit = hit or not diff
             loads.append(load)
             answers.append(hit)
             if stop is not None and stop(len(answers) - 1, hit):
@@ -293,6 +310,21 @@ class CuckooFilterRep(Representation):
                   np.zeros(2 * r, dtype=np.uint64))
         rep._store(np.flatnonzero(full), fps)
         return rep
+
+
+@functools.cache
+def _probe_tables(ell: int) -> tuple[list[int], list[int]]:
+    """(spans, ahead) for probes of ell-bit fingerprints: a probe that
+    starts at cursor c0 and compares n bits loads the functions of mask
+    spans[c0 * (ell + 1) + n], the cyclic span [c0, c0 + n), and leaves the
+    cursor at ahead[c0 + n] = (c0 + n) mod ell."""
+    mask = (1 << ell) - 1
+    spans = []
+    for c0 in range(ell):
+        for n in range(ell + 1):
+            span = ((1 << n) - 1) << c0
+            spans.append((span | span >> ell) & mask)
+    return spans, [c % ell for c in range(2 * ell)]
 
 
 def _distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

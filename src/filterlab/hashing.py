@@ -42,22 +42,33 @@ def mix64_many(seed: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     `seed` is one seed, or a uint64 array of seeds that broadcasts against
     xs: a column of seeds hashes every x under each in one pass.  Every
     operation has an array operand, so the 64-bit overflow the scalar
-    version masks off wraps silently here.
+    version masks off wraps silently here.  The three shifts share one
+    scratch array.
     """
     z = xs + np.asarray(seed, dtype=np.uint64)
-    z ^= z >> np.uint64(30)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
 def positions(seeds: tuple[int, ...], xs: list[int] | np.ndarray, size: int) -> np.ndarray:
     """mix64(seed, x) % size for every seed and x: a uint64 [len(seeds), len(xs)]
-    array, row i for seeds[i]."""
-    return mix64_many(np.array(seeds, dtype=np.uint64)[:, None],
-                      np.asarray(xs, dtype=np.uint64)) % np.uint64(size)
+    array, row i for seeds[i].
+
+    The remainder is z - (z // size) * size, exact in unsigned arithmetic:
+    numpy divides a uint64 array by a scalar with a multiply and shift
+    (libdivide), where its `%` divides each element in hardware.
+    """
+    z = mix64_many(np.array(seeds, dtype=np.uint64)[:, None], np.asarray(xs, dtype=np.uint64))
+    m = np.uint64(size)
+    q = z // m
+    q *= m
+    z -= q
+    return z
 
 
 def split_seed(master: int, *path: int) -> int:

@@ -20,7 +20,7 @@ from filterlab.adversaries import RandomProbeAttack
 from filterlab.bitio import BitReader, BitWriter
 from filterlab.core import EXPOSURES, BuildError, GameTranscript, ParamError
 from filterlab.experiments import FILTERS, build_filter
-from filterlab.hashing import DRAW_BATCH_MIN, randbelow_many
+from filterlab.hashing import DRAW_BATCH_MIN, mix64, positions, randbelow_many
 
 
 def test_check_members_keeps_every_rule_for_sets_and_lists():
@@ -132,6 +132,19 @@ def test_randbelow_many_equals_randrange(n, count):
         assert xs.dtype == np.uint64
         assert xs.tolist() == [ref.randrange(n) for _ in range(count)]
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("size", [1, 3, 16, 1127, 8864, 2 ** 32 + 15, 2 ** 63 + 5])
+def test_positions_equal_the_scalar_remainder(size):
+    # the batch remainder z - (z // size) * size against mix64(s, x) % size,
+    # with the seed that wraps x + seed and points at both ends of 64 bits
+    rng = random.Random(size)
+    xs = [0, 1, 2 ** 63, 2 ** 64 - 1] + [rng.getrandbits(64) for _ in range(500)]
+    seeds = (0, 2 ** 64 - 1)
+    got = positions(seeds, np.array(xs, dtype=np.uint64), size)
+    assert got.dtype == np.uint64 and got.shape == (2, len(xs))
+    for row, s in zip(got.tolist(), seeds):
+        assert row == [mix64(s, x) % size for x in xs]
 
 
 def test_sample_set_equals_the_draw_by_draw_loop():

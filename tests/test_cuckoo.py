@@ -568,6 +568,69 @@ def test_slots_and_serialize_fill_the_rest(fingerprinted):
 
 
 @pytest.mark.parametrize("u_bits", [13, 32])
+def test_a_batch_stores_each_pending_cell_it_reads_once(u_bits, monkeypatch):
+    p = FilterParams(n=64, eps=2 ** -6, t=64, u_bits=u_bits)
+    S = sample_set(p, random.Random(55 + u_bits))
+    rep = build_cuckoo(S, p, rng_seed=56)
+    stored = []
+    real = CuckooFilterRep._store
+
+    def spy(self, cells, fps):
+        stored.append(cells.tolist())
+        return real(self, cells, fps)
+
+    monkeypatch.setattr(CuckooFilterRep, "_store", spy)
+    rng = random.Random(57)
+    members = sorted(S)
+    xs = [rng.randrange(p.universe) for _ in range(200)] + members[:20] + members[:20]
+    reads = [i for x in xs for i in _cells(rep, x) if rep._pending[i]]
+    assert len(reads) > len(set(reads))  # some pending cell is read twice
+    rep.query_many(xs)
+    assert len(stored) == 1
+    assert len(stored[0]) == len(set(stored[0])) == len(set(reads))
+    assert set(stored[0]) == set(reads)
+
+
+CURSORS = FilterParams(n=64, eps=2 ** -1, t=16, u_bits=16)
+
+
+def test_every_starting_cursor_plays_as_the_scalar_loop():
+    # at ell=4 a probe from cursor c0 often matches every bit from c0 up
+    # and first mismatches below it, after the wrap: each branch of the
+    # closed form is reached from every cursor, in a full batch and a
+    # stopped one; only the resilient builder moves its cursors
+    S = sample_set(CURSORS, random.Random(58))
+    members = sorted(S)
+
+    def stop(i, y):
+        return y and i >= 50
+
+    for c0 in range(4):
+        batch, loop = (build_cuckoo(S, CURSORS, rng_seed=59) for _ in range(2))
+        assert batch.ell == 4
+        for rep in (batch, loop):
+            rep.cursors[:] = [c0] * len(rep.cursors)
+        rng = random.Random(60 + c0)
+        xs = [rng.choice(members) if rng.random() < 0.2 else rng.randrange(CURSORS.universe)
+              for _ in range(300)]
+        ys = batch.query_many(xs[:100], stop)
+        assert len(ys) < 100  # the stop ended the first block
+        zs = []
+        for i, x in enumerate(xs[:100]):
+            zs.append(loop.query(x))
+            if stop(i, zs[-1]):
+                break
+        ys += batch.query_many(xs[100:])
+        zs += [loop.query(x) for x in xs[100:]]
+        assert ys == zs
+        assert batch.bit_comparisons == loop.bit_comparisons
+        assert batch.query_count == loop.query_count == len(ys)
+        assert batch.cursors == loop.cursors
+        assert batch.participation == loop.participation
+        assert batch.slots == loop.slots
+
+
+@pytest.mark.parametrize("u_bits", [13, 32])
 @pytest.mark.parametrize("eps, ell", [(2 ** -6, 24), (2 ** -17, 68)])
 def test_a_lazy_filter_plays_as_its_eager_twin(u_bits, eps, ell):
     p = FilterParams(n=64, eps=eps, t=64, u_bits=u_bits)
