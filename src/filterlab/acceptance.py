@@ -21,7 +21,7 @@ import itertools
 import random
 import statistics
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from . import gf2
 from .adversaries import fresh_element, mu_estimate
@@ -57,7 +57,6 @@ class CriterionResult:
     passed: bool
     seed: int
     runtime_s: float = 0.0
-    details: dict = dataclass_field(default_factory=dict)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -78,7 +77,6 @@ def criterion_1(seed: int) -> CriterionResult:
     ]
     builds_per_kind = 200
     false_negatives = 0
-    total_member_queries = 0
     for ki, (kind, shielded) in enumerate(kinds):
         cfg = GameConfig(kind, "random_probe", params, shielded=shielded)
         for b in range(builds_per_kind):
@@ -90,17 +88,12 @@ def criterion_1(seed: int) -> CriterionResult:
                      for _ in range(100)]
             rng.shuffle(work)
             work += [(True, x) for x in S]  # re-query after the churn
-            for is_member, x in work:
-                ans = rep.query(x)
-                if is_member:
-                    total_member_queries += 1
-                    if not ans:
-                        false_negatives += 1
+            for is_member, x in work:  # a non-member's query moves cursors too
+                if not rep.query(x) and is_member:
+                    false_negatives += 1
     return CriterionResult(
         1, "completeness", measured=f"{false_negatives} false negatives",
         threshold="exactly 0", passed=false_negatives == 0, seed=seed,
-        details={"member_queries": total_member_queries,
-                 "builds": builds_per_kind * len(kinds)},
     )
 
 
@@ -118,7 +111,6 @@ def criterion_2(seed: int) -> CriterionResult:
     return CriterionResult(
         2, "baseline bloom calibration", measured=f"fp_rate={rate:.5f}",
         threshold=f"[{lo:.5f}, {hi:.5f}]", passed=lo <= rate <= hi, seed=seed,
-        details={"m": rep.m, "k_h": rep.k_h, "samples": samples},
     )
 
 
@@ -135,7 +127,6 @@ def criterion_3(seed: int, parallel: int = 1) -> CriterionResult:
     return CriterionResult(
         3, "non-resilience of steady filters", measured=f"{wins}/{games}={rate:.3f}",
         threshold=">= 2/3", passed=rate >= 2 / 3, seed=seed,
-        details={"games": games, "t_budget": TOY_PARAMS.t},
     )
 
 
@@ -180,7 +171,6 @@ def criterion_4(seed: int, parallel: int = 1) -> CriterionResult:
                   f"overhead={overhead}b"),
         threshold=(f"<= {bound_a:.4f} (toy eps {toy_eps:.4f} + 0.05), "
                    f"<= {bound_b:.4f}, == {prod.lambda_bits}b"),
-        details={"games": games, "toy_eps": toy_eps},
     )
 
 
@@ -197,7 +187,6 @@ def criterion_5(seed: int, parallel: int = 1) -> CriterionResult:
         5, "resilience of the construction", seed=seed,
         measured=" ".join(f"{a}={r:.4f}" for a, r in rates.items()),
         threshold=f"<= {bound:.4f} each", passed=worst <= bound,
-        details={"games_per_adversary": games},
     )
 
 
@@ -215,10 +204,6 @@ def criterion_6(seed: int) -> CriterionResult:
         measured=f"{rep.bits} bits, C={c_measured:.3f}",
         threshold=f"<= {bound} bits (C <= 8; t-term carries field width w={w})",
         passed=rep.bits <= bound,
-        details={"n_log_eps": PROD_PARAMS.n * PROD_PARAMS.log_inv_eps,
-                 "t_times_w": PROD_PARAMS.t * w,
-                 "g_bits": rep.gfam.rep_bits,
-                 "table_bits": rep.bits - rep.gfam.rep_bits},
     )
 
 
@@ -230,13 +215,11 @@ def criterion_7(seed: int) -> CriterionResult:
     rng = random.Random(split_seed(seed, 0))
     S = sample_set(PROD_PARAMS, rng)
     rep = build_cuckoo(S, PROD_PARAMS, rng.getrandbits(63))
-    samples = C7_SAMPLES
-    rep.query_many([fresh_element(rng, PROD_PARAMS.universe, S) for _ in range(samples)])
+    rep.query_many([fresh_element(rng, PROD_PARAMS.universe, S) for _ in range(C7_SAMPLES)])
     mean = rep.mean_bit_comparisons
     return CriterionResult(
         7, "comparison telemetry", measured=f"mean={mean:.4f}",
         threshold="<= 4.5", passed=mean <= 4.5, seed=seed,
-        details={"samples": samples, "total_comparisons": rep.bit_comparisons},
     )
 
 
@@ -257,7 +240,6 @@ def criterion_8(seed: int) -> CriterionResult:
     w = 4
     points = range(1 << w)
     worst_dev = 0
-    cells = {}
     for k, ell in ((3, 2), (5, 1)):
         fam = _every_seed(k, w)
         fps = fam.fingerprints(list(points))
@@ -272,12 +254,10 @@ def criterion_8(seed: int) -> CriterionResult:
                 joint = np.add.outer(joint << k, one).ravel()
             counts = np.bincount(joint, minlength=1 << (k * ell))
             worst_dev = max(worst_dev, int(np.abs(counts - expected).max()))
-        cells[f"k={k},ell={ell}"] = f"{seeds} seeds, {expected} per cell"
     return CriterionResult(
         8, "exact k-wise independence", measured=f"max deviation={worst_dev}",
         threshold="0 (every joint cell of every k-subset equally often, over every seed)",
         passed=worst_dev == 0, seed=seed,
-        details=cells,
     )
 
 
@@ -312,7 +292,6 @@ def criterion_10(seed: int, parallel: int = 1) -> CriterionResult:
     return CriterionResult(
         10, "random-query variant", measured=f"{rate:.4f}",
         threshold=f"<= {bound:.4f}", passed=rate <= bound, seed=seed,
-        details={"games": games, "t": VARIANT_PARAMS.t},
     )
 
 
@@ -332,7 +311,6 @@ def criterion_11(seed: int) -> CriterionResult:
     return CriterionResult(
         11, "positive-mass lower bound", measured=f"fraction below={frac:.4f}",
         threshold="<= 0.01", passed=frac <= 0.01, seed=seed,
-        details={"builds": builds, "cutoff": cutoff},
     )
 
 

@@ -112,7 +112,7 @@ class BloomFilterRep(Representation):
         gather from the array.  A query changes nothing here, so a stop only
         cuts the answers."""
         arr = np.frombuffer(self.array, dtype=np.uint8)
-        ys = arr[positions(self.seeds, xs, self.m)].all(axis=0).tolist()
+        ys = arr[positions(self.seeds, xs, self.m).view(np.int64)].all(axis=0).tolist()
         if stop is not None:
             end = next((i + 1 for i, y in enumerate(ys) if stop(i, y)), len(ys))
             del ys[end:]
@@ -150,5 +150,5 @@ def build_bloom(S: Iterable[int], params: FilterParams, rng_seed: int,
     k_h = index_count(m, params.n)
     seeds = tuple(rng.getrandbits(SEED_BITS) for _ in range(k_h))
     array = bytearray(m)
-    np.frombuffer(array, dtype=np.uint8)[positions(seeds, xs, m)] = 1
+    np.frombuffer(array, dtype=np.uint8)[positions(seeds, xs, m).view(np.int64)] = 1
     return BloomFilterRep(params, seeds, array)

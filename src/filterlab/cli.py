@@ -22,7 +22,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import acceptance, adversaries, experiments
@@ -222,13 +222,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    line = _json_line if args.json else acceptance.CriterionResult.line
     # with --json, standard output holds the JSON lines alone
     summary = sys.stderr if args.json else sys.stdout
     lines, failed = [], []
     for n in args.criteria or sorted(acceptance.CRITERIA):
         res = acceptance.run_criterion(n, seed, parallel=args.parallel)
-        lines.append(line(res))
+        lines.append(json.dumps(asdict(res)) if args.json else res.line())
         print(lines[-1], flush=True)
         if not res.passed:
             failed.append(res.number)
@@ -240,14 +239,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         return 1
     print("all criteria passed", file=summary)
     return 0
-
-
-JSON_KEYS = ("number", "title", "measured", "threshold", "passed", "seed", "runtime_s")
-
-
-def _json_line(res: acceptance.CriterionResult) -> str:
-    """One criterion's result as a JSON object on one line."""
-    return json.dumps({key: getattr(res, key) for key in JSON_KEYS})
 
 
 def cmd_audit_memory(args: argparse.Namespace) -> int:

@@ -256,6 +256,21 @@ def test_per_function_load_below_k_under_adaptive_adversaries(u_bits, attack):
         assert sum(rep.participation) >= p.t
 
 
+@pytest.mark.xfail(strict=True, reason="every cursor starts at 0 (`_build`), so the "
+                   "first query at each of the n full cells evaluates g_0")
+@pytest.mark.parametrize("t", [64, 512, 2048])
+@pytest.mark.parametrize("u_bits", [13, 32])
+def test_per_function_load_below_k_below_the_full_budget(u_bits, t):
+    # the criterion-5 shape at budgets under 4n, where k = ceil(2t/L) is
+    # smaller than the n cells whose first probe starts at g_0
+    p = FilterParams(n=1024, eps=2 ** -6, t=t, u_bits=u_bits)
+    rng = random.Random(11)
+    S = sample_set(p, rng)
+    rep = build_cuckoo(S, p, rng.getrandbits(63))
+    rep.query_many([_nonmember(rng, p, S) for _ in range(t)])
+    assert max(rep.participation) <= rep.gfam.k
+
+
 @pytest.mark.parametrize("attack", [RandomProbeAttack, MutatePositivesAttack])
 def test_criterion_5_shape_over_gf_2_32(attack):
     # the full budget of criterion 5 over a 32-bit universe: every query

@@ -333,3 +333,43 @@ def test_every_benchmark_hook_resolves():
     missing = {f"{m}.{path}" for _, m, path in hooks
                if tracing["_resolve"](lab, m, path) is None}
     assert missing <= STALE_HOOKS
+
+
+# the benchmark's deterministic block of each workload at --seed 5, without
+# xcache_entries
+BENCHMARK_BLOCKS = {
+    "adaptive_u13": {
+        "wins": [0, 0], "oracle_queries": 131072, "bit_comparisons": 629316,
+        "candidates_scanned": 0,
+        "digest": "97b454449c9477856a7877a9c1f92f3ee44879fd1c2692ebf74b424039a456b8"},
+    "wide_u32": {
+        "wins": [0, 0], "oracle_queries": 768, "bit_comparisons": 1383,
+        "candidates_scanned": 0,
+        "digest": "9c14023e67b95eeef8a2fb9ec2b39a7c869aa358d8bbd1d5a135ea770260dd6e"},
+    "inversion_toy": {
+        "wins": [48, 9], "oracle_queries": 196608, "bit_comparisons": 0,
+        "candidates_scanned": 4911119,
+        "digest": "e57ed618ded7ab515314dea3d6044950189d5a311bd4a05b16881c090a60af36"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_BLOCKS))
+def test_benchmark_deterministic_block_is_pinned(name):
+    # the fixed pairs that `benchmarks/run.py --seed 5` reports, replayed in
+    # process through the benchmark's own game loop, read without writing
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                                   / "benchmarks" / "workloads.py"))
+    lab = SimpleNamespace(**{m: importlib.import_module(f"filterlab.{m}")
+                             for m in workloads["LAB_MODULES"]})
+    wl = workloads["WORKLOADS"][name]
+    loop = workloads["GameLoop"](lab, wl, 5)
+    outcomes = workloads["Outcomes"]()
+    try:
+        for j in range(wl.fixed_pairs):
+            for c in range(len(loop.configs)):
+                outcomes.add(loop.play(c, j))
+    finally:
+        loop.close()
+    block = outcomes.as_dict(None)
+    del block["xcache_entries"]
+    assert block == BENCHMARK_BLOCKS[name]
