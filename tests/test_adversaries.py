@@ -615,6 +615,18 @@ def test_challenges_are_unchanged():
                              "d6169d8ae30662e22f80e7541baf5cf3")
 
 
+def test_transcripts_are_unchanged():
+    # SHA-256 over (challenge, success, every (point, answer) pair) of the
+    # games above, computed while the oracle kept one tuple per query
+    h = hashlib.sha256()
+    for j, (name, cfg) in enumerate(CHALLENGE_SHAPES):
+        for i in range(8):
+            tr = play_game(cfg, split_seed(53, j, i))
+            h.update(repr((name, tr.challenge, tr.success, tr.queries)).encode())
+    assert h.hexdigest() == ("36ce33b0f4b55e9340f48518543d7138"
+                             "08a8e09859c7a54ee7c19334905ae8cd")
+
+
 class _KeepContext:
     """A strategy that plays another and keeps the context it was given."""
 
