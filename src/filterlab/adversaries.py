@@ -72,7 +72,7 @@ def challenge(ctx: AdversaryContext, candidates: Iterable[int] = ()) -> int:
     try:
         return fresh_element(ctx.rng, ctx.params.universe, S, queried)
     except SamplingError:
-        return ctx.oracle.queries[0][0]  # S alone never covers the universe
+        return ctx.oracle.points[0]  # S alone never covers the universe
 
 
 def hits(ctx: AdversaryContext, rep: Representation, attempts: int) -> Iterator[int]:

@@ -293,7 +293,7 @@ def _out_path(raw: str) -> str:
 
 def _criteria(raw: str) -> list[int]:
     try:
-        numbers = sorted(int(x) for x in raw.split(","))
+        numbers = sorted({int(x) for x in raw.split(",")})
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated criterion numbers, got {raw!r}") from None

@@ -272,14 +272,22 @@ FilterFactory = Callable[[Iterable[int], FilterParams, int], Representation]
 
 @dataclass
 class GameTranscript:
-    """Ordered record of one challenge game."""
+    """Ordered record of one challenge game: the i-th query asked points[i]
+    and was answered answers[i].  `run_challenge` hands it the oracle's own
+    two lists, uncopied."""
 
-    queries: list[tuple[int, bool]]
+    points: list[int]
+    answers: list[bool]
     challenge: int | None
     challenge_response: bool | None
     success: bool
     valid: bool
     seed_record: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def queries(self) -> list[tuple[int, bool]]:
+        """The (point, answer) pairs, in order."""
+        return list(zip(self.points, self.answers))
 
     def recompute_success(self, S: frozenset[int]) -> bool:
         """Re-derive the success flag from the transcript contents alone."""
@@ -287,7 +295,7 @@ class GameTranscript:
             return False
         if self.challenge in S:
             return False
-        if any(q == self.challenge for q, _ in self.queries):
+        if self.challenge in self.points:
             return False
         return bool(self.challenge_response)
 
@@ -298,14 +306,21 @@ class QueryOracle:
     def __init__(self, rep: Representation, budget: int):
         self._rep = rep
         self.budget = budget
-        self.queries: list[tuple[int, bool]] = []
+        self.points: list[int] = []
+        self.answers: list[bool] = []
         self.queried: set[int] = set()
 
+    @property
+    def queries(self) -> list[tuple[int, bool]]:
+        """The (point, answer) pairs, in order."""
+        return list(zip(self.points, self.answers))
+
     def query(self, x: int) -> bool:
-        if len(self.queries) >= self.budget:
+        if len(self.points) >= self.budget:
             raise QueryBudgetExceeded(f"query budget t={self.budget} exhausted")
         y = self._rep.query(x)
-        self.queries.append((x, y))
+        self.points.append(x)
+        self.answers.append(y)
         self.queried.add(x)
         return y
 
@@ -313,7 +328,7 @@ class QueryOracle:
                    stop: Stop | None = None) -> list[bool]:
         """Answers to xs, for a strategy that chose them before any answer, or
         that would change course only where `stop(i, y)` holds.  A batch is
-        best a uint64 array (see `Representation.query_many`); the transcript
+        best a uint64 array (see `Representation.query_many`); `points`
         records the answered points as ints either way.
 
         Records and raises as a loop of `query` does: a batch that crosses
@@ -330,12 +345,13 @@ class QueryOracle:
         """
         if not isinstance(xs, np.ndarray):
             xs = list(xs)
-        fit = xs[:self.budget - len(self.queries)]
+        fit = xs[:self.budget - len(self.points)]
         ys = self._rep.query_many(fit, stop)
         answered = fit[:len(ys)]
         if isinstance(answered, np.ndarray):
             answered = answered.tolist()
-        self.queries += zip(answered, ys)
+        self.points += answered
+        self.answers += ys
         self.queried.update(answered)
         if len(fit) < len(xs) and not stopped(ys, stop):
             raise QueryBudgetExceeded(f"query budget t={self.budget} exhausted")
@@ -410,7 +426,8 @@ def run_challenge(
         challenge = strategy.run(ctx)
     except QueryBudgetExceeded:
         return GameTranscript(
-            queries=oracle.queries, challenge=None, challenge_response=None,
+            points=oracle.points, answers=oracle.answers,
+            challenge=None, challenge_response=None,
             success=False, valid=False, seed_record=seeds,
         )
 
@@ -421,7 +438,8 @@ def run_challenge(
         and response
     )
     return GameTranscript(
-        queries=oracle.queries, challenge=challenge, challenge_response=response,
+        points=oracle.points, answers=oracle.answers,
+        challenge=challenge, challenge_response=response,
         success=success, valid=True, seed_record=seeds,
     )
 

@@ -648,7 +648,10 @@ def test_games_record_plain_ints(name, cfg):
         strategy = _KeepContext(make_adversary(cfg))
         tr = run_challenge(partial(build_filter, cfg), strategy, None, cfg.params,
                            split_seed(71, i), expose=cfg.expose)
-        assert all(type(x) is int and type(y) is bool for x, y in tr.queries)
+        assert all(type(x) is int for x in tr.points)
+        assert all(type(y) is bool for y in tr.answers)
+        assert tr.queries == list(zip(tr.points, tr.answers))
+        assert tr.points is strategy.ctx.oracle.points  # the transcript copies nothing
         assert all(type(x) is int for x in strategy.ctx.oracle.queried)
         assert type(tr.challenge) is int
 

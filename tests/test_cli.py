@@ -479,6 +479,14 @@ def test_selftest_json_prints_one_object_a_criterion(tmp_path, capsys):
     assert "all criteria passed" in err
 
 
+def test_selftest_runs_a_repeated_criterion_once(tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    assert main(["selftest", "--criteria", "9,9", "--json", "--out", str(report)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["number"] == 9
+    assert report.read_text() == line + "\n"
+
+
 def test_audit_memory_matches_serialization(tmp_path, capsys):
     rc = main(["audit-memory", "--filter", "cuckoo_random_query", "--n", "64",
                "--eps", "0.125", "--t", "256", "--u-bits", "12"])

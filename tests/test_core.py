@@ -373,13 +373,13 @@ def test_bitwriter_matches_reference_fold(seed):
 
 
 def test_transcript_recompute_rules():
-    tr = GameTranscript(queries=[(1, True)], challenge=2, challenge_response=True,
+    tr = GameTranscript(points=[1], answers=[True], challenge=2, challenge_response=True,
                         success=False, valid=True)
     assert not tr.recompute_success(frozenset({2}))   # challenge in S
     assert tr.recompute_success(frozenset({5}))       # fresh + answered True
-    tr2 = GameTranscript(queries=[(2, True)], challenge=2, challenge_response=True,
+    tr2 = GameTranscript(points=[2], answers=[True], challenge=2, challenge_response=True,
                          success=False, valid=True)
     assert not tr2.recompute_success(frozenset({5}))  # challenge was queried
-    tr3 = GameTranscript(queries=[], challenge=2, challenge_response=False,
+    tr3 = GameTranscript(points=[], answers=[], challenge=2, challenge_response=False,
                          success=False, valid=True)
     assert not tr3.recompute_success(frozenset({5}))  # answered False
